@@ -13,7 +13,8 @@ from math import gcd as _gcd
 
 def degree_keys(gen_keys, degree):
     """All degree-``degree`` monomial keys, in combinations-with-replacement
-    order on generator indices (descending lex on exponent vectors)."""
+    order on generator indices (descending lex on exponent vectors).  Kept
+    for the kernel tests; the engine no longer calls it."""
     cdef Py_ssize_t ngens = len(gen_keys)
     cdef Py_ssize_t d = degree
     if d == 0:
@@ -162,17 +163,21 @@ cdef class SpanReducer:
     def insert_products(self, term_keys, term_coeffs, mult_keys, key_to_col):
         cdef list tkeys = list(term_keys)
         cdef list tcoeffs = list(term_coeffs)
-        cdef Py_ssize_t nterms = len(tkeys)
         cdef Py_ssize_t ncols = self.ncols
-        cdef list cols
-        cdef Py_ssize_t t
+        cdef list cols, coeffs
+        get = key_to_col.get
         for mk in mult_keys:
             if self.rank == ncols:
                 return
-            cols = [None] * nterms
-            for t in range(nterms):
-                cols[t] = key_to_col[tkeys[t] + mk]
-            self._insert(cols, list(tcoeffs))
+            cols = [get(tk + mk, -1) for tk in tkeys]
+            if -1 in cols:
+                coeffs = [c for col, c in zip(cols, tcoeffs) if col >= 0]
+                if not coeffs:
+                    continue
+                cols = [col for col in cols if col >= 0]
+            else:
+                coeffs = list(tcoeffs)
+            self._insert(cols, coeffs)
 
     def pivot_cols(self):
         return sorted(self._pivots)

@@ -15,9 +15,12 @@ def degree_keys(gen_keys, degree):
     ``gen_keys[g]`` is the packed-integer key of generator ``g``; a monomial
     key is the sum of its factors' keys.  Keys are listed in the order
     produced by ``itertools.combinations_with_replacement`` on generator
-    indices, i.e. descending lexicographic order on exponent vectors.  This
-    order is load-bearing: column indices everywhere in the engine are
-    positions in this list.
+    indices, i.e. descending lexicographic order on exponent vectors.
+
+    The engine no longer calls this: its columns are only the monomials
+    outside the presentation's monomial ideal, enumerated in the same order
+    by ``GradedRing._mono_keys``.  It stays as the reference order for the
+    kernel tests.
     """
     if degree == 0:
         return [0]
@@ -84,15 +87,26 @@ class SpanReducer:
         ``term_keys``/``term_coeffs`` describe the relation, presorted so
         that the translated columns come out strictly increasing (monomial
         keys are translation-invariant under the column order).  One row is
-        inserted per key in ``mult_keys``; the loop stops early once the span
-        is the full column space, which no further row can enlarge.
+        inserted per key in ``mult_keys``.  A product term whose key has no
+        column in ``key_to_col`` lies in the monomial ideal the columns
+        leave out, so it is zero and is dropped; a row left empty is
+        skipped.  The loop stops early once the span is the full column
+        space, which no further row can enlarge.
         """
         ncols = self.ncols
+        get = key_to_col.get
         for mk in mult_keys:
             if self.rank == ncols:
                 return
-            cols = [key_to_col[tk + mk] for tk in term_keys]
-            self.insert(cols, list(term_coeffs))
+            cols = [get(tk + mk, -1) for tk in term_keys]
+            if -1 in cols:
+                coeffs = [c for col, c in zip(cols, term_coeffs) if col >= 0]
+                if not coeffs:
+                    continue
+                cols = [col for col in cols if col >= 0]
+            else:
+                coeffs = list(term_coeffs)
+            self.insert(cols, coeffs)
 
     def pivot_cols(self):
         """Sorted list of pivot column indices."""

@@ -2,51 +2,66 @@
 
 A :class:`Presentation` lists generators (all in degree one), homogeneous
 relation polynomials, and a socle degree.  The engine computes each graded
-piece of the quotient ring by brute force: enumerate every degree-``d``
-monomial, span the degree-``d`` slice of the ideal (relation times
-complementary monomial), echelonize exactly, and read the quotient off the
-non-pivot columns.  No Groebner machinery -- ranks of explicit integer
-matrices decide everything, which keeps the verification auditable.
+piece of the quotient ring R = S/I by explicit exact linear algebra:
+
+* the single-term relations generate a monomial ideal J inside I, so R is
+  also (S/J)/I', with I' generated by the multi-term relations.  The
+  degree-``d`` monomials outside J form a basis of (S/J)_d; they are the
+  columns, enumerated without ever listing the monomials inside J;
+* the degree-``d`` slice of I' (multi-term relation times a multiplier
+  outside J, with the terms that land in J dropped) is echelonized exactly,
+  and the quotient is read off the non-pivot columns.
+
+No Groebner machinery -- ranks of explicit integer matrices decide
+everything, which keeps the verification auditable.  Above the socle
+degree the engine proves vanishing instead of building the piece (see
+:meth:`GradedRing._above_socle_dimension`).
 
 Monomials are encoded as packed integers (one bit field per generator
 exponent) so that multiplying two monomials is a single integer addition;
-column indices are positions in the fixed enumeration order of
-``degree_keys``.
+column indices are positions in the enumeration order of
+:meth:`GradedRing._mono_keys`.
 """
 
 import hashlib
-import itertools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
-from ._kernel import SpanReducer, degree_keys
+from ._kernel import SpanReducer
 from .linalg import SparseMatrix
 
-#: Default per-degree ceiling on the number of monomials the engine will
-#: enumerate before refusing (guards against accidental combinatorial blowup).
+#: Default per-degree ceiling on the number of columns (monomials outside
+#: the monomial ideal) the engine will enumerate before refusing (guards
+#: against accidental combinatorial blowup).
 SIZE_CEILING_DEFAULT = 5_000_000
 
 #: Bumped whenever the on-disk basis/gram payload format or the engine's
 #: column conventions change; part of every cache key.
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 
 
 class SizeCeilingError(RuntimeError):
-    """Raised when a graded piece would exceed the monomial ceiling."""
+    """Raised when a graded piece is too big to build.
 
-    def __init__(self, label, degree, count, ceiling):
-        super().__init__(
-            f"degree {degree} of {label!r} needs {count} monomials, "
-            f"above the ceiling of {ceiling}"
-        )
+    ``count`` is finite, or None when the refusal is not about a count (a
+    degree beyond the exponent packing); ``reason`` says which.  The engine
+    stops enumerating columns as soon as the ceiling is passed, so its
+    ``count`` is a lower bound (ceiling + 1).
+    """
+
+    def __init__(self, label, degree, count, ceiling, reason=None):
+        if reason is None:
+            reason = f"needs {count} columns, above the ceiling of {ceiling}"
+        super().__init__(f"degree {degree} of {label!r} {reason}")
         self.label = label
         self.degree = degree
         self.count = count
         self.ceiling = ceiling
+        self.reason = reason
 
 
 class PresentationError(ValueError):
@@ -386,10 +401,12 @@ class Presentation:
 class GradedBasis:
     """One graded piece of a quotient ring.
 
-    Records the monomial enumeration, the echelonized relation slice, and
-    the quotient data.  ``dimension == monomial_count - rank`` always; the
-    quotient basis is the set of non-pivot columns, which is canonical for
-    the row space (independent of relation order).
+    Records the columns (the degree-``degree`` monomials outside the
+    monomial ideal J, so ``monomial_count`` counts only those), the
+    echelonized slice of the multi-term relations, and the quotient data.
+    ``dimension == monomial_count - rank`` always; the quotient basis is the
+    set of non-pivot columns, which is canonical for the row space
+    (independent of relation order).
     """
 
     def __init__(self, ring, degree, keys, pivot_cols, echelon, dimension):
@@ -416,7 +433,7 @@ class GradedBasis:
 
     @property
     def monomial_list(self):
-        """All degree-``degree`` monomials in enumeration (column) order."""
+        """The degree-``degree`` monomials outside J, in column order."""
         return [self.ring.decode_key(k) for k in self._keys]
 
     @property
@@ -513,7 +530,7 @@ class GradedRing:
         gens = presentation.generators
         self._gen_index = {g: i for i, g in enumerate(gens)}
         # Bit width per exponent slot: big enough for any degree we can
-        # afford to enumerate; checked again in basis().
+        # afford to enumerate; checked again in _mono_keys().
         self._bits = max(6, (presentation.socle_degree + 2).bit_length())
         self._gen_keys = [1 << (self._bits * i) for i in range(len(gens))]
         self._mask = (1 << self._bits) - 1
@@ -526,7 +543,8 @@ class GradedRing:
         self._gram_rank_memo = {}
         self._master_lock = threading.Lock()
         self._degree_locks = {}
-        self._prepped = self._prepare_relations()
+        ideal, self._prepped = self._prepare_relations()
+        self._ideal_masks, self._ideal_rest = self._ideal_tests(ideal)
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -562,17 +580,27 @@ class GradedRing:
     # ----- relation preparation ----------------------------------------
 
     def _prepare_relations(self):
-        """Relations as integer term rows, presorted for the kernel.
+        """Split the relations into the monomial ideal J and row sources.
 
-        Terms are ordered by descending lexicographic exponent vector --
-        the same order that assigns column indices -- so that translated
-        columns come out strictly increasing without per-row sorting.
-        Relations themselves are sorted shortest first: single-term rows
-        make tail-free pivots, which keeps fill-in low for everything
-        inserted afterwards.
+        A single-term relation ``c*m`` says that ``m`` is zero, so ``m``
+        becomes a generator of J whatever ``c`` is.  Every other relation
+        becomes an integer term row ordered by descending lexicographic
+        exponent vector -- the same order that assigns column indices -- so
+        that translated columns come out strictly increasing without
+        per-row sorting (dropping the terms that land in J keeps them
+        increasing).  Rows are sorted shortest first, which keeps fill-in
+        low.
+
+        Returns ``(ideal, rows)``: the sorted keys of J's generators and
+        the ``(degree, keys, coeffs)`` rows.
         """
+        ideal = set()
         prepped = []
         for rel in self.presentation.relations:
+            if len(rel.terms) == 1:
+                (m,) = rel.terms
+                ideal.add(self.monomial_key(m))
+                continue
             terms = list(rel.terms.items())
             den = lcm(*(c.denominator for _, c in terms))
             int_terms = [
@@ -591,27 +619,102 @@ class GradedRing:
                 coeffs = [-c for c in coeffs]
             prepped.append((rel.degree(), keys, coeffs))
         prepped.sort(key=lambda t: (len(t[1]), t[0], t[1], t[2]))
-        return prepped
+        return sorted(ideal), prepped
+
+    def _ideal_tests(self, ideal):
+        """Per generator g, the data that decides whether ``m*g`` is in J
+        for a monomial ``m`` outside J.
+
+        Such an ``m*g`` lies in J exactly when some generator j of J with
+        g | j has j/g | m: a generator of J without the factor g that
+        divided ``m*g`` would divide ``m``.  When j/g is a single generator
+        h the test is ``m & slot(h) != 0``, so those slots are ORed into one
+        bit mask per g.  Every other quotient j/g is kept as a tuple of
+        ``(shift, exponent)`` lower bounds (the empty tuple when j = g).
+        """
+        bits, mask, gen_keys = self._bits, self._mask, self._gen_keys
+        masks = [0] * len(gen_keys)
+        rest = [[] for _ in gen_keys]
+        for j in ideal:
+            for g, gkey in enumerate(gen_keys):
+                if not j & (mask * gkey):
+                    continue
+                quotient = j - gkey
+                if quotient in gen_keys:
+                    masks[g] |= mask * quotient
+                else:
+                    slots = ((bits * i, (quotient >> (bits * i)) & mask)
+                             for i in range(len(gen_keys)))
+                    rest[g].append(tuple((shift, e) for shift, e in slots if e))
+        return masks, rest
+
+    def _times_in_ideal(self, key, g):
+        """Whether ``key * generator g`` lies in J, for a key outside J."""
+        if key & self._ideal_masks[g]:
+            return True
+        mask = self._mask
+        return any(
+            all((key >> shift) & mask >= e for shift, e in quotient)
+            for quotient in self._ideal_rest[g]
+        )
 
     # ----- monomial enumeration ----------------------------------------
 
-    def monomial_count(self, d):
-        ngens = len(self.presentation.generators)
-        if ngens == 0:
-            return 1 if d == 0 else 0
-        return comb(ngens + d - 1, d)
-
     def _mono_keys(self, d):
+        """Keys of the degree-``d`` monomials outside J, in column order.
+
+        The order is that of ``itertools.combinations_with_replacement`` on
+        generator indices (descending lexicographic order on exponent
+        vectors), restricted to the monomials outside J.  Degree ``d`` is
+        built from degree ``d-1``: each monomial there is extended by every
+        generator index at least its last one, and a product is dropped as
+        soon as it lies in J.  Every divisor of a monomial outside J is
+        outside J, so this reaches every column, in order, and never lists a
+        monomial inside J.
+
+        Refuses (SizeCeilingError) once the count passes the size ceiling,
+        or when ``d`` exceeds the exponent packing width.
+        """
+        return self._columns(d)[0]
+
+    def _columns(self, d):
+        """``(keys, lasts)`` of degree ``d``; ``lasts[i]`` is the largest
+        generator index of ``keys[i]`` (the extension point)."""
         with self._master_lock:
             hit = self._mono_keys_memo.get(d)
         if hit is not None:
             return hit
-        keys = degree_keys(self._gen_keys, d)
+        if d > self._degree_cap:
+            raise SizeCeilingError(
+                self.presentation.label, d, None, self.size_ceiling,
+                reason=f"exceeds the exponent packing (degrees up to "
+                       f"{self._degree_cap} fit)",
+            )
+        if d == 0:
+            keys, lasts = [0], [0]
+        else:
+            keys, lasts = [], []
+            prev_keys, prev_lasts = self._columns(d - 1)
+            gen_keys, masks, rest = self._gen_keys, self._ideal_masks, self._ideal_rest
+            ngens, ceiling = len(gen_keys), self.size_ceiling
+            for key, last in zip(prev_keys, prev_lasts):
+                for g in range(last, ngens):
+                    if key & masks[g] or (rest[g] and self._times_in_ideal(key, g)):
+                        continue
+                    keys.append(key + gen_keys[g])
+                    lasts.append(g)
+                if len(keys) > ceiling:
+                    raise SizeCeilingError(
+                        self.presentation.label, d, len(keys), ceiling,
+                        reason=f"needs more than {ceiling} columns (monomials "
+                               f"outside the monomial ideal)",
+                    )
         with self._master_lock:
-            self._mono_keys_memo[d] = keys
-        return keys
+            return self._mono_keys_memo.setdefault(d, (keys, lasts))
 
     def key_to_col(self, d):
+        """Column index of each degree-``d`` key outside J; a same-degree key
+        without a column lies in J and is zero in the ring."""
         with self._master_lock:
             hit = self._key_to_col_memo.get(d)
         if hit is not None:
@@ -649,17 +752,9 @@ class GradedRing:
             return basis
 
     def _compute_basis(self, d):
-        if d > self._degree_cap:
-            raise SizeCeilingError(
-                self.presentation.label, d, float("inf"), self.size_ceiling
-            )
-        count = self.monomial_count(d)
-        if count > self.size_ceiling:
-            raise SizeCeilingError(
-                self.presentation.label, d, count, self.size_ceiling
-            )
         keys = self._mono_keys(d)
-        key_to_col = {k: i for i, k in enumerate(keys)}
+        count = len(keys)
+        key_to_col = self.key_to_col(d)
         reducer = SpanReducer(count)
         for rdeg, tkeys, tcoeffs in self._prepped:
             if rdeg > d:
@@ -738,7 +833,8 @@ class GradedRing:
 
         ``q`` must be homogeneous (the zero polynomial is allowed when
         ``degree`` is given explicitly).  Returns a list of Fractions, one
-        per quotient-basis monomial, in column order.
+        per quotient-basis monomial, in column order.  Terms in the
+        monomial ideal J have no column and contribute zero.
         """
         self._check_poly(q)
         qdeg = q.degree()
@@ -767,7 +863,7 @@ class GradedRing:
                 continue
             col = key_to_col.get(key)
             if col is None:
-                raise ValueError("monomial key outside degree slice")
+                continue  # in J (the degree was checked by the caller)
             if col in pivot_set:
                 cols, coeffs = rref[col]
                 lead = coeffs[0]
@@ -793,10 +889,10 @@ class GradedRing:
     def multiply(self, u, v):
         """Product of two classes, in normal form.
 
-        Degrees above the socle are handled by a vanishing shortcut: once
-        the degree-(socle+1) piece is checked to be zero, every higher
-        piece is zero too (the ring is generated in degree one), so no
-        gigantic monomial slice is ever enumerated.
+        A product above the socle degree is zero when
+        :meth:`_above_socle_dimension` returns 0, which it usually proves
+        without building any piece above the socle.  Otherwise a product in
+        degree socle+1 is reduced explicitly, and a higher one is refused.
         """
         self._check_poly(u)
         self._check_poly(v)
@@ -805,12 +901,12 @@ class GradedRing:
             return Poly.zero()
         target = du + dv
         socle = self.presentation.socle_degree
-        if target > socle + 1:
-            if self.basis(socle + 1).dimension != 0:
-                raise PresentationError(
-                    "nonzero piece above the socle; cannot truncate product"
-                )
+        if target > socle and self._above_socle_dimension() == 0:
             return Poly.zero()
+        if target > socle + 1:
+            raise PresentationError(
+                "nonzero piece above the socle; cannot truncate product"
+            )
         return self.nf_poly(u * v, target)
 
     # ----- socle and pairings -------------------------------------------
@@ -842,10 +938,10 @@ class GradedRing:
                 if x:
                     acc += v * x
             lam[lead] = -acc / coeffs[0] if acc else Fraction(0)
-        s_col = self.key_to_col(n)[
+        s_col = self.key_to_col(n).get(
             self.monomial_key(self.presentation.socle_monomial)
-        ]
-        s = lam[s_col]
+        )
+        s = 0 if s_col is None else lam[s_col]
         if not s:
             raise SocleError(
                 f"socle monomial of {self.presentation.label!r} evaluates to zero"
@@ -869,7 +965,8 @@ class GradedRing:
     def socle_eval(self, q):
         """Evaluate a degree-``socle`` class against the socle monomial.
 
-        Normalized so the socle monomial itself evaluates to 1.
+        Normalized so the socle monomial itself evaluates to 1; terms in
+        the monomial ideal J evaluate to zero.
         """
         n = self.presentation.socle_degree
         qdeg = q.degree()
@@ -879,19 +976,17 @@ class GradedRing:
         key_to_col = self.key_to_col(n)
         total = Fraction(0)
         for m, c in q.terms.items():
-            total += c * lam[key_to_col[self.monomial_key(m)]]
+            col = key_to_col.get(self.monomial_key(m))
+            if col is not None:
+                total += c * lam[col]
         return total
-
-    def _socle_eval_key(self, key):
-        """socle_eval of a single degree-n monomial given by its key."""
-        return self.socle_table()[self.key_to_col(self.presentation.socle_degree)[key]]
 
     def gram_matrix(self, d, rows=None, cols=None):
         """Pairing matrix between degree-``d`` and complementary classes.
 
         Defaults pair the quotient-basis monomials of degree ``d`` against
         those of degree ``socle - d``.  Entries are socle evaluations of the
-        products, as exact rationals.
+        products, as exact rationals (zero for products in J).
         """
         n = self.presentation.socle_degree
         if not 0 <= d <= n:
@@ -924,9 +1019,9 @@ class GradedRing:
                 value = Fraction(0)
                 for k1, c1 in rterms:
                     for k2, c2 in cterms:
-                        v = lam[key_to_col[k1 + k2]]
-                        if v:
-                            value += c1 * c2 * v
+                        col = key_to_col.get(k1 + k2)
+                        if col is not None and lam[col]:
+                            value += c1 * c2 * lam[col]
                 if value:
                     entries[(i, j)] = value
         return SparseMatrix(len(row_polys), len(col_polys), entries)
@@ -957,23 +1052,69 @@ class GradedRing:
             self.cache.put(cache_key, {"rank": rank})
         return rank
 
+    def _above_socle_dimension(self):
+        """Dimension of R_{n+1}, n the socle degree, by proof when possible.
+
+        Lemma.  Suppose :meth:`socle_table` succeeds, so R_n = Q*[s] for the
+        socle monomial s, with socle evaluation lambda(s) = 1, and some
+        factor x of s has x*s in the monomial ideal J.  Then R_d = 0 for
+        every d > n.
+
+        Proof.  For a generator g, g*s = x*u with u = g*s/x of degree n,
+        and [u] = lambda(u)*[s] because R_n is spanned by [s].  So
+        [g]*[s] = [x]*[u] = lambda(u)*[x*s] = 0, since x*s lies in J.  The
+        ring is generated in degree one, so R_{n+1} = R_1*R_n = 0, and
+        R_d = R_1*R_{d-1} = 0 for every d > n+1 in turn.
+
+        Checking the hypotheses costs the socle table (which the pairing
+        checks need anyway) and one ideal test per factor of s.  When they
+        fail -- a defective socle, or no such x (as for a ring with no
+        monomial relations) -- degree n+1 is built by explicit elimination.
+        """
+        n = self.presentation.socle_degree
+        s = self.presentation.socle_monomial
+        try:
+            self.socle_table()
+        except SocleError:
+            pass
+        else:
+            s_key = self.monomial_key(s)  # outside J, since lambda(s) = 1
+            if any(self._times_in_ideal(s_key, self._gen_index[x]) for x, _ in s.exps):
+                return 0
+        return self.basis(n + 1).dimension
+
     def hilbert(self, max_degree=None):
-        """Dimensions of the graded pieces, degrees 0..max_degree."""
+        """Dimensions of the graded pieces, degrees 0..max_degree.
+
+        Above the socle degree n the dimensions come from
+        :meth:`_above_socle_dimension`: when it proves R_{n+1} = 0, every
+        higher piece is zero without being built.
+        """
+        n = self.presentation.socle_degree
         if max_degree is None:
-            max_degree = self.presentation.socle_degree
-        return [self.basis(d).dimension for d in range(max_degree + 1)]
+            max_degree = n
+        dims = [self.basis(d).dimension for d in range(min(max_degree, n) + 1)]
+        if max_degree > n:
+            above = self._above_socle_dimension()
+            dims.append(above)
+            dims.extend(
+                self.basis(d).dimension if above else 0
+                for d in range(n + 2, max_degree + 1)
+            )
+        return dims
 
     def gorenstein_check(self, jobs=None):
         """Full Gorenstein verification; returns a PairingReport.
 
         Checks, in order: one-dimensional bottom and socle, vanishing just
-        above the socle, a symmetric Hilbert function, and a perfect pairing
-        (full-rank Gram matrix) in every complementary pair of degrees.
+        above the socle (by :meth:`_above_socle_dimension`), a symmetric
+        Hilbert function, and a perfect pairing (full-rank Gram matrix) in
+        every complementary pair of degrees.
         """
         jobs = self.jobs if jobs is None else max(1, jobs)
         n = self.presentation.socle_degree
         hilbert = self.hilbert(n)
-        above = self.basis(n + 1).dimension
+        above = self._above_socle_dimension()
         socle_ok = True
         socle_note = ""
         try:

@@ -112,6 +112,17 @@ def _echo_table(report):
     click.echo(f"timing  : {report['timing']['seconds']}s")
 
 
+def _subcommand_path(ctx):
+    """Subcommand names below the root group, e.g. ``xn hilbert``; unlike
+    ``ctx.command_path`` this does not depend on how the program was
+    started (``tautring`` or ``python -m tautring.cli``)."""
+    names = []
+    while ctx.parent is not None:
+        names.append(ctx.info_name)
+        ctx = ctx.parent
+    return " ".join(reversed(names))
+
+
 def guarded(fn):
     """Convert engine size refusals into exit code 3 with a marked report."""
 
@@ -119,11 +130,10 @@ def guarded(fn):
         try:
             return fn(ctx, *args, **kwargs)
         except SizeCeilingError as exc:
-            command = " ".join(ctx.command_path.split()[1:]) or ctx.command_path
             emit(
                 ctx,
-                command,
-                {},
+                _subcommand_path(ctx),
+                kwargs,
                 [
                     check(
                         "size-guard",
@@ -132,6 +142,7 @@ def guarded(fn):
                         degree=exc.degree,
                         count=exc.count,
                         ceiling=exc.ceiling,
+                        reason=exc.reason,
                     )
                 ],
                 status="size-guard",
@@ -157,7 +168,8 @@ def _parse_alphas(text):
               type=click.Path(file_okay=False),
               help="Basis cache directory (also via TAUTRING_CACHE_DIR).")
 @click.option("--size-ceiling", type=click.IntRange(min=1), default=SIZE_CEILING_DEFAULT,
-              show_default=True, help="Refuse degrees with more monomials than this.")
+              show_default=True, help="Refuse degrees with more columns (monomials outside the "
+                   "monomial ideal) than this.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads for independent degree checks.")
 @click.pass_context

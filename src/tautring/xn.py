@@ -429,8 +429,11 @@ def matching_gram(m):
         count = 1
         for k in range(3, 2 * m, 2):
             count *= k
-        raise SizeCeilingError("matching-gram", m, count * count,
-                               MATCHING_GRAM_LIMIT)
+        raise SizeCeilingError(
+            "matching-gram", m, count * count, MATCHING_GRAM_LIMIT,
+            reason=f"needs {count * count} Gram entries, above the limit "
+                   f"m <= {MATCHING_GRAM_LIMIT}",
+        )
     ground = default_ground(2 * m)
     matchings = perfect_matchings(ground)
     polys = [

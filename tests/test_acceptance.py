@@ -108,13 +108,18 @@ def test_criterion_05_matching_gram_kernel():
 
 
 def test_criterion_06_compactified_ring_full_engine():
-    expected = {2: [1, 3, 1], 3: [1, 7, 7, 1], 4: [1, 15, 35, 15, 1]}
-    for n in (2, 3, 4):
+    expected = {
+        2: [1, 3, 1],
+        3: [1, 7, 7, 1],
+        4: [1, 15, 35, 15, 1],
+        5: [1, 31, 147, 147, 31, 1],
+    }
+    for n in (2, 3, 4, 5):
         code, report = run_cli(["fm", "check", "--n", str(n), "--mode", "full"])
         assert code == 0
         assert report["summary"]["verdict"] == "gorenstein"
         assert report["summary"]["hilbert"] == expected[n]
-    print("criterion 6: PASS - fm full engine gorenstein for n = 2, 3, 4")
+    print("criterion 6: PASS - fm full engine gorenstein for n = 2, 3, 4, 5")
 
 
 def test_criterion_07_compactified_ring_block_route():

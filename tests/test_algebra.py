@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tautring.algebra import (
+    GradedRing,
     Monomial,
     Poly,
     Presentation,
@@ -160,10 +161,12 @@ def test_two_point_gram_matrix_in_degree_one():
 
 
 def test_size_ceiling_refusal():
+    # the ceiling counts columns outside the monomial ideal: 90 in degree 3
+    # of X^4, 173 in degree 4
     presentation = xn_presentation(4)
     ring = ring_for(presentation, size_ceiling=100)
     with pytest.raises(SizeCeilingError) as info:
-        ring.basis(3)
+        ring.basis(4)
     assert info.value.ceiling == 100
     assert info.value.count > 100
 
@@ -224,3 +227,135 @@ def test_poly_arithmetic_basics():
     assert p.degree() == 2
     assert (p - p).is_zero
     assert p.scale(0).is_zero
+
+
+# ----- the monomial ideal J and vanishing above the socle ---------------------
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    [xn_presentation(n) for n in range(1, 6)] + [fm_presentation(n) for n in (2, 3)],
+    ids=lambda p: p.label,
+)
+def test_vanishing_lemma_agrees_with_explicit_elimination(presentation):
+    n = presentation.socle_degree
+    ring = GradedRing(presentation)
+    assert ring._above_socle_dimension() == 0
+    assert n + 1 not in ring._basis_memo  # decided by the lemma, not built
+    assert ring.basis(n + 1).dimension == 0
+
+
+def _one_generator_ring():
+    # one generator x, no relations, socle x in degree 1: R_2 = Q*x^2, so
+    # the lemma's hypothesis (some factor x of s with x*s in J) fails
+    x = gen_a(1)
+    return GradedRing(Presentation(
+        label="free-one-generator",
+        ground=(1,),
+        generators=[x],
+        relations=[],
+        socle_degree=1,
+        socle_monomial=Monomial(((x, 1),)),
+    ))
+
+
+def test_vanishing_falls_back_to_elimination_when_the_lemma_does_not_apply():
+    ring = _one_generator_ring()
+    report = ring.gorenstein_check()
+    assert report.above_socle_dimension == 1
+    assert report.verdict == "defective"
+    assert 2 in ring._basis_memo
+    assert ring.hilbert(3) == [1, 1, 1, 1]
+
+
+def test_multiply_at_socle_plus_one_does_not_build_that_degree():
+    ring = GradedRing(xn_presentation(3))
+    product = ring.multiply(a_poly(1) * a_poly(2), b_poly(1, 3) * b_poly(2, 3))
+    assert product.is_zero
+    assert 4 not in ring._basis_memo and 4 not in ring._mono_keys_memo
+
+
+def test_hilbert_above_the_socle_is_zero_without_building():
+    ring = GradedRing(xn_presentation(2))
+    assert ring.hilbert(70) == [1, 3, 1] + [0] * 68
+    assert max(ring._basis_memo) == 2
+
+
+def test_packing_refusal_carries_no_count():
+    ring = _one_generator_ring()
+    with pytest.raises(SizeCeilingError) as info:
+        ring.basis(ring._degree_cap + 1)
+    assert info.value.count is None
+    assert "packing" in info.value.reason
+
+
+def test_monomials_in_the_ideal_are_zero():
+    ring = ring_for(xn_presentation(3))
+    in_j = a_poly(1) * a_poly(1) * a_poly(2)  # a1^2 divides it
+    assert ring.normal_form(in_j) == [0] * ring.basis(3).dimension
+    assert ring.nf_poly(in_j + b_poly(1, 2) * b_poly(1, 2) * a_poly(3)) == ring.nf_poly(
+        b_poly(1, 2) * b_poly(1, 2) * a_poly(3)
+    )
+    assert ring.socle_eval(in_j) == 0
+    assert ring.socle_eval(in_j + a_poly(1) * a_poly(2) * a_poly(3)) == 1
+    gram = ring.gram_matrix(1, rows=[a_poly(1)], cols=[a_poly(1) * a_poly(2)])
+    assert gram.to_dense() == [[Fraction(0)]]
+    # a polynomial of the wrong degree is still refused
+    with pytest.raises(ValueError):
+        ring.normal_form(a_poly(1) * a_poly(1), 3)
+    with pytest.raises(ValueError):
+        ring.socle_eval(a_poly(1) * a_poly(1))
+    with pytest.raises(ValueError):
+        ring.gram_matrix(1, rows=[a_poly(1) * a_poly(1)])
+
+
+def _higher_degree_ideal_presentation():
+    # J generators of degree 1 (a3), with a squared quotient (a1*a2^2) and
+    # of degree 3 (a1^3), next to one multi-term relation
+    a1, a2, a3 = gen_a(1), gen_a(2), gen_a(3)
+    return Presentation(
+        label="higher-degree-ideal",
+        ground=(1, 2, 3),
+        generators=[a1, a2, a3],
+        relations=[
+            a_poly(1) * a_poly(1) * a_poly(1),
+            a_poly(1) * a_poly(2) * a_poly(2),
+            a_poly(3),
+            a_poly(1) * a_poly(2) - a_poly(2) * a_poly(2),
+        ],
+        socle_degree=3,
+        socle_monomial=Monomial(((a1, 2), (a2, 1))),
+    )
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    [fm_presentation(3), _higher_degree_ideal_presentation()],
+    ids=lambda p: p.label,
+)
+def test_columns_are_the_monomials_outside_the_ideal_in_reference_order(presentation):
+    from tautring._kernel.pure import degree_keys
+
+    ring = GradedRing(presentation)
+    ideal = [
+        ring.monomial_key(next(iter(rel.terms)))
+        for rel in presentation.relations if len(rel.terms) == 1
+    ]
+
+    def divides(j, key):
+        return all(
+            (key >> shift) & ring._mask >= (j >> shift) & ring._mask
+            for shift in range(0, ring._bits * len(presentation.generators), ring._bits)
+        )
+
+    for d in range(6):
+        everything = degree_keys(ring._gen_keys, d)
+        outside = [k for k in everything if not any(divides(j, k) for j in ideal)]
+        assert ring._mono_keys(d) == outside
+
+
+def test_higher_degree_ideal_dimensions_match_oracle():
+    presentation = _higher_degree_ideal_presentation()
+    ring = GradedRing(presentation)
+    for d in range(6):
+        assert ring.basis(d).dimension == oracle_dimension(presentation, d)

@@ -22,6 +22,15 @@ def report_of(result):
     return json.loads(result.output)
 
 
+def strict_report_of(result):
+    """The report as strict JSON: NaN and Infinity are refused."""
+
+    def refuse(token):
+        raise ValueError(f"non-finite number {token} in report")
+
+    return json.loads(result.output, parse_constant=refuse)
+
+
 def test_xn_check_passes(runner):
     result = invoke(runner, ["--format", "json", "xn", "check", "--n", "3"])
     assert result.exit_code == 0
@@ -43,10 +52,44 @@ def test_size_guard_exits_three(runner):
         ["--format", "json", "--size-ceiling", "100", "xn", "check", "--n", "4"],
     )
     assert result.exit_code == 3
-    report = report_of(result)
+    report = strict_report_of(result)
     assert report["summary"]["status"] == "size-guard"
+    assert report["command"] == "xn check"
+    assert report["inputs"] == {"n": 4}
     assert report["checks"][0]["name"] == "size-guard"
     assert report["checks"][0]["ceiling"] == 100
+    assert report["checks"][0]["count"] > 100  # degree 4 has 173 columns
+
+
+def test_hilbert_far_above_the_socle_is_zeros(runner):
+    result = invoke(
+        runner, ["--format", "json", "xn", "hilbert", "--n", "1", "--max-degree", "70"]
+    )
+    assert result.exit_code == 0
+    report = strict_report_of(result)
+    assert report["command"] == "xn hilbert"
+    assert report["summary"]["hilbert"] == [1, 1] + [0] * 69
+
+
+def test_packing_refusal_report_is_strict_json(runner, monkeypatch):
+    # a presentation where vanishing above the socle cannot be proven, so
+    # every degree is built until the exponent packing runs out
+    from tautring import cli as cli_module
+    from tautring.algebra import Monomial, Presentation, gen_a
+
+    x = gen_a(1)
+    free = Presentation("free-one-generator", (1,), [x], [], 1,
+                        Monomial(((x, 1),)))
+    monkeypatch.setattr(cli_module.xn_mod, "xn_presentation", lambda n: free)
+    result = invoke(
+        runner, ["--format", "json", "xn", "hilbert", "--n", "1", "--max-degree", "70"]
+    )
+    assert result.exit_code == 3
+    report = strict_report_of(result)
+    assert report["command"] == "xn hilbert"
+    guard = report["checks"][0]
+    assert guard["count"] is None
+    assert "packing" in guard["reason"]
 
 
 def test_check_failure_exits_one(runner, monkeypatch):

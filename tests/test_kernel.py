@@ -102,6 +102,62 @@ def test_insert_products_matches_pure_backend():
         assert results[0] == results[1]
 
 
+def _products_with_holes(rng):
+    """A relation, its multipliers and a column map that leaves out some
+    product keys, as when the columns skip a monomial ideal."""
+    n_gens = rng.randrange(2, 5)
+    gen_keys = _packed_keys(n_gens, 8)
+    t_deg = rng.randrange(1, 3)
+    m_deg = rng.randrange(0, 3)
+    term_keys = pure_degree_keys(gen_keys, t_deg)
+    mult_keys = pure_degree_keys(gen_keys, m_deg)
+    target = [k for k in pure_degree_keys(gen_keys, t_deg + m_deg)
+              if rng.random() < 0.6]
+    key_to_col = {k: i for i, k in enumerate(target)}
+    support = sorted(rng.sample(range(len(term_keys)),
+                                rng.randrange(1, len(term_keys) + 1)))
+    keys = [term_keys[i] for i in support]
+    coeffs = [rng.randrange(-5, 6) or 1 for _ in support]
+    return len(target), keys, coeffs, mult_keys, key_to_col
+
+
+def test_insert_products_drops_terms_without_a_column():
+    rng = random.Random(31337)
+    for _ in range(40):
+        ncols, keys, coeffs, mult_keys, key_to_col = _products_with_holes(rng)
+        batched = pure_reducer(ncols)
+        batched.insert_products(keys, coeffs, mult_keys, key_to_col)
+        by_hand = pure_reducer(ncols)
+        for mk in mult_keys:
+            row = [(key_to_col[k + mk], c) for k, c in zip(keys, coeffs)
+                   if k + mk in key_to_col]
+            if row:
+                by_hand.insert([col for col, _ in row], [c for _, c in row])
+        assert batched.pivot_cols() == by_hand.pivot_cols()
+        assert batched.echelon_rows() == by_hand.echelon_rows()
+
+
+def test_insert_products_skips_rows_left_empty():
+    reducer = pure_reducer(2)
+    calls = []
+    reducer.insert = lambda cols, coeffs: calls.append((cols, coeffs))
+    reducer.insert_products([1, 2], [1, -1], [10, 20], {12: 0})
+    assert calls == [([0], [-1])]
+
+
+@needs_compiled
+def test_insert_products_with_holes_matches_pure_backend():
+    rng = random.Random(4711)
+    for _ in range(20):
+        ncols, keys, coeffs, mult_keys, key_to_col = _products_with_holes(rng)
+        results = []
+        for cls in (pure_reducer, fast_reducer):
+            reducer = cls(ncols)
+            reducer.insert_products(keys, coeffs, mult_keys, key_to_col)
+            results.append((reducer.pivot_cols(), reducer.echelon_rows()))
+        assert results[0] == results[1]
+
+
 def test_reducer_rejects_inconsistent_row():
     reducer = pure_reducer(3)
     assert reducer.insert([0, 2], [1, 1]) == 0
