@@ -7,7 +7,6 @@ A closed-form psi-lambda integral evaluator provides an independent
 moduli-side computation path cross-checked against the fiber rings.
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .algebra import (
     GradedRing,
     PairingReport,
@@ -19,7 +18,6 @@ from .algebra import (
     ring_for,
 )
 from .cache import CacheStore
-from .linalg import ExactRational
 from .fm import (
     StandardMonomialFM,
     block_pairing,
@@ -48,9 +46,11 @@ from .xn import (
 
 __version__ = "0.1.0"
 
+# The one exact kernel is pure Python; the benchmark records this name.
+KERNEL_BACKEND = "pure"
+
 __all__ = [
     "CacheStore",
-    "ExactRational",
     "GradedRing",
     "KERNEL_BACKEND",
     "PairingReport",

@@ -1,34 +1,12 @@
-"""Pure-Python reference implementation of the row-reduction kernel.
+"""The exact row-reduction kernel: fraction-free elimination of integer rows.
 
-The compiled extension in ``_speedups.pyx`` mirrors this module line for
-line; any change here must be replicated there (the test suite checks that
-both backends produce identical echelon data on random inputs).
+Every rank the engine reports -- graded pieces, Gram pairings and
+``linalg.echelonize`` -- comes from :class:`SpanReducer` in this module.
+There is one implementation, in plain Python, and no other elimination
+path to keep in step with it.
 """
 
-import itertools
 from math import gcd
-
-
-def degree_keys(gen_keys, degree):
-    """All degree-``degree`` monomial keys over the given generator keys.
-
-    ``gen_keys[g]`` is the packed-integer key of generator ``g``; a monomial
-    key is the sum of its factors' keys.  Keys are listed in the order
-    produced by ``itertools.combinations_with_replacement`` on generator
-    indices, i.e. descending lexicographic order on exponent vectors.
-
-    The engine no longer calls this: its columns are only the monomials
-    outside the presentation's monomial ideal, enumerated in the same order
-    by ``GradedRing._mono_keys``.  It stays as the reference order for the
-    kernel tests.
-    """
-    if degree == 0:
-        return [0]
-    out = []
-    append = out.append
-    for combo in itertools.combinations_with_replacement(gen_keys, degree):
-        append(sum(combo))
-    return out
 
 
 def _normalize(coeffs):

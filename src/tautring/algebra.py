@@ -25,14 +25,12 @@ column indices are positions in the enumeration order of
 
 import hashlib
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from ._kernel import SpanReducer
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _integer_rows, _rref_from_echelon
 
 #: Default per-degree ceiling on the number of columns (monomials outside
 #: the monomial ideal) the engine will enumerate before refusing (guards
@@ -422,7 +420,6 @@ class GradedBasis:
         self._rref = None
         self._qpos = None
         self._pivot_set = None
-        self._lock = threading.Lock()
 
     @property
     def keys(self):
@@ -432,26 +429,9 @@ class GradedBasis:
         return self.ring.decode_key(self._keys[col])
 
     @property
-    def monomial_list(self):
-        """The degree-``degree`` monomials outside J, in column order."""
-        return [self.ring.decode_key(k) for k in self._keys]
-
-    @property
     def quotient_basis(self):
         """Monomials whose classes form a basis of this graded piece."""
         return [self.monomial_at(c) for c in self.quotient_cols]
-
-    @property
-    def relation_echelon(self):
-        """The echelonized relation slice as a SparseMatrix (one row per
-        pivot, canonical RREF)."""
-        rref = self.rref()
-        entries = {}
-        for i, lead in enumerate(self.pivot_cols):
-            cols, coeffs = rref[lead]
-            for j, v in zip(cols, coeffs):
-                entries[(i, j)] = Fraction(v)
-        return SparseMatrix(self.rank, self.monomial_count, entries)
 
     def has_echelon(self):
         return self._echelon is not None
@@ -462,17 +442,14 @@ class GradedBasis:
         Built lazily from the raw echelon by back-substitution (descending
         pivot order, so tails only reference already-reduced rows).
         """
-        with self._lock:
-            if self._rref is None:
-                if self._echelon is None:
-                    raise PresentationError(
-                        "echelon data unavailable (basis loaded dimension-only)"
-                    )
-                pivot_rows = {lead: (cols, coeffs) for lead, cols, coeffs in self._echelon}
-                from .linalg import _rref_from_echelon
-
-                self._rref = _rref_from_echelon(pivot_rows)
-            return self._rref
+        if self._rref is None:
+            if self._echelon is None:
+                raise PresentationError(
+                    "echelon data unavailable (basis loaded dimension-only)"
+                )
+            pivot_rows = {lead: (cols, coeffs) for lead, cols, coeffs in self._echelon}
+            self._rref = _rref_from_echelon(pivot_rows)
+        return self._rref
 
     def quotient_pos(self, col):
         """Position of a non-pivot column inside the quotient basis."""
@@ -505,6 +482,27 @@ class GradedBasis:
         return payload
 
 
+def _basis_payload_fits(payload, count):
+    """Whether a cached basis payload is consistent with ``count`` columns.
+
+    The payload must have been built over the same ``count`` columns, its
+    pivot columns must be strictly increasing inside ``range(count)``, its
+    dimension must be ``count`` minus their number, and a stored echelon
+    must lead with exactly those pivots.  Anything else is a stale or
+    inconsistent entry, which the engine recomputes and overwrites.
+    """
+    cols = payload.get("pivot_cols")
+    if not isinstance(cols, list):
+        return False
+    echelon = payload.get("echelon")
+    return (
+        payload.get("monomial_count") == count
+        and payload.get("dimension") == count - len(cols)
+        and all(a < b for a, b in zip([-1] + cols, cols + [count]))
+        and (echelon is None or [row[0] for row in echelon] == cols)
+    )
+
+
 def _complement(sorted_cols, total):
     """Ascending tuple of the columns not in ``sorted_cols``."""
     out = []
@@ -522,11 +520,10 @@ class GradedRing:
     """Engine wrapper around a Presentation: bases, products, pairings."""
 
     def __init__(self, presentation, *, size_ceiling=SIZE_CEILING_DEFAULT,
-                 cache=None, jobs=1):
+                 cache=None):
         self.presentation = presentation
         self.size_ceiling = size_ceiling
         self.cache = cache
-        self.jobs = max(1, jobs)
         gens = presentation.generators
         self._gen_index = {g: i for i, g in enumerate(gens)}
         # Bit width per exponent slot: big enough for any degree we can
@@ -541,8 +538,6 @@ class GradedRing:
         self._socle_coord = None
         self._socle_table_memo = None
         self._gram_rank_memo = {}
-        self._master_lock = threading.Lock()
-        self._degree_locks = {}
         ideal, self._prepped = self._prepare_relations()
         self._ideal_masks, self._ideal_rest = self._ideal_tests(ideal)
         self.cache_hits = 0
@@ -680,8 +675,7 @@ class GradedRing:
     def _columns(self, d):
         """``(keys, lasts)`` of degree ``d``; ``lasts[i]`` is the largest
         generator index of ``keys[i]`` (the extension point)."""
-        with self._master_lock:
-            hit = self._mono_keys_memo.get(d)
+        hit = self._mono_keys_memo.get(d)
         if hit is not None:
             return hit
         if d > self._degree_cap:
@@ -709,47 +703,32 @@ class GradedRing:
                         reason=f"needs more than {ceiling} columns (monomials "
                                f"outside the monomial ideal)",
                     )
-        with self._master_lock:
-            return self._mono_keys_memo.setdefault(d, (keys, lasts))
+        self._mono_keys_memo[d] = keys, lasts
+        return keys, lasts
 
     def key_to_col(self, d):
         """Column index of each degree-``d`` key outside J; a same-degree key
         without a column lies in J and is zero in the ring."""
-        with self._master_lock:
-            hit = self._key_to_col_memo.get(d)
-        if hit is not None:
-            return hit
-        mapping = {k: i for i, k in enumerate(self._mono_keys(d))}
-        with self._master_lock:
+        mapping = self._key_to_col_memo.get(d)
+        if mapping is None:
+            mapping = {k: i for i, k in enumerate(self._mono_keys(d))}
             self._key_to_col_memo[d] = mapping
         return mapping
 
     # ----- basis construction ------------------------------------------
 
-    def _degree_lock(self, d):
-        with self._master_lock:
-            lock = self._degree_locks.get(d)
-            if lock is None:
-                lock = self._degree_locks[d] = threading.Lock()
-            return lock
-
     def basis(self, d):
         """The degree-``d`` graded piece (memoized, cache-aware)."""
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        hit = self._basis_memo.get(d)
-        if hit is not None:
-            return hit
-        with self._degree_lock(d):
-            hit = self._basis_memo.get(d)
-            if hit is not None:
-                return hit
+        basis = self._basis_memo.get(d)
+        if basis is None:
             basis = self._load_cached_basis(d)
             if basis is None:
                 basis = self._compute_basis(d)
                 self._store_cached_basis(basis)
             self._basis_memo[d] = basis
-            return basis
+        return basis
 
     def _compute_basis(self, d):
         keys = self._mono_keys(d)
@@ -772,13 +751,11 @@ class GradedRing:
         if self.cache is None:
             return None
         payload = self.cache.get(self._basis_cache_key(d))
-        if payload is None:
+        keys = self._mono_keys(d)
+        if payload is None or not _basis_payload_fits(payload, len(keys)):
             self.cache_misses += 1
             return None
         self.cache_hits += 1
-        keys = self._mono_keys(d)
-        if payload["monomial_count"] != len(keys):
-            return None  # stale entry from an incompatible enumeration
         echelon = None
         if "echelon" in payload:
             echelon = [
@@ -813,12 +790,9 @@ class GradedRing:
         """Basis with echelon data, recomputing if the cache was dim-only."""
         basis = self.basis(d)
         if basis.dimension and not basis.has_echelon():
-            with self._degree_lock(d):
-                basis = self._basis_memo.get(d)
-                if not basis.has_echelon():
-                    basis = self._compute_basis(d)
-                    self._store_cached_basis(basis)
-                    self._basis_memo[d] = basis
+            basis = self._compute_basis(d)
+            self._store_cached_basis(basis)
+            self._basis_memo[d] = basis
         return basis
 
     def _check_poly(self, q):
@@ -1103,7 +1077,7 @@ class GradedRing:
             )
         return dims
 
-    def gorenstein_check(self, jobs=None):
+    def gorenstein_check(self):
         """Full Gorenstein verification; returns a PairingReport.
 
         Checks, in order: one-dimensional bottom and socle, vanishing just
@@ -1111,7 +1085,6 @@ class GradedRing:
         Hilbert function, and a perfect pairing (full-rank Gram matrix) in
         every complementary pair of degrees.
         """
-        jobs = self.jobs if jobs is None else max(1, jobs)
         n = self.presentation.socle_degree
         hilbert = self.hilbert(n)
         above = self._above_socle_dimension()
@@ -1123,15 +1096,9 @@ class GradedRing:
             socle_ok = False
             socle_note = str(exc)
         records = []
-        degrees = list(range(0, n // 2 + 1))
         ranks = {}
         if socle_ok:
-            if jobs > 1 and len(degrees) > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    futures = {d: pool.submit(self.gram_rank, d) for d in degrees}
-                    ranks = {d: f.result() for d, f in futures.items()}
-            else:
-                ranks = {d: self.gram_rank(d) for d in degrees}
+            ranks = {d: self.gram_rank(d) for d in range(n // 2 + 1)}
         for d in range(n + 1):
             dim = hilbert[d]
             codim = hilbert[n - d]
@@ -1204,8 +1171,6 @@ class PairingReport:
 
 def _integer_rank(matrix):
     """Rank of a SparseMatrix via the insertion kernel (rows made integral)."""
-    from .linalg import _integer_rows
-
     reducer = SpanReducer(matrix.cols)
     rows = _integer_rows(matrix)
     rows.sort(key=lambda r: (len(r[0]), r[0], r[1]))
@@ -1221,53 +1186,24 @@ def _integer_rank(matrix):
 # ----- module-level convenience API -------------------------------------
 
 _RING_REGISTRY = {}
-_RING_REGISTRY_LOCK = threading.Lock()
 
 
-def ring_for(presentation, *, size_ceiling=SIZE_CEILING_DEFAULT, cache=None, jobs=1):
+def ring_for(presentation, *, size_ceiling=SIZE_CEILING_DEFAULT, cache=None):
     """Shared GradedRing for a presentation (keyed by content hash).
 
     Reusing the ring lets separate API calls share memoized bases.  A ring
-    is reused only when the ceiling/cache/jobs configuration matches.
+    is reused only when the ceiling/cache configuration matches.
     """
     key = (
         presentation.content_hash,
         size_ceiling,
         id(cache) if cache is not None else None,
-        jobs,
     )
-    with _RING_REGISTRY_LOCK:
-        ring = _RING_REGISTRY.get(key)
-        if ring is None:
-            ring = GradedRing(
-                presentation, size_ceiling=size_ceiling, cache=cache, jobs=jobs
-            )
-            _RING_REGISTRY[key] = ring
-        return ring
-
-
-def build_basis(presentation, degree, **kw):
-    return ring_for(presentation, **kw).basis(degree)
-
-
-def normal_form(presentation, q, degree=None, **kw):
-    return ring_for(presentation, **kw).normal_form(q, degree)
-
-
-def multiply(presentation, u, v, **kw):
-    return ring_for(presentation, **kw).multiply(u, v)
-
-
-def hilbert(presentation, max_degree=None, **kw):
-    return ring_for(presentation, **kw).hilbert(max_degree)
-
-
-def socle_eval(presentation, q, **kw):
-    return ring_for(presentation, **kw).socle_eval(q)
-
-
-def gram_matrix(presentation, degree, rows=None, cols=None, **kw):
-    return ring_for(presentation, **kw).gram_matrix(degree, rows, cols)
+    ring = _RING_REGISTRY.get(key)
+    if ring is None:
+        ring = GradedRing(presentation, size_ceiling=size_ceiling, cache=cache)
+        _RING_REGISTRY[key] = ring
+    return ring
 
 
 def gorenstein_check(presentation, **kw):

@@ -21,7 +21,6 @@ import click
 from . import fm as fm_mod
 from . import hodge as hodge_mod
 from . import xn as xn_mod
-from ._kernel import BACKEND
 from .algebra import SIZE_CEILING_DEFAULT, SizeCeilingError, ring_for
 from .cache import CacheStore
 
@@ -43,19 +42,15 @@ def _jsonable(value):
 
 
 class RunContext:
-    def __init__(self, fmt, cache_dir, size_ceiling, jobs):
+    def __init__(self, fmt, cache_dir, size_ceiling):
         self.format = fmt
         self.cache = CacheStore(cache_dir) if cache_dir else None
         self.size_ceiling = size_ceiling
-        self.jobs = jobs
         self.started = time.monotonic()
 
     def ring(self, presentation):
         return ring_for(
-            presentation,
-            size_ceiling=self.size_ceiling,
-            cache=self.cache,
-            jobs=self.jobs,
+            presentation, size_ceiling=self.size_ceiling, cache=self.cache
         )
 
 
@@ -170,12 +165,10 @@ def _parse_alphas(text):
 @click.option("--size-ceiling", type=click.IntRange(min=1), default=SIZE_CEILING_DEFAULT,
               show_default=True, help="Refuse degrees with more columns (monomials outside the "
                    "monomial ideal) than this.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker threads for independent degree checks.")
 @click.pass_context
-def main(ctx, fmt, cache_dir, size_ceiling, jobs):
+def main(ctx, fmt, cache_dir, size_ceiling):
     """Exact verification of tautological rings of points on a genus-2 curve."""
-    ctx.obj = RunContext(fmt, cache_dir, size_ceiling, jobs)
+    ctx.obj = RunContext(fmt, cache_dir, size_ceiling)
 
 
 # ----- power-ring commands ---------------------------------------------------
@@ -211,7 +204,7 @@ def xn_hilbert(ctx, n, max_degree):
 def xn_check(ctx, n):
     """Full pairing verification of the power ring."""
     ring = ctx.obj.ring(xn_mod.xn_presentation(n))
-    report = ring.gorenstein_check(jobs=ctx.obj.jobs)
+    report = ring.gorenstein_check()
     checks = _pairing_checks(report)
     emit(ctx, "xn check", {"n": n}, checks,
          {"verdict": report.verdict, "hilbert": report.hilbert})
@@ -329,7 +322,7 @@ def fm_check(ctx, n, mode):
     """Verify the compactified ring: full engine or block decomposition."""
     if mode == "full":
         ring = ctx.obj.ring(fm_mod.fm_presentation(n))
-        report = ring.gorenstein_check(jobs=ctx.obj.jobs)
+        report = ring.gorenstein_check()
         checks = _pairing_checks(report)
         emit(ctx, "fm check", {"n": n, "mode": mode}, checks,
              {"verdict": report.verdict, "hilbert": report.hilbert})

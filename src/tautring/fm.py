@@ -17,7 +17,6 @@ a pairing inside a smaller power ring X^S.
 """
 
 import itertools
-import threading
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 
@@ -441,7 +440,6 @@ def enumerate_standard_fm(n, degree):
 # ----- presentation ----------------------------------------------------------
 
 _FM_MEMO = {}
-_FM_LOCK = threading.Lock()
 
 
 def _superset_sum(base, ground):
@@ -520,8 +518,7 @@ def fm_presentation(n):
 
     The socle is a_1 ... a_n in degree n.
     """
-    with _FM_LOCK:
-        hit = _FM_MEMO.get(n)
+    hit = _FM_MEMO.get(n)
     if hit is not None:
         return hit[0]
     ground = tuple(range(1, n + 1))
@@ -596,8 +593,7 @@ def fm_presentation(n):
         socle_degree=n,
         socle_monomial=Monomial(tuple((gen_a(i), 1) for i in ground)),
     )
-    with _FM_LOCK:
-        _FM_MEMO[n] = (pres, counts)
+    _FM_MEMO[n] = (pres, counts)
     return pres
 
 

@@ -1,12 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything here is exact: entries are ``fractions.Fraction`` values and the
-elimination is fraction-free over the integers, so ranks and kernels carry
-no numerical tolerance whatsoever.  ``echelonize`` returns the canonical
-*integer* reduced row echelon form (each row integral, content-free, with a
-positive leading coefficient, and pivot columns cleared everywhere else),
-which is a unique normal form of the row space -- the sparse and dense code
-paths therefore produce identical output, not merely equivalent output.
+elimination is fraction-free over the integers (the kernel's
+:class:`SpanReducer`), so ranks and kernels carry no numerical tolerance
+whatsoever.  ``echelonize`` returns the canonical *integer* reduced row
+echelon form (each row integral, content-free, with a positive leading
+coefficient, and pivot columns cleared everywhere else), which is a unique
+normal form of the row space: it does not depend on the order of the rows.
 """
 
 from fractions import Fraction
@@ -14,15 +14,6 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from ._kernel import SpanReducer
-
-# The scalar type used across the package.  An alias keeps call sites
-# readable and leaves room to swap in a faster exact type later.
-ExactRational = Fraction
-
-# Density above which elimination switches to the dense routine, and the
-# largest rows*cols for which a dense intermediate is acceptable.
-DENSE_FILL_THRESHOLD = 0.3
-DENSE_SIZE_LIMIT = 2_000_000
 
 
 class SparseMatrix:
@@ -193,49 +184,6 @@ def _rref_from_echelon(pivot_rows):
     return reduced
 
 
-def _dense_rref(matrix):
-    """Canonical integer RREF of a dense copy; returns pivot_col -> row."""
-    dense = matrix.to_dense()
-    rows, cols = matrix.rows, matrix.cols
-    pivot_of_row = {}
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if dense[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
-        lead = dense[r][c]
-        dense[r] = [v / lead for v in dense[r]]
-        for i in range(rows):
-            if i != r and dense[i][c]:
-                factor = dense[i][c]
-                dense[i] = [v - factor * w for v, w in zip(dense[i], dense[r])]
-        pivot_of_row[r] = c
-        r += 1
-        if r == rows:
-            break
-    out = {}
-    for i, c in pivot_of_row.items():
-        pairs = [(j, v) for j, v in enumerate(dense[i]) if v]
-        denom = lcm(*(v.denominator for _, v in pairs))
-        coeffs = [int(v * denom) for _, v in pairs]
-        g = 0
-        for v in coeffs:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if coeffs[0] < 0:
-            g = -g
-        if g != 1:
-            coeffs = [v // g for v in coeffs]
-        out[c] = ([j for j, _ in pairs], coeffs)
-    return out
-
-
 def echelonize(matrix):
     """Canonical integer RREF of ``matrix``.
 
@@ -245,35 +193,19 @@ def echelonize(matrix):
     exactly, and echelonizing the result again reproduces it unchanged.
 
     Rows are fed to the fraction-free reducer sparsest first (ties broken by
-    original position); when fill-in passes ``DENSE_FILL_THRESHOLD`` on a
-    matrix small enough for a dense intermediate, elimination restarts with
-    the dense routine.  Both paths end at the same canonical form.
+    original position), and the raw echelon it finds is back-substituted
+    into the canonical form.
     """
-    area = matrix.rows * matrix.cols
-    use_dense = (
-        0 < area <= DENSE_SIZE_LIMIT
-        and matrix.nnz > DENSE_FILL_THRESHOLD * area
+    int_rows = _integer_rows(matrix)
+    order = sorted(range(matrix.rows), key=lambda i: (len(int_rows[i][0]), i))
+    reducer = SpanReducer(matrix.cols)
+    for i in order:
+        cols, coeffs = int_rows[i]
+        if cols:
+            reducer.insert(cols, coeffs)
+    rref = _rref_from_echelon(
+        {lead: (cols, coeffs) for lead, cols, coeffs in reducer.echelon_rows()}
     )
-    rref = None
-    if not use_dense:
-        int_rows = _integer_rows(matrix)
-        order = sorted(range(matrix.rows), key=lambda i: (len(int_rows[i][0]), i))
-        reducer = SpanReducer(matrix.cols)
-        stored = 0
-        for i in order:
-            cols, coeffs = int_rows[i]
-            if not cols:
-                continue
-            if reducer.insert(list(cols), list(coeffs)) != -1:
-                stored += len(cols)  # upper bound on the adopted row's length
-                if 0 < area <= DENSE_SIZE_LIMIT and stored > DENSE_FILL_THRESHOLD * area:
-                    use_dense = True
-                    break
-        if not use_dense:
-            raw = {lead: (cols, coeffs) for lead, cols, coeffs in reducer.echelon_rows()}
-            rref = _rref_from_echelon(raw)
-    if use_dense:
-        rref = _dense_rref(matrix)
 
     pivot_cols = sorted(rref)
     entries = {}

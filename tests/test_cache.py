@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from tautring.algebra import GradedRing
 from tautring.cache import CacheStore
 from tautring.xn import xn_presentation
@@ -95,3 +97,33 @@ def test_echelon_row_limit_degrades_to_dimension_only(tmp_path):
     from tautring.xn import a_poly
 
     assert fresh.socle_eval(a_poly(1) * a_poly(2)) == 1
+
+
+def _without_echelon(payload, **changes):
+    payload = {k: v for k, v in payload.items() if k != "echelon"}
+    payload.update(changes)
+    return payload
+
+
+TAMPERED_BASES = {
+    "stale-count": lambda p: dict(p, monomial_count=p["monomial_count"] + 1),
+    "wrong-dimension": lambda p: dict(p, dimension=p["dimension"] + 1),
+    "unsorted-pivots": lambda p: _without_echelon(p, pivot_cols=p["pivot_cols"][::-1]),
+    "pivot-out-of-range": lambda p: _without_echelon(
+        p, pivot_cols=p["pivot_cols"][:-1] + [p["monomial_count"]]),
+    "echelon-leads": lambda p: dict(p, echelon=p["echelon"][1:]),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERED_BASES))
+def test_inconsistent_cached_basis_is_a_miss_and_is_rewritten(tmp_path, tamper):
+    store = CacheStore(tmp_path)
+    cold = GradedRing(xn_presentation(3), cache=store)
+    good = cold.basis(2).to_payload()
+    key = cold._basis_cache_key(2)
+    store.put(key, TAMPERED_BASES[tamper](good))
+
+    fresh = GradedRing(xn_presentation(3), cache=store)
+    assert fresh.basis(2).dimension == good["dimension"]
+    assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
+    assert store.get(key) == good

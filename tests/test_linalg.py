@@ -8,6 +8,7 @@ from tautring.linalg import (
     echelonize,
     rank_and_kernel,
 )
+from test_algebra import _fraction_rank
 
 
 def dense(rows):
@@ -86,24 +87,18 @@ def test_echelonization_is_idempotent():
         assert second.echelon == first.echelon  # canonical form is a fixpoint
 
 
-def test_dense_and_sparse_paths_agree(monkeypatch):
-    # The dense fallback kicks in on high fill-in; force each path over the
-    # same matrices and demand identical canonical output.
-    from tautring import linalg
-
+def test_dense_matrices_reach_the_fraction_rank_and_canonical_form():
+    # Dense rows fill in quickly under fraction-free elimination; the rank
+    # must still match Fraction Gauss-Jordan, and the RREF must not depend
+    # on the order of the rows.
     rng = random.Random(31415)
     matrices = [_random_matrix(rng, 6, 6, density=0.9) for _ in range(10)]
-
-    monkeypatch.setattr(linalg, "DENSE_SIZE_LIMIT", 0)  # never dense
-    sparse_results = [echelonize(m) for m in matrices]
-    monkeypatch.setattr(linalg, "DENSE_SIZE_LIMIT", 10**9)
-    monkeypatch.setattr(linalg, "DENSE_FILL_THRESHOLD", -1.0)  # always dense
-    dense_results = [echelonize(m) for m in matrices]
-
-    for sparse_result, dense_result in zip(sparse_results, dense_results):
-        assert dense_result.rank == sparse_result.rank
-        assert dense_result.echelon == sparse_result.echelon
-        assert dense_result.pivots == sparse_result.pivots
+    for m in matrices:
+        result = echelonize(m)
+        assert result.rank == _fraction_rank(m.to_dense())
+        permuted = echelonize(SparseMatrix.from_rows(reversed(m.to_dense())))
+        assert permuted.echelon == result.echelon
+        assert permuted.pivots == result.pivots
 
 
 def test_row_space_is_preserved():
