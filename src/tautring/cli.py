@@ -47,11 +47,33 @@ class RunContext:
         self.cache = CacheStore(cache_dir) if cache_dir else None
         self.size_ceiling = size_ceiling
         self.started = time.monotonic()
+        self.rings = {}  # id -> ring, for every ring this run used
 
     def ring(self, presentation):
-        return ring_for(
+        ring = ring_for(
             presentation, size_ceiling=self.size_ceiling, cache=self.cache
         )
+        self.rings[id(ring)] = ring
+        return ring
+
+    def cache_report(self):
+        """The cache directory's size and this run's hits and misses.
+
+        A ring counts a payload that fails verification as a miss; every
+        ring bound to this run's store is new with it (``ring_for`` keys
+        rings by store), so the sums cover this run only.
+        """
+        if self.cache is None:
+            return None
+        stats = self.cache.stats()
+        rings = self.rings.values()
+        return {
+            "directory": stats["directory"],
+            "entry_count": stats["entry_count"],
+            "total_bytes": stats["total_bytes"],
+            "hits": sum(r.cache_hits for r in rings),
+            "misses": sum(r.cache_misses for r in rings),
+        }
 
 
 def check(name, ok, **witness):
@@ -75,7 +97,7 @@ def emit(ctx, command, inputs, checks, summary_extra=None, *, status=None):
         "inputs": {k: _jsonable(v) for k, v in inputs.items()},
         "checks": checks,
         "summary": summary,
-        "cache": run.cache.stats() if run.cache else None,
+        "cache": run.cache_report(),
         "timing": {"seconds": round(time.monotonic() - run.started, 3)},
     }
     if run.format == "json":
@@ -102,7 +124,8 @@ def _echo_table(report):
     if report["cache"] is not None:
         click.echo(
             f"cache   : {report['cache']['entry_count']} entries, "
-            f"{report['cache']['total_bytes']} bytes"
+            f"{report['cache']['total_bytes']} bytes, "
+            f"{report['cache']['hits']} hits, {report['cache']['misses']} misses"
         )
     click.echo(f"timing  : {report['timing']['seconds']}s")
 

@@ -36,7 +36,7 @@ from .xn import (
     d_poly,
     dual_xn,
     enumerate_standard_xn,
-    socle_coefficient,
+    standard_socle_coefficient,
     xn_presentation,
 )
 
@@ -691,7 +691,7 @@ def block_pairing(n, degree, cross_check_engine=None):
         entries = {}
         for ii, ab in enumerate(ab_parts):
             for jj, db in enumerate(dual_parts):
-                value = socle_coefficient(ab.to_poly() * db.to_poly(), S)
+                value = standard_socle_coefficient(ab, db, S)
                 if value:
                     entries[(ii, jj)] = value * sign
         gram = SparseMatrix(len(members), len(members), entries)

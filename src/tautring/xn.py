@@ -415,6 +415,53 @@ def matching_cycle_count(u, v):
     return cycles
 
 
+def standard_socle_coefficient(v, w, ground):
+    """Socle coefficient of the product of two standard monomials, read off
+    their index sets; equal to ``socle_coefficient(v.to_poly() *
+    w.to_poly(), ground)`` but builds no polynomial.
+
+    Write v = a(A) b(B) and w = a(A') b(B'), both standard inside
+    ``ground`` = S.  The value is (-4)^c, c = ``matching_cycle_count(B,
+    B')``, when
+
+      * A and A' are disjoint,
+      * neither a-part meets the other's b-support,
+      * B and B' cover the same points, and
+      * A, A' and that common b-support together cover S;
+
+    otherwise it is 0.  The second condition is not tested separately: a
+    standard a-part avoids its own b-support, so it follows from the third.
+
+    Proof.  Every quadratic rewrite sends a monomial to a scalar times one
+    monomial and never removes an a-factor, and the system is confluent,
+    so v.w has one normal form, 0 or a scalar times one monomial, whatever
+    the order of steps.  If v.w contains some a_i^2 or some a_i b_{i,j},
+    that redex survives every step and the normal form is 0.  Otherwise
+    the a-indices A + A' avoid the b-graph B + B'.  Each point meets at
+    most one pair of B and one of B', so that graph is a disjoint union of
+    paths and even cycles (a pair shared by B and B' is a 2-cycle).  The
+    step b_{s,j} b_{s,k} -> a_s b_{j,k} at a point s of degree two removes
+    s from its component and joins its neighbours, so the a-factor it adds
+    meets no remaining pair and no other a-factor.  A path on k >= 2
+    points thus contracts to a_(inner points) b_(ends), whose b-factor is
+    never rewritten away, so the normal form is not the socle.  A cycle on
+    2k points contracts by 2k - 2 steps of coefficient 1 to
+    b_{j,l}^2 = -4 a_j a_l, so each cycle contributes -4 and an a-factor
+    on each of its points.  The graph has no paths exactly when B and B'
+    cover the same points; the normal form is then (-4)^c times the
+    product of the a_i over A + A' + supp(B), which is the socle monomial
+    exactly when those sets cover S.
+    """
+    b_support = v.support - v.A
+    if (
+        v.A & w.A
+        or w.support - w.A != b_support
+        or v.A | w.A | b_support != frozenset(ground)
+    ):
+        return 0
+    return (-4) ** matching_cycle_count(v.B, w.B)
+
+
 def matching_gram(m):
     """Gram matrix of all m-pair perfect matchings on 2m points.
 

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report shape, cache workflow."""
 
 import json
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautring.cli import main
 
@@ -259,3 +262,77 @@ def test_table_format_renders(runner):
     assert result.exit_code == 0
     assert "hilbert" in result.output
     assert "summary" in result.output
+
+
+def test_cache_block_reports_this_runs_hits_and_misses(runner, tmp_path):
+    args = ["--format", "json", "--cache-dir", str(tmp_path / "cache"),
+            "xn", "check", "--n", "3"]
+    cold = report_of(invoke(runner, args))["cache"]
+    warm = report_of(invoke(runner, args))["cache"]
+    assert cold["hits"] == 0 and cold["misses"] > 0
+    assert warm["hits"] == cold["misses"] and warm["misses"] == 0
+    assert set(warm) == {"directory", "entry_count", "total_bytes", "hits", "misses"}
+    assert warm["entry_count"] == cold["entry_count"] > 0
+
+
+def test_cache_block_counts_a_payload_failing_verification_as_a_miss(runner, tmp_path):
+    from tautring.algebra import GradedRing
+    from tautring.cache import CacheStore
+    from tautring.xn import xn_presentation
+
+    cache_dir = tmp_path / "cache"
+    args = ["--format", "json", "--cache-dir", str(cache_dir),
+            "xn", "check", "--n", "3"]
+    cold = report_of(invoke(runner, args))["cache"]
+    store = CacheStore(cache_dir)
+    key = GradedRing(xn_presentation(3))._basis_cache_key(1)
+    payload = store.get(key)
+    store.put(key, dict(payload, dimension=payload["dimension"] + 1))
+    warm = report_of(invoke(runner, args))["cache"]
+    assert warm["misses"] == 1 and warm["hits"] == cold["misses"] - 1
+
+
+# ----- property: every report is strict, honest and reproducible -------------
+
+_SMALL_COMMANDS = st.one_of(
+    st.builds(lambda n: ["xn", "check", "--n", str(n)], st.integers(1, 3)),
+    st.builds(
+        lambda n, top: ["xn", "hilbert", "--n", str(n), "--max-degree", str(top)],
+        st.integers(1, 3), st.integers(0, 5),
+    ),
+    st.builds(
+        lambda n, mode: ["fm", "check", "--n", str(n), "--mode", mode],
+        st.integers(1, 3), st.sampled_from(["full", "blocks"]),
+    ),
+    st.integers(1, 3).flatmap(
+        lambda n: st.builds(
+            lambda d: ["fm", "standard", "--n", str(n), "--degree", str(d)],
+            st.integers(0, n),
+        )
+    ),
+    st.just(["bridge", "--n", "2"]),
+)
+
+_EXIT_CODES = {"pass": 0, "fail": 1, "size-guard": 3}
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=_SMALL_COMMANDS, ceiling=st.one_of(st.none(), st.integers(5, 40)))
+def test_reports_are_strict_json_with_honest_exit_codes_and_stable_reruns(
+    command, ceiling
+):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as cache_dir:
+        args = ["--format", "json", "--cache-dir", cache_dir]
+        if ceiling is not None:
+            args += ["--size-ceiling", str(ceiling)]
+        args += command
+        bodies = []
+        for _ in range(3):  # cold, then two warm reruns
+            result = runner.invoke(main, args, catch_exceptions=False)
+            report = strict_report_of(result)
+            assert result.exit_code == _EXIT_CODES[report["summary"]["status"]]
+            report.pop("timing")
+            bodies.append(report)
+        assert bodies[1] == bodies[2]
+        assert bodies[0]["checks"] == bodies[1]["checks"]

@@ -20,7 +20,14 @@ from tautring.fm import (
     much_less,
     psi_pullback,
 )
-from tautring.xn import a_poly, b_poly, d_poly, xn_presentation
+from tautring.xn import (
+    a_poly,
+    b_poly,
+    d_poly,
+    dual_xn,
+    socle_coefficient,
+    xn_presentation,
+)
 
 FROZEN_FM_HILBERT = {
     2: [1, 3, 1],
@@ -287,6 +294,32 @@ def test_blocks_pass_conditionally_at_larger_sizes(n):
         assert all(r.conditional for r in reports)
         rank_sums[d] = sum(r.rank for r in reports)
     assert all(rank_sums[d] == rank_sums[n - d] for d in range(n + 1))
+
+
+def test_block_grams_match_the_rewrite_path_at_five_points():
+    n = 5
+    checked = 0
+    for d in range(n + 1):
+        groups = {}
+        for v in enumerate_standard_fm(n, d):
+            groups.setdefault(v.D, []).append(v)
+        reports = block_pairing(n, d)
+        assert len(reports) == len(groups)
+        assert {r.dpart for r in reports} == set(groups)
+        for report in reports:
+            members = groups[report.dpart]
+            forest = members[0].forest
+            S = tuple(sorted(forest.s_set(n)))
+            sign = (-1) ** forest.sign_exponent()
+            for ii, v in enumerate(members):
+                for jj, w in enumerate(members):
+                    dual = dual_xn(w.ab_part, len(S), ground=S)
+                    expected = sign * socle_coefficient(
+                        v.ab_part.to_poly() * dual.to_poly(), S
+                    )
+                    assert report.gram.entry(ii, jj) == expected, (d, v, w)
+                    checked += 1
+    assert checked == 7378
 
 
 def test_empty_dpart_block_is_the_power_ring_pairing():

@@ -12,6 +12,7 @@ from tautring.xn import (
     a_poly,
     b_poly,
     d_poly,
+    default_ground,
     derive_six_point,
     dual_xn,
     enumerate_standard_xn,
@@ -23,6 +24,7 @@ from tautring.xn import (
     six_point_relations,
     socle_coefficient,
     standard_from_monomial,
+    standard_socle_coefficient,
     verify_faber_relation,
     xn_presentation,
 )
@@ -163,6 +165,55 @@ def test_dual_pairs_socle_to_one():
             w = dual_xn(v, 2 * m)
             value = socle_coefficient(v.to_poly() * w.to_poly(), ground)
             assert value == Fraction(-4) ** m
+
+
+def _rewritten_socle(v, w, ground):
+    return socle_coefficient(v.to_poly() * w.to_poly(), ground)
+
+
+@pytest.mark.parametrize(
+    "ground", [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 3, 4, 6)]
+)
+def test_closed_form_socle_rule_matches_rewriting_on_all_pairs(ground):
+    # every pair of degrees: a-parts that overlap and still cover the
+    # ground set occur only when the degrees add up to more than n
+    n = len(ground)
+    monomials = [
+        v for d in range(n + 1) for v in enumerate_standard_xn(n, d, ground)
+    ]
+    values = set()
+    for v in monomials:
+        for w in monomials:
+            value = standard_socle_coefficient(v, w, ground)
+            assert value == _rewritten_socle(v, w, ground), (v, w)
+            values.add(value)
+    assert values >= ({0, 1, -4} if n >= 2 else {0, 1})
+
+
+def test_closed_form_socle_rule_matches_rewriting_at_five_points():
+    ground = default_ground(5)
+    checked = 0
+    for d in range(6):
+        for v in enumerate_standard_xn(5, d):
+            for w in enumerate_standard_xn(5, 5 - d):
+                assert standard_socle_coefficient(v, w, ground) == (
+                    _rewritten_socle(v, w, ground)
+                ), (v, w)
+                checked += 1
+    assert checked == 6502
+
+
+def test_closed_form_socle_rule_examples():
+    make = StandardMonomialXn.make
+    ground = (1, 2, 3, 4)
+    square = make((), ((1, 2), (3, 4)))
+    crossed = make((), ((1, 3), (2, 4)))
+    assert standard_socle_coefficient(square, square, ground) == 16  # two 2-cycles
+    assert standard_socle_coefficient(square, crossed, ground) == -4  # a 4-cycle
+    path = make((4,), ((1, 2),)), make((), ((2, 3),))  # -> a2 a4 b13
+    assert standard_socle_coefficient(*path, ground) == 0
+    overlap = make((1,)), make((1, 2))  # a1^2 a2, which covers {1, 2}
+    assert standard_socle_coefficient(*overlap, (1, 2)) == 0
 
 
 # ----- matching Gram ----------------------------------------------------------
