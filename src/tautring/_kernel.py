@@ -86,10 +86,6 @@ class SpanReducer:
                 coeffs = list(term_coeffs)
             self.insert(cols, coeffs)
 
-    def pivot_cols(self):
-        """Sorted list of pivot column indices."""
-        return sorted(self._pivots)
-
     def echelon_rows(self):
         """Echelon rows as ``(lead, cols, coeffs)``, sorted by lead column.
 

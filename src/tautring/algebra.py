@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lt
 
 from ._kernel import SpanReducer
 from .linalg import SparseMatrix, _integer_rows, _rref_from_echelon
@@ -39,7 +40,7 @@ SIZE_CEILING_DEFAULT = 5_000_000
 
 #: Bumped whenever the on-disk basis/gram payload format or the engine's
 #: column conventions change; part of every cache key.
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 
 class SizeCeilingError(RuntimeError):
@@ -397,44 +398,35 @@ class Presentation:
 
 
 class GradedBasis:
-    """One graded piece of a quotient ring.
+    """One graded piece of a quotient ring: its columns and its echelon.
 
-    Records the columns (the degree-``degree`` monomials outside the
-    monomial ideal J, so ``monomial_count`` counts only those), the
-    echelonized slice of the multi-term relations, and the quotient data.
-    ``dimension == monomial_count - rank`` always; the quotient basis is the
-    set of non-pivot columns, which is canonical for the row space
-    (independent of relation order).
+    The columns are the degree-``degree`` monomials outside the monomial
+    ideal J (``monomial_count`` counts only those, ``keys`` lists them in
+    column order).  ``echelon`` holds the exact echelon rows ``(lead, cols,
+    coeffs)`` of the slice of the multi-term relations, sorted by lead, and
+    everything else is read off it: the leads are the pivot columns, their
+    number is the rank, and the non-pivot columns form the quotient basis,
+    which is canonical for the row space (independent of relation order).
+    So ``dimension == monomial_count - rank`` always.  Computed and cached
+    bases are built by this one constructor.
     """
 
-    def __init__(self, ring, degree, keys, pivot_cols, echelon, dimension):
+    def __init__(self, ring, degree, keys, echelon):
         self.ring = ring
         self.degree = degree
-        self._keys = keys
+        self.keys = keys
         self.monomial_count = len(keys)
-        self.pivot_cols = pivot_cols  # sorted tuple
-        self.rank = len(pivot_cols)
-        self.dimension = dimension
-        self._echelon = echelon  # [(lead, cols, coeffs)] sorted; None if elided
-        self.quotient_cols = _complement(pivot_cols, self.monomial_count)
+        self._echelon = echelon
+        self.pivot_cols = tuple(lead for lead, _, _ in echelon)
+        self.rank = len(self.pivot_cols)
+        self.dimension = self.monomial_count - self.rank
+        self.quotient_cols = _complement(self.pivot_cols, self.monomial_count)
         self._rref = None
         self._qpos = None
         self._pivot_set = None
 
-    @property
-    def keys(self):
-        return self._keys
-
     def monomial_at(self, col):
-        return self.ring.decode_key(self._keys[col])
-
-    @property
-    def quotient_basis(self):
-        """Monomials whose classes form a basis of this graded piece."""
-        return [self.monomial_at(c) for c in self.quotient_cols]
-
-    def has_echelon(self):
-        return self._echelon is not None
+        return self.ring.decode_key(self.keys[col])
 
     def rref(self):
         """Canonical integer RREF rows, keyed by pivot column.
@@ -443,10 +435,6 @@ class GradedBasis:
         pivot order, so tails only reference already-reduced rows).
         """
         if self._rref is None:
-            if self._echelon is None:
-                raise PresentationError(
-                    "echelon data unavailable (basis loaded dimension-only)"
-                )
             pivot_rows = {lead: (cols, coeffs) for lead, cols, coeffs in self._echelon}
             self._rref = _rref_from_echelon(pivot_rows)
         return self._rref
@@ -465,42 +453,43 @@ class GradedBasis:
     def echelon_rows(self):
         return self._echelon
 
-    def to_payload(self, include_echelon=True):
-        payload = {
-            "schema": "tautring-basis/1",
+    def to_payload(self):
+        return {
+            "schema": "tautring-basis/2",
             "degree": self.degree,
             "monomial_count": self.monomial_count,
-            "rank": self.rank,
-            "dimension": self.dimension,
-            "pivot_cols": list(self.pivot_cols),
-        }
-        if include_echelon and self._echelon is not None:
-            payload["echelon"] = [
+            "echelon": [
                 [lead, list(cols), [str(c) for c in coeffs]]
                 for lead, cols, coeffs in self._echelon
-            ]
-        return payload
+            ],
+        }
 
 
 def _basis_payload_fits(payload, count):
-    """Whether a cached basis payload is consistent with ``count`` columns.
+    """Whether a cached basis payload is an echelon over ``count`` columns.
 
-    The payload must have been built over the same ``count`` columns, its
-    pivot columns must be strictly increasing inside ``range(count)``, its
-    dimension must be ``count`` minus their number, and a stored echelon
-    must lead with exactly those pivots.  Anything else is a stale or
-    inconsistent entry, which the engine recomputes and overwrites.
+    The payload must have been built over the same ``count`` columns, and
+    its echelon must have the shape the kernel produces: leads strictly
+    increasing inside ``range(count)``; each row's columns starting at its
+    lead, strictly increasing and below ``count``; one coefficient per
+    column.  Anything else is a stale or inconsistent entry, which the
+    engine counts as a miss, recomputes and overwrites.
     """
-    cols = payload.get("pivot_cols")
-    if not isinstance(cols, list):
-        return False
     echelon = payload.get("echelon")
-    return (
-        payload.get("monomial_count") == count
-        and payload.get("dimension") == count - len(cols)
-        and all(a < b for a, b in zip([-1] + cols, cols + [count]))
-        and (echelon is None or [row[0] for row in echelon] == cols)
-    )
+    if payload.get("monomial_count") != count or not isinstance(echelon, list):
+        return False
+    prev = -1
+    for lead, cols, coeffs in echelon:
+        if not (
+            prev < lead
+            and cols[:1] == [lead]
+            and all(map(lt, cols, cols[1:]))
+            and cols[-1] < count
+            and len(cols) == len(coeffs)
+        ):
+            return False
+        prev = lead
+    return True
 
 
 def _complement(sorted_cols, total):
@@ -535,7 +524,6 @@ class GradedRing:
         self._mono_keys_memo = {}
         self._key_to_col_memo = {}
         self._basis_memo = {}
-        self._socle_coord = None
         self._socle_table_memo = None
         self._gram_rank_memo = {}
         ideal, self._prepped = self._prepare_relations()
@@ -742,10 +730,7 @@ class GradedRing:
                 break
             mult = self._mono_keys(d - rdeg)
             reducer.insert_products(tkeys, tcoeffs, mult, key_to_col)
-        pivot_cols = tuple(reducer.pivot_cols())
-        echelon = reducer.echelon_rows()
-        dimension = count - len(pivot_cols)
-        return GradedBasis(self, d, keys, pivot_cols, echelon, dimension)
+        return GradedBasis(self, d, keys, reducer.echelon_rows())
 
     def _load_cached_basis(self, d):
         if self.cache is None:
@@ -756,25 +741,16 @@ class GradedRing:
             self.cache_misses += 1
             return None
         self.cache_hits += 1
-        echelon = None
-        if "echelon" in payload:
-            echelon = [
-                (lead, cols, [int(c) for c in coeffs])
-                for lead, cols, coeffs in payload["echelon"]
-            ]
-        return GradedBasis(
-            self, d, keys, tuple(payload["pivot_cols"]), echelon,
-            payload["dimension"],
-        )
+        echelon = [
+            (lead, cols, [int(c) for c in coeffs])
+            for lead, cols, coeffs in payload["echelon"]
+        ]
+        return GradedBasis(self, d, keys, echelon)
 
     def _store_cached_basis(self, basis):
         if self.cache is None:
             return
-        include = basis.rank <= self.cache.echelon_row_limit
-        self.cache.put(
-            self._basis_cache_key(basis.degree),
-            basis.to_payload(include_echelon=include),
-        )
+        self.cache.put(self._basis_cache_key(basis.degree), basis.to_payload())
 
     def _basis_cache_key(self, d):
         return {
@@ -785,15 +761,6 @@ class GradedRing:
         }
 
     # ----- normal forms and products -----------------------------------
-
-    def _ensure_echelon(self, d):
-        """Basis with echelon data, recomputing if the cache was dim-only."""
-        basis = self.basis(d)
-        if basis.dimension and not basis.has_echelon():
-            basis = self._compute_basis(d)
-            self._store_cached_basis(basis)
-            self._basis_memo[d] = basis
-        return basis
 
     def _check_poly(self, q):
         genset = self._gen_index
@@ -827,7 +794,6 @@ class GradedRing:
         basis = self.basis(degree)
         if basis.dimension == 0:
             return []
-        basis = self._ensure_echelon(degree)
         key_to_col = self.key_to_col(degree)
         rref = basis.rref()
         pivot_set = basis.pivot_set()
@@ -897,7 +863,7 @@ class GradedRing:
         if self._socle_table_memo is not None:
             return self._socle_table_memo
         n = self.presentation.socle_degree
-        basis = self._ensure_echelon(n)
+        basis = self.basis(n)
         if basis.dimension != 1:
             raise SocleError(
                 f"socle of {self.presentation.label!r} has dimension "
@@ -925,17 +891,6 @@ class GradedRing:
         self._socle_table_memo = lam
         return lam
 
-    def socle_coordinate(self):
-        """Normal-form coordinate of the socle monomial (must be nonzero)."""
-        if self._socle_coord is None:
-            n = self.presentation.socle_degree
-            self.socle_table()  # validates the socle
-            coords = self.normal_form(
-                Poly.monomial(self.presentation.socle_monomial), n
-            )
-            self._socle_coord = coords[0]
-        return self._socle_coord
-
     def socle_eval(self, q):
         """Evaluate a degree-``socle`` class against the socle monomial.
 
@@ -955,50 +910,29 @@ class GradedRing:
                 total += c * lam[col]
         return total
 
-    def gram_matrix(self, d, rows=None, cols=None):
-        """Pairing matrix between degree-``d`` and complementary classes.
+    def gram_matrix(self, d):
+        """Pairing matrix between the quotient bases of degrees ``d`` and
+        ``socle - d``.
 
-        Defaults pair the quotient-basis monomials of degree ``d`` against
-        those of degree ``socle - d``.  Entries are socle evaluations of the
-        products, as exact rationals (zero for products in J).
+        The entry of quotient columns r and c is the socle evaluation of
+        their product, an exact rational read from the socle table at the
+        column of the key ``r + c`` (zero when the product lies in J).
         """
         n = self.presentation.socle_degree
         if not 0 <= d <= n:
             raise ValueError("degree out of range")
         lam = self.socle_table()  # fails early if the socle is defective
         key_to_col = self.key_to_col(n)
-        row_polys = rows
-        col_polys = cols
-        if row_polys is None:
-            row_polys = [Poly.monomial(m) for m in self.basis(d).quotient_basis]
-        if col_polys is None:
-            col_polys = [
-                Poly.monomial(m) for m in self.basis(n - d).quotient_basis
-            ]
-        row_keys = []
-        for i, rp in enumerate(row_polys):
-            if rp.degree() not in (None, d):
-                raise ValueError(f"row {i} has degree {rp.degree()}, expected {d}")
-            row_keys.append([(self.monomial_key(m), c) for m, c in rp.terms.items()])
-        col_keys = []
-        for j, cp in enumerate(col_polys):
-            if cp.degree() not in (None, n - d):
-                raise ValueError(
-                    f"column {j} has degree {cp.degree()}, expected {n - d}"
-                )
-            col_keys.append([(self.monomial_key(m), c) for m, c in cp.terms.items()])
+        rows, cols = self.basis(d), self.basis(n - d)
+        row_keys = [rows.keys[c] for c in rows.quotient_cols]
+        col_keys = [cols.keys[c] for c in cols.quotient_cols]
         entries = {}
-        for i, rterms in enumerate(row_keys):
-            for j, cterms in enumerate(col_keys):
-                value = Fraction(0)
-                for k1, c1 in rterms:
-                    for k2, c2 in cterms:
-                        col = key_to_col.get(k1 + k2)
-                        if col is not None and lam[col]:
-                            value += c1 * c2 * lam[col]
-                if value:
-                    entries[(i, j)] = value
-        return SparseMatrix(len(row_polys), len(col_polys), entries)
+        for i, r in enumerate(row_keys):
+            for j, c in enumerate(col_keys):
+                col = key_to_col.get(r + c)
+                if col is not None and lam[col]:
+                    entries[(i, j)] = lam[col]
+        return SparseMatrix(len(row_keys), len(col_keys), entries)
 
     def gram_rank(self, d):
         """Rank of the default Gram pairing at degree ``d`` (cache-aware)."""
@@ -1084,6 +1018,22 @@ class GradedRing:
         above the socle (by :meth:`_above_socle_dimension`), a symmetric
         Hilbert function, and a perfect pairing (full-rank Gram matrix) in
         every complementary pair of degrees.
+
+        The socle is checked once, by :meth:`socle_table`: it raises
+        SocleError exactly when R_n is not one-dimensional or the socle
+        monomial s has normal-form coordinate zero.  Proof of the second
+        half: let R_n = Q*[q0], q0 the one non-pivot column.  The echelon
+        rows span the relation slice, and with the unit vector of q0 they
+        are triangular on all columns, so there is exactly one functional
+        that is 1 on q0 and vanishes on the row space.  The normal-form
+        coordinate of a degree-n column c is that functional at c, since
+        c minus that multiple of q0 lies in the row space.  The table's
+        back-substitution sets lambda(q0) = 1 and solves each row, in
+        descending lead order, for the value at its lead so that the row
+        evaluates to zero; so before scaling it is that same functional,
+        and lambda(s) -- zero when s lies in J, where it has no column --
+        is the coordinate of s.  Hence normal_form(s)[0] != 0 iff
+        socle_table does not raise.
         """
         n = self.presentation.socle_degree
         hilbert = self.hilbert(n)
@@ -1091,7 +1041,7 @@ class GradedRing:
         socle_ok = True
         socle_note = ""
         try:
-            self.socle_coordinate()
+            self.socle_table()
         except SocleError as exc:
             socle_ok = False
             socle_note = str(exc)
@@ -1188,20 +1138,18 @@ def _integer_rank(matrix):
 _RING_REGISTRY = {}
 
 
-def ring_for(presentation, *, size_ceiling=SIZE_CEILING_DEFAULT, cache=None):
-    """Shared GradedRing for a presentation (keyed by content hash).
+def ring_for(presentation, *, size_ceiling=SIZE_CEILING_DEFAULT):
+    """Shared cache-free GradedRing for a presentation (keyed by content
+    hash and size ceiling).
 
     Reusing the ring lets separate API calls share memoized bases.  A ring
-    is reused only when the ceiling/cache configuration matches.
+    bound to a cache belongs to whoever owns that cache (the CLI builds one
+    per run), so the registry never holds one.
     """
-    key = (
-        presentation.content_hash,
-        size_ceiling,
-        id(cache) if cache is not None else None,
-    )
+    key = (presentation.content_hash, size_ceiling)
     ring = _RING_REGISTRY.get(key)
     if ring is None:
-        ring = GradedRing(presentation, size_ceiling=size_ceiling, cache=cache)
+        ring = GradedRing(presentation, size_ceiling=size_ceiling)
         _RING_REGISTRY[key] = ring
     return ring
 

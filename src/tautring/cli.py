@@ -21,7 +21,7 @@ import click
 from . import fm as fm_mod
 from . import hodge as hodge_mod
 from . import xn as xn_mod
-from .algebra import SIZE_CEILING_DEFAULT, SizeCeilingError, ring_for
+from .algebra import SIZE_CEILING_DEFAULT, GradedRing, SizeCeilingError, ring_for
 from .cache import CacheStore
 
 REPORT_SCHEMA = "tautring-report-1"
@@ -47,21 +47,28 @@ class RunContext:
         self.cache = CacheStore(cache_dir) if cache_dir else None
         self.size_ceiling = size_ceiling
         self.started = time.monotonic()
-        self.rings = {}  # id -> ring, for every ring this run used
+        self.rings = {}  # content hash -> ring bound to this run's store
 
     def ring(self, presentation):
-        ring = ring_for(
-            presentation, size_ceiling=self.size_ceiling, cache=self.cache
-        )
-        self.rings[id(ring)] = ring
+        """The engine for ``presentation``.  Without a store it is the shared
+        ``ring_for`` ring; with one it is built for this run, once per
+        presentation, and dropped with the run."""
+        if self.cache is None:
+            return ring_for(presentation, size_ceiling=self.size_ceiling)
+        ring = self.rings.get(presentation.content_hash)
+        if ring is None:
+            ring = GradedRing(
+                presentation, size_ceiling=self.size_ceiling, cache=self.cache
+            )
+            self.rings[presentation.content_hash] = ring
         return ring
 
     def cache_report(self):
         """The cache directory's size and this run's hits and misses.
 
-        A ring counts a payload that fails verification as a miss; every
-        ring bound to this run's store is new with it (``ring_for`` keys
-        rings by store), so the sums cover this run only.
+        A ring counts a payload that fails verification as a miss; the
+        rings bound to the store are this run's own, so the sums cover
+        this run only.
         """
         if self.cache is None:
             return None

@@ -87,31 +87,46 @@ def test_no_temp_files_left_behind(tmp_path):
     assert leftovers == []
 
 
-def test_echelon_row_limit_degrades_to_dimension_only(tmp_path):
-    store = CacheStore(tmp_path, echelon_row_limit=0)
-    ring = GradedRing(xn_presentation(2), cache=store)
-    dims = ring.hilbert(2)
-    assert dims == [1, 3, 1]
-    # a fresh ring must still be able to multiply (echelon recomputed)
-    fresh = GradedRing(xn_presentation(2), cache=store)
-    from tautring.xn import a_poly
+def test_warm_ring_reads_every_basis_and_never_eliminates(tmp_path, monkeypatch):
+    store = CacheStore(tmp_path)
+    cold = GradedRing(xn_presentation(4), cache=store)
+    cold_report = cold.gorenstein_check()
 
-    assert fresh.socle_eval(a_poly(1) * a_poly(2)) == 1
+    def refuse(ring, d):
+        raise AssertionError(f"degree {d} eliminated again")
 
-
-def _without_echelon(payload, **changes):
-    payload = {k: v for k, v in payload.items() if k != "echelon"}
-    payload.update(changes)
-    return payload
+    monkeypatch.setattr(GradedRing, "_compute_basis", refuse)
+    warm = GradedRing(xn_presentation(4), cache=store)
+    warm_report = warm.gorenstein_check()
+    assert warm_report.passed
+    assert warm_report.to_payload() == cold_report.to_payload()
+    assert (warm.cache_hits, warm.cache_misses) == (cold.cache_misses, 0)
 
 
+def _edit_row(payload, index, edit):
+    echelon = [list(row) for row in payload["echelon"]]
+    lead, cols, coeffs = echelon[index]
+    echelon[index] = edit(lead, list(cols), list(coeffs))
+    return dict(payload, echelon=echelon)
+
+
+# one case per clause of ``_basis_payload_fits``; degree 2 of X^3 has 12
+# columns and an echelon of 6 rows, each with at least two columns
 TAMPERED_BASES = {
     "stale-count": lambda p: dict(p, monomial_count=p["monomial_count"] + 1),
-    "wrong-dimension": lambda p: dict(p, dimension=p["dimension"] + 1),
-    "unsorted-pivots": lambda p: _without_echelon(p, pivot_cols=p["pivot_cols"][::-1]),
-    "pivot-out-of-range": lambda p: _without_echelon(
-        p, pivot_cols=p["pivot_cols"][:-1] + [p["monomial_count"]]),
-    "echelon-leads": lambda p: dict(p, echelon=p["echelon"][1:]),
+    "dimension-only": lambda p: {k: v for k, v in p.items() if k != "echelon"},
+    "unsorted-pivots": lambda p: dict(p, echelon=p["echelon"][::-1]),
+    "pivot-out-of-range": lambda p: dict(
+        p, echelon=p["echelon"] + [[p["monomial_count"], [p["monomial_count"]], ["1"]]]),
+    "echelon-leads": lambda p: _edit_row(
+        p, 0, lambda lead, cols, coeffs: [lead, cols[1:], coeffs[1:]]),
+    "unsorted-row": lambda p: _edit_row(
+        p, 0, lambda lead, cols, coeffs: [lead, cols[:1] + cols, coeffs[:1] + coeffs]),
+    "column-out-of-range": lambda p: _edit_row(
+        p, -1, lambda lead, cols, coeffs: [
+            lead, cols + [p["monomial_count"]], coeffs + ["1"]]),
+    "ragged-row": lambda p: _edit_row(
+        p, 0, lambda lead, cols, coeffs: [lead, cols, coeffs + ["1"]]),
 }
 
 
@@ -124,6 +139,6 @@ def test_inconsistent_cached_basis_is_a_miss_and_is_rewritten(tmp_path, tamper):
     store.put(key, TAMPERED_BASES[tamper](good))
 
     fresh = GradedRing(xn_presentation(3), cache=store)
-    assert fresh.basis(2).dimension == good["dimension"]
+    assert fresh.basis(2).dimension == cold.basis(2).dimension
     assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
     assert store.get(key) == good

@@ -287,9 +287,21 @@ def test_cache_block_counts_a_payload_failing_verification_as_a_miss(runner, tmp
     store = CacheStore(cache_dir)
     key = GradedRing(xn_presentation(3))._basis_cache_key(1)
     payload = store.get(key)
-    store.put(key, dict(payload, dimension=payload["dimension"] + 1))
+    store.put(key, dict(payload, monomial_count=payload["monomial_count"] + 1))
     warm = report_of(invoke(runner, args))["cache"]
     assert warm["misses"] == 1 and warm["hits"] == cold["misses"] - 1
+
+
+def test_cache_runs_leave_the_ring_registry_unchanged(runner, tmp_path):
+    from tautring import algebra
+
+    args = ["--format", "json", "--cache-dir", str(tmp_path / "cache"),
+            "xn", "check", "--n", "3"]
+    before = len(algebra._RING_REGISTRY)
+    for _ in range(5):
+        assert invoke(runner, args).exit_code == 0
+    assert len(algebra._RING_REGISTRY) == before
+    assert all(ring.cache is None for ring in algebra._RING_REGISTRY.values())
 
 
 # ----- property: every report is strict, honest and reproducible -------------

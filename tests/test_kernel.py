@@ -85,7 +85,6 @@ def test_insert_products_drops_terms_without_a_column():
                    if k + mk in key_to_col]
             if row:
                 by_hand.insert([col for col, _ in row], [c for _, c in row])
-        assert batched.pivot_cols() == by_hand.pivot_cols()
         assert batched.echelon_rows() == by_hand.echelon_rows()
 
 
