@@ -1,12 +1,16 @@
-"""The exact row-reduction kernel: fraction-free elimination of integer rows.
+"""Exact linear algebra on integer rows: elimination, RREF and rank.
 
-Every rank the engine reports -- graded pieces, Gram pairings and
-``linalg.echelonize`` -- comes from :class:`SpanReducer` in this module.
-There is one implementation, in plain Python, and no other elimination
-path to keep in step with it.
+Every rank the engine reports -- graded pieces, Gram pairings and block
+pairings -- comes from fraction-free elimination in :class:`SpanReducer`,
+and every canonical row form from :func:`_rref_from_echelon`.  Rows are
+``(cols, coeffs)`` pairs: strictly increasing column indices and nonzero
+integers (:func:`_integral_coeffs` makes exact rationals such integers, and
+:func:`_normalize` is the one place content is stripped from a finished
+row).  There is one implementation, in plain Python, and no other
+elimination path to keep in step with it.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 
 def _normalize(coeffs):
@@ -21,6 +25,15 @@ def _normalize(coeffs):
     if g != 1:
         for i in range(len(coeffs)):
             coeffs[i] //= g
+
+
+def _integral_coeffs(values):
+    """The integer coefficient list proportional to the exact rationals
+    ``values`` (ints or Fractions): denominators cleared, then normalized."""
+    den = lcm(*(v.denominator for v in values))
+    coeffs = [int(v * den) for v in values]
+    _normalize(coeffs)
+    return coeffs
 
 
 class SpanReducer:
@@ -95,6 +108,42 @@ class SpanReducer:
         return [
             (lead, row[0], row[1]) for lead, row in sorted(self._pivots.items())
         ]
+
+
+def _rref_from_echelon(pivot_rows):
+    """Back-substitute raw echelon rows into canonical integer RREF.
+
+    ``pivot_rows`` maps pivot column -> (cols, coeffs) with the pivot first.
+    Rows are processed in descending pivot order so that every pivot column
+    appearing in a tail refers to an already-reduced row.  Each result row
+    is content-free with a positive lead and zero in every other pivot
+    column, which makes it a unique normal form of the row space.
+    """
+    reduced = {}
+    for lead in sorted(pivot_rows, reverse=True):
+        cols, coeffs = pivot_rows[lead]
+        row = dict(zip(cols, coeffs))
+        for col in sorted(c for c in cols if c != lead and c in pivot_rows):
+            factor = row.pop(col, 0)
+            if not factor:
+                continue
+            other_cols, other_coeffs = reduced[col]
+            other_lead = other_coeffs[0]
+            g = gcd(factor, other_lead)
+            scale = other_lead // g
+            sub = factor // g
+            if scale != 1:
+                for k in row:
+                    row[k] *= scale
+            for oc, ov in zip(other_cols[1:], other_coeffs[1:]):
+                row[oc] = row.get(oc, 0) - sub * ov
+                if row[oc] == 0:
+                    del row[oc]
+        cols_out = sorted(row)
+        coeffs_out = [row[c] for c in cols_out]
+        _normalize(coeffs_out)
+        reduced[lead] = (cols_out, coeffs_out)
+    return reduced
 
 
 def _combine(rcols, rcoeffs, pcols, pcoeffs):

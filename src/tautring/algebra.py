@@ -27,18 +27,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from operator import lt
 
-from ._kernel import SpanReducer
-from .linalg import SparseMatrix, _integer_rows, _rref_from_echelon
+from ._kernel import SpanReducer, _integral_coeffs, _rref_from_echelon
 
 #: Default per-degree ceiling on the number of columns (monomials outside
 #: the monomial ideal) the engine will enumerate before refusing (guards
 #: against accidental combinatorial blowup).
 SIZE_CEILING_DEFAULT = 5_000_000
 
-#: Bumped whenever the on-disk basis/gram payload format or the engine's
+#: Bumped whenever the on-disk basis payload format or the engine's
 #: column conventions change; part of every cache key.
 ENGINE_VERSION = "3"
 
@@ -248,9 +246,6 @@ class Poly:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def is_homogeneous(self):
-        return len({m.degree for m in self.terms}) <= 1
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -312,12 +307,6 @@ class Poly:
         return [
             [m.to_payload(), str(c)] for m, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(
-            (Monomial.from_payload(m), Fraction(c)) for m, c in payload
-        )
 
     def __str__(self):
         if not self.terms:
@@ -465,31 +454,39 @@ class GradedBasis:
         }
 
 
-def _basis_payload_fits(payload, count):
-    """Whether a cached basis payload is an echelon over ``count`` columns.
+def _parse_basis_payload(payload, count):
+    """The echelon rows of a cached basis payload over ``count`` columns,
+    or None when the payload is not one.
 
     The payload must have been built over the same ``count`` columns, and
     its echelon must have the shape the kernel produces: leads strictly
     increasing inside ``range(count)``; each row's columns starting at its
-    lead, strictly increasing and below ``count``; one coefficient per
-    column.  Anything else is a stale or inconsistent entry, which the
-    engine counts as a miss, recomputes and overwrites.
+    lead, strictly increasing and below ``count``; one nonzero integer
+    coefficient per column.  Anything else -- a stale or inconsistent entry,
+    or one that does not parse at all -- is None, which the engine counts
+    as a miss, recomputes and overwrites.
     """
-    echelon = payload.get("echelon")
-    if payload.get("monomial_count") != count or not isinstance(echelon, list):
-        return False
+    echelon = []
     prev = -1
-    for lead, cols, coeffs in echelon:
-        if not (
-            prev < lead
-            and cols[:1] == [lead]
-            and all(map(lt, cols, cols[1:]))
-            and cols[-1] < count
-            and len(cols) == len(coeffs)
-        ):
-            return False
-        prev = lead
-    return True
+    try:
+        if payload["monomial_count"] != count:
+            return None
+        for lead, cols, coeffs in payload["echelon"]:
+            coeffs = [int(c) for c in coeffs]
+            if not (
+                prev < lead
+                and cols[:1] == [lead]
+                and all(map(lt, cols, cols[1:]))
+                and cols[-1] < count
+                and len(cols) == len(coeffs)
+                and all(coeffs)
+            ):
+                return None
+            echelon.append((lead, cols, coeffs))
+            prev = lead
+    except (KeyError, TypeError, ValueError):
+        return None
+    return echelon
 
 
 def _complement(sorted_cols, total):
@@ -584,22 +581,11 @@ class GradedRing:
                 (m,) = rel.terms
                 ideal.add(self.monomial_key(m))
                 continue
-            terms = list(rel.terms.items())
-            den = lcm(*(c.denominator for _, c in terms))
-            int_terms = [
-                (self._exp_vector(m), self.monomial_key(m), int(c * den))
-                for m, c in terms
-            ]
-            g = 0
-            for _, _, c in int_terms:
-                g = gcd(g, c)
-                if g == 1:
-                    break
-            int_terms.sort(key=lambda t: t[0], reverse=True)
-            keys = [k for _, k, _ in int_terms]
-            coeffs = [c // g for _, _, c in int_terms]
-            if coeffs[0] < 0:
-                coeffs = [-c for c in coeffs]
+            terms = sorted(
+                rel.terms.items(), key=lambda t: self._exp_vector(t[0]), reverse=True
+            )
+            keys = [self.monomial_key(m) for m, _ in terms]
+            coeffs = _integral_coeffs([c for _, c in terms])
             prepped.append((rel.degree(), keys, coeffs))
         prepped.sort(key=lambda t: (len(t[1]), t[0], t[1], t[2]))
         return sorted(ideal), prepped
@@ -737,14 +723,11 @@ class GradedRing:
             return None
         payload = self.cache.get(self._basis_cache_key(d))
         keys = self._mono_keys(d)
-        if payload is None or not _basis_payload_fits(payload, len(keys)):
+        echelon = None if payload is None else _parse_basis_payload(payload, len(keys))
+        if echelon is None:
             self.cache_misses += 1
             return None
         self.cache_hits += 1
-        echelon = [
-            (lead, cols, [int(c) for c in coeffs])
-            for lead, cols, coeffs in payload["echelon"]
-        ]
         return GradedBasis(self, d, keys, echelon)
 
     def _store_cached_basis(self, basis):
@@ -912,7 +895,7 @@ class GradedRing:
 
     def gram_matrix(self, d):
         """Pairing matrix between the quotient bases of degrees ``d`` and
-        ``socle - d``.
+        ``socle - d``, as a list of rows indexed ``gram[i][j]``.
 
         The entry of quotient columns r and c is the socle evaluation of
         their product, an exact rational read from the socle table at the
@@ -922,42 +905,27 @@ class GradedRing:
         if not 0 <= d <= n:
             raise ValueError("degree out of range")
         lam = self.socle_table()  # fails early if the socle is defective
-        key_to_col = self.key_to_col(n)
+        col_of = self.key_to_col(n).get
         rows, cols = self.basis(d), self.basis(n - d)
-        row_keys = [rows.keys[c] for c in rows.quotient_cols]
         col_keys = [cols.keys[c] for c in cols.quotient_cols]
-        entries = {}
-        for i, r in enumerate(row_keys):
-            for j, c in enumerate(col_keys):
-                col = key_to_col.get(r + c)
-                if col is not None and lam[col]:
-                    entries[(i, j)] = lam[col]
-        return SparseMatrix(len(row_keys), len(col_keys), entries)
+        return [
+            [0 if (col := col_of(rows.keys[r] + c)) is None else lam[col]
+             for c in col_keys]
+            for r in rows.quotient_cols
+        ]
 
     def gram_rank(self, d):
-        """Rank of the default Gram pairing at degree ``d`` (cache-aware)."""
+        """Rank of the default Gram pairing at degree ``d``.
+
+        Always computed from the bases, never read from the cache: a stored
+        rank could not be checked without computing it again, and computing
+        it is cheap (see :mod:`tautring.cache`).
+        """
         n = self.presentation.socle_degree
         dlo = min(d, n - d)
-        hit = self._gram_rank_memo.get(dlo)
-        if hit is not None:
-            return hit
-        cache_key = {
-            "kind": "gram-rank",
-            "engine": ENGINE_VERSION,
-            "presentation": self.presentation.content_hash,
-            "degree": dlo,
-        }
-        if self.cache is not None:
-            payload = self.cache.get(cache_key)
-            if payload is not None:
-                self.cache_hits += 1
-                self._gram_rank_memo[dlo] = payload["rank"]
-                return payload["rank"]
-            self.cache_misses += 1
-        rank = _integer_rank(self.gram_matrix(dlo))
-        self._gram_rank_memo[dlo] = rank
-        if self.cache is not None:
-            self.cache.put(cache_key, {"rank": rank})
+        rank = self._gram_rank_memo.get(dlo)
+        if rank is None:
+            rank = self._gram_rank_memo[dlo] = _integer_rank(self.gram_matrix(dlo))
         return rank
 
     def _above_socle_dimension(self):
@@ -1119,17 +1087,24 @@ class PairingReport:
         }
 
 
-def _integer_rank(matrix):
-    """Rank of a SparseMatrix via the insertion kernel (rows made integral)."""
-    reducer = SpanReducer(matrix.cols)
-    rows = _integer_rows(matrix)
-    rows.sort(key=lambda r: (len(r[0]), r[0], r[1]))
-    for cols, coeffs in rows:
-        if not cols:
-            continue
-        if reducer.rank == matrix.cols:
+def _integer_rank(rows):
+    """Exact rank of a matrix given as a list of rows of ints and Fractions.
+
+    Each nonzero row is made integral and the rows are fed to the kernel
+    sparsest first.
+    """
+    ncols = len(rows[0]) if rows else 0
+    int_rows = []
+    for row in rows:
+        cols = [j for j, v in enumerate(row) if v]
+        if cols:
+            int_rows.append((cols, _integral_coeffs([row[j] for j in cols])))
+    int_rows.sort(key=lambda r: (len(r[0]), r[0], r[1]))
+    reducer = SpanReducer(ncols)
+    for cols, coeffs in int_rows:
+        if reducer.rank == ncols:
             break
-        reducer.insert(list(cols), list(coeffs))
+        reducer.insert(cols, coeffs)
     return reducer.rank
 
 

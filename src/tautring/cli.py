@@ -321,7 +321,7 @@ def xn_matching_gram(ctx, m):
     for i, u in enumerate(matchings):
         for j, v in enumerate(matchings):
             cycles = xn_mod.matching_cycle_count(u, v)
-            if gram.entry(i, j) != Fraction(-4) ** cycles:
+            if gram[i][j] != Fraction(-4) ** cycles:
                 closed_ok = False
     checks.append(check("closed-form-entries", closed_ok, size=len(matchings)))
     from .algebra import _integer_rank

@@ -29,7 +29,6 @@ from .algebra import (
     gen_D,
     ring_for,
 )
-from .linalg import SparseMatrix
 from .xn import (
     StandardMonomialXn,
     a_poly,
@@ -639,28 +638,11 @@ class BlockReport:
     s_set: tuple
     sign_exponent: int
     size: int
-    gram: SparseMatrix  # signed block entries
+    gram: list  # signed block entries, rows indexed gram[i][j]
     rank: int
     xs_dimension: int
     ok: bool
     conditional: bool  # True when the sign rule is assumed, not engine-checked
-
-    def to_payload(self, include_gram=False):
-        payload = {
-            "dpart": [[list(s), e] for s, e in self.dpart],
-            "s_set": list(self.s_set),
-            "sign_exponent": self.sign_exponent,
-            "size": self.size,
-            "rank": self.rank,
-            "xs_dimension": self.xs_dimension,
-            "ok": self.ok,
-            "conditional": self.conditional,
-        }
-        if include_gram:
-            payload["gram"] = [
-                [i, j, str(v)] for (i, j), v in sorted(self.gram.items())
-            ]
-        return payload
 
 
 def block_pairing(n, degree, cross_check_engine=None):
@@ -688,13 +670,10 @@ def block_pairing(n, degree, cross_check_engine=None):
         sign = -1 if eps % 2 else 1
         ab_parts = [m.ab_part for m in members]
         dual_parts = [dual_xn(ab, len(S), ground=S) for ab in ab_parts]
-        entries = {}
-        for ii, ab in enumerate(ab_parts):
-            for jj, db in enumerate(dual_parts):
-                value = standard_socle_coefficient(ab, db, S)
-                if value:
-                    entries[(ii, jj)] = value * sign
-        gram = SparseMatrix(len(members), len(members), entries)
+        gram = [
+            [sign * standard_socle_coefficient(ab, db, S) for db in dual_parts]
+            for ab in ab_parts
+        ]
         rank = _integer_rank(gram)
         ab_degree = degree - sum(e for _, e in dkey)
         xs_ring = ring_for(xn_presentation(len(S)))
@@ -729,11 +708,11 @@ def _cross_check_blocks(ring, standard, groups, reports):
                 engine_value = ring.socle_eval(
                     v.to_poly() * dual_fm(w).to_poly()
                 )
-                if engine_value != report.gram.entry(ii, jj):
+                if engine_value != report.gram[ii][jj]:
                     report.ok = False
                     raise AssertionError(
                         f"sign rule fails at {v} . dual({w}): engine "
-                        f"{engine_value}, block {report.gram.entry(ii, jj)}"
+                        f"{engine_value}, block {report.gram[ii][jj]}"
                     )
     for v1 in standard:
         for v2 in standard:

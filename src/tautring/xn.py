@@ -31,7 +31,6 @@ from .algebra import (
     gen_a,
     gen_b,
 )
-from .linalg import SparseMatrix
 
 #: Perfect-matching Gram matrices grow as (2m-1)!!; past this the engine
 #: refuses rather than grind (945 matchings at m=5 is the largest sensible).
@@ -463,7 +462,8 @@ def standard_socle_coefficient(v, w, ground):
 
 
 def matching_gram(m):
-    """Gram matrix of all m-pair perfect matchings on 2m points.
+    """Gram matrix of all m-pair perfect matchings on 2m points, as a list
+    of rows indexed ``gram[i][j]``.
 
     Row/column order is ``perfect_matchings(range(1, 2m+1))``.  Entries are
     socle evaluations of products of the corresponding standard monomials,
@@ -486,16 +486,13 @@ def matching_gram(m):
     polys = [
         StandardMonomialXn.make((), matching).to_poly() for matching in matchings
     ]
-    entries = {}
+    gram = []
     for i, vp in enumerate(polys):
-        for j, wp in enumerate(polys):
-            if j < i:
-                value = entries.get((j, i), Fraction(0))
-            else:
-                value = socle_coefficient(vp * wp, ground)
-            if value:
-                entries[(i, j)] = value
-    return SparseMatrix(len(matchings), len(matchings), entries)
+        gram.append([
+            gram[j][i] if j < i else socle_coefficient(vp * wp, ground)
+            for j, wp in enumerate(polys)
+        ])
+    return gram
 
 
 # ----- derivations of the named relations ----------------------------------

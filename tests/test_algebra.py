@@ -60,6 +60,44 @@ def _fraction_rank(rows):
     return rank
 
 
+def _fraction_rref(rows):
+    """Reduced row echelon form over Fraction by Gauss-Jordan: the nonzero
+    rows, each with leading entry 1, and their pivot columns."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        head = [v / rows[top][col] for v in rows[top]]
+        rows[top] = head
+        for i, r in enumerate(rows):
+            if i != top and r[col]:
+                rows[i] = [rv - r[col] * hv for rv, hv in zip(r, head)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _fraction_kernel(rows):
+    """Basis of the right nullspace over Fraction: one vector per non-pivot
+    column j, with entry 1 at j, read off :func:`_fraction_rref`."""
+    ncols = len(rows[0]) if rows else 0
+    rref, pivots = _fraction_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, p in zip(rref, pivots):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return basis
+
+
 def oracle_dimension(presentation, degree):
     monomials = _all_monomials(presentation.generators, degree)
     index = {m: i for i, m in enumerate(monomials)}
@@ -153,7 +191,7 @@ def test_socle_evaluation_of_socle_monomial_is_one():
 def test_two_point_gram_matrix_in_degree_one():
     ring = ring_for(xn_presentation(2))
     gram = ring.gram_matrix(1)
-    assert gram.to_dense() == [
+    assert gram == [
         [Fraction(0), Fraction(1), Fraction(0)],
         [Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(-4)],

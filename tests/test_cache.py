@@ -5,7 +5,14 @@ import os
 
 import pytest
 
-from tautring.algebra import GradedRing
+from tautring.algebra import (
+    ENGINE_VERSION,
+    GradedRing,
+    Monomial,
+    Poly,
+    Presentation,
+    gen_a,
+)
 from tautring.cache import CacheStore
 from tautring.xn import xn_presentation
 
@@ -110,8 +117,9 @@ def _edit_row(payload, index, edit):
     return dict(payload, echelon=echelon)
 
 
-# one case per clause of ``_basis_payload_fits``; degree 2 of X^3 has 12
-# columns and an echelon of 6 rows, each with at least two columns
+# one case per clause of ``_parse_basis_payload`` and per way a row can fail
+# to parse; degree 2 of X^3 has 12 columns and an echelon of 6 rows, each
+# with at least two columns
 TAMPERED_BASES = {
     "stale-count": lambda p: dict(p, monomial_count=p["monomial_count"] + 1),
     "dimension-only": lambda p: {k: v for k, v in p.items() if k != "echelon"},
@@ -127,6 +135,12 @@ TAMPERED_BASES = {
             lead, cols + [p["monomial_count"]], coeffs + ["1"]]),
     "ragged-row": lambda p: _edit_row(
         p, 0, lambda lead, cols, coeffs: [lead, cols, coeffs + ["1"]]),
+    "two-field-row": lambda p: _edit_row(
+        p, 0, lambda lead, cols, coeffs: [lead, cols]),
+    "non-integer-coefficient": lambda p: _edit_row(
+        p, 0, lambda lead, cols, coeffs: [lead, cols, ["x"] + coeffs[1:]]),
+    "integer-for-cols": lambda p: _edit_row(
+        p, 0, lambda lead, cols, coeffs: [lead, lead, coeffs]),
 }
 
 
@@ -142,3 +156,31 @@ def test_inconsistent_cached_basis_is_a_miss_and_is_rewritten(tmp_path, tamper):
     assert fresh.basis(2).dimension == cold.basis(2).dimension
     assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
     assert store.get(key) == good
+
+
+def test_a_planted_gram_rank_does_not_change_the_verdict(tmp_path):
+    # Q[a1, a2] / (a1^2, a1 a2, a2^3) has Hilbert function [1, 2, 1], but a1
+    # pairs to zero with everything, so its degree-1 Gram has rank 1.  An
+    # older engine cached Gram ranks under this key and served them as
+    # stored; a planted rank 2 made the ring pass.
+    a1, a2 = gen_a(1), gen_a(2)
+    relations = [
+        Poly.monomial(Monomial.from_factors(f)) for f in ([a1, a1], [a1, a2], [a2] * 3)
+    ]
+    presentation = Presentation(
+        "planted", (1, 2), (a1, a2), relations, 2, Monomial.from_factors([a2, a2])
+    )
+    store = CacheStore(tmp_path)
+    store.put(
+        {"kind": "gram-rank", "engine": ENGINE_VERSION,
+         "presentation": presentation.content_hash, "degree": 1},
+        {"rank": 2},
+    )
+    ring = GradedRing(presentation, cache=store)
+    report = ring.gorenstein_check()
+    assert report.hilbert == [1, 2, 1]
+    assert report.records[1]["gram_rank"] == 1
+    assert report.verdict == "defective"
+    # the cache holds the three bases, next to the planted entry, and nothing else
+    assert (ring.cache_hits, ring.cache_misses) == (0, 3)
+    assert store.stats()["entry_count"] == 1 + 3

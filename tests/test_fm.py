@@ -269,7 +269,7 @@ def test_block_example_at_three_points():
     d_block = next(r for r in reports if r.dpart)
     assert d_block.sign_exponent == 3
     assert d_block.size == 1
-    assert d_block.gram.entry(0, 0) == -1  # (-1)^3 times the X^1 value 1
+    assert d_block.gram[0][0] == -1  # (-1)^3 times the X^1 value 1
     assert d_block.rank == 1 and d_block.xs_dimension == 1
     ring = ring_for(fm_presentation(3))
     v = StandardMonomialFM.make(3, D={(1, 2, 3): 1})
@@ -317,7 +317,7 @@ def test_block_grams_match_the_rewrite_path_at_five_points():
                     expected = sign * socle_coefficient(
                         v.ab_part.to_poly() * dual.to_poly(), S
                     )
-                    assert report.gram.entry(ii, jj) == expected, (d, v, w)
+                    assert report.gram[ii][jj] == expected, (d, v, w)
                     checked += 1
     assert checked == 7378
 

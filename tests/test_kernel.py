@@ -1,7 +1,10 @@
 """The exact row-reduction kernel and the names the benchmark resolves."""
 
+import importlib
 import itertools
 import random
+
+import pytest
 
 import tautring
 import tautring._kernel
@@ -24,6 +27,41 @@ def test_benchmark_resolves_the_one_kernel():
     # through tautring._kernel, so both names must keep resolving.
     assert tautring.KERNEL_BACKEND == "pure"
     assert tautring.algebra.SpanReducer is tautring._kernel.SpanReducer
+
+
+# Every function and method perfbench/tracer.py wraps, by the name it looks
+# up, apart from ``tautring._kernel.degree_keys`` (gone since the engine
+# enumerates columns itself).  The tracer skips a name it cannot find, so a
+# rename here would silently zero a per-layer benchmark metric.
+TRACED_NAMES = [
+    ("tautring._kernel", "SpanReducer", "insert_products"),
+    ("tautring._kernel", "SpanReducer", "insert"),
+    ("tautring.algebra", "GradedRing", "basis"),
+    ("tautring.algebra", "GradedRing", "_compute_basis"),
+    ("tautring.algebra", "GradedBasis", "rref"),
+    ("tautring.algebra", "GradedRing", "socle_table"),
+    ("tautring.algebra", "GradedRing", "gram_rank"),
+    ("tautring.algebra", "GradedRing", "normal_form"),
+    ("tautring.algebra", "_integer_rank"),
+    ("tautring.cache", "CacheStore", "get"),
+    ("tautring.cache", "CacheStore", "put"),
+    ("tautring.xn", "xn_presentation"),
+    ("tautring.xn", "socle_coefficient"),
+    ("tautring.fm", "fm_presentation"),
+    ("tautring.fm", "block_pairing"),
+    ("tautring.fm", "enumerate_standard_fm"),
+    ("tautring.hodge", "fiber_socle_of_psi"),
+]
+
+
+@pytest.mark.parametrize("path", TRACED_NAMES, ids=".".join)
+def test_benchmark_traced_name_resolves(path):
+    # the tracer patches a method only where its class defines it
+    module, *owners, attr = path
+    owner = importlib.import_module(module)
+    for name in owners:
+        owner = getattr(owner, name)
+    assert callable(vars(owner).get(attr))
 
 
 def _random_stream(rng, ncols, rows):
