@@ -45,15 +45,20 @@ class SpanReducer:
     positive leading coefficient, so the internal state is a deterministic
     function of the multiset of inserted rows' span -- insertion order only
     affects which echelon basis is found, never the pivot columns or rank.
+
+    Each pivot row keeps the ``tag`` it was inserted with (the engine passes
+    the index of the relation the row came from), so that the caller can
+    tell which batch of rows adopted which lead.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.rank = 0
-        self._pivots = {}  # leading column -> (cols, coeffs)
+        self._pivots = {}  # leading column -> (cols, coeffs, tag)
 
-    def insert(self, cols, coeffs):
-        """Reduce one row; adopt it as a pivot row if independent.
+    def insert(self, cols, coeffs, tag=-1):
+        """Reduce one row; adopt it as a pivot row, tagged ``tag``, if
+        independent.
 
         ``cols`` must be strictly increasing and ``coeffs`` nonzero integers
         of the same length.  Both lists are consumed (the reducer may keep or
@@ -66,14 +71,15 @@ class SpanReducer:
             hit = pivots.get(lead)
             if hit is None:
                 _normalize(coeffs)
-                pivots[lead] = (cols, coeffs)
+                pivots[lead] = (cols, coeffs, tag)
                 self.rank += 1
                 return lead
             cols, coeffs = _combine(cols, coeffs, hit[0], hit[1])
         return -1
 
-    def insert_products(self, term_keys, term_coeffs, mult_keys, key_to_col):
-        """Insert the rows of one relation times a batch of monomials.
+    def insert_products(self, term_keys, term_coeffs, mult_keys, key_to_col, tag=-1):
+        """Insert the rows of one relation times a batch of monomials, each
+        tagged ``tag``.
 
         ``term_keys``/``term_coeffs`` describe the relation, presorted so
         that the translated columns come out strictly increasing (monomial
@@ -97,7 +103,7 @@ class SpanReducer:
                 cols = [col for col in cols if col >= 0]
             else:
                 coeffs = list(term_coeffs)
-            self.insert(cols, coeffs)
+            self.insert(cols, coeffs, tag)
 
     def echelon_rows(self):
         """Echelon rows as ``(lead, cols, coeffs)``, sorted by lead column.
@@ -108,6 +114,11 @@ class SpanReducer:
         return [
             (lead, row[0], row[1]) for lead, row in sorted(self._pivots.items())
         ]
+
+    def echelon_tags(self):
+        """The tag of each echelon row, in the order of :meth:`echelon_rows`."""
+        pivots = self._pivots
+        return [pivots[lead][2] for lead in sorted(pivots)]
 
 
 def _rref_from_echelon(pivot_rows):

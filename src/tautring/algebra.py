@@ -12,10 +12,13 @@ piece of the quotient ring R = S/I by explicit exact linear algebra:
   outside J, with the terms that land in J dropped) is echelonized exactly,
   and the quotient is read off the non-pivot columns.
 
-No Groebner machinery -- ranks of explicit integer matrices decide
-everything, which keeps the verification auditable.  Above the socle
-degree the engine proves vanishing instead of building the piece (see
-:meth:`GradedRing._above_socle_dimension`).
+No Groebner basis is computed -- ranks of explicit integer matrices decide
+everything, which keeps the verification auditable.  A row of the slice is
+left out only when one of two proven criteria (Koszul and redundant
+relation, see :meth:`GradedRing._compute_basis`) shows it lies in the span
+of the rows kept, so the ranks are those of the full slice.  Above the
+socle degree the engine proves vanishing instead of building the piece
+(see :meth:`GradedRing._above_socle_dimension`).
 
 Monomials are encoded as packed integers (one bit field per generator
 exponent) so that multiplying two monomials is a single integer addition;
@@ -38,7 +41,7 @@ SIZE_CEILING_DEFAULT = 5_000_000
 
 #: Bumped whenever the on-disk basis payload format or the engine's
 #: column conventions change; part of every cache key.
-ENGINE_VERSION = "3"
+ENGINE_VERSION = "4"
 
 
 class SizeCeilingError(RuntimeError):
@@ -396,16 +399,20 @@ class GradedBasis:
     everything else is read off it: the leads are the pivot columns, their
     number is the rank, and the non-pivot columns form the quotient basis,
     which is canonical for the row space (independent of relation order).
-    So ``dimension == monomial_count - rank`` always.  Computed and cached
-    bases are built by this one constructor.
+    So ``dimension == monomial_count - rank`` always.  ``tags`` runs
+    parallel to the echelon: the index in ``ring._prepped`` of the relation
+    whose row adopted each lead, which :meth:`GradedRing._compute_basis`
+    reads at higher degrees.  Computed and cached bases are built by this
+    one constructor.
     """
 
-    def __init__(self, ring, degree, keys, echelon):
+    def __init__(self, ring, degree, keys, echelon, tags):
         self.ring = ring
         self.degree = degree
         self.keys = keys
         self.monomial_count = len(keys)
         self._echelon = echelon
+        self.tags = tags
         self.pivot_cols = tuple(lead for lead, _, _ in echelon)
         self.rank = len(self.pivot_cols)
         self.dimension = self.monomial_count - self.rank
@@ -443,33 +450,43 @@ class GradedBasis:
         return self._echelon
 
     def to_payload(self):
+        """The cache payload; it shares this basis's column and tag lists,
+        so it is for serializing, not for editing."""
         return {
-            "schema": "tautring-basis/2",
+            "schema": "tautring-basis/3",
             "degree": self.degree,
             "monomial_count": self.monomial_count,
             "echelon": [
-                [lead, list(cols), [str(c) for c in coeffs]]
+                [lead, cols, [str(c) for c in coeffs]]
                 for lead, cols, coeffs in self._echelon
             ],
+            "tags": self.tags,
         }
 
 
-def _parse_basis_payload(payload, count):
-    """The echelon rows of a cached basis payload over ``count`` columns,
-    or None when the payload is not one.
+def _parse_basis_payload(payload, count, relations):
+    """``(echelon, tags)`` of a cached basis payload over ``count`` columns
+    and ``relations`` row sources, or None when the payload is not one.
 
     The payload must have been built over the same ``count`` columns, and
     its echelon must have the shape the kernel produces: leads strictly
     increasing inside ``range(count)``; each row's columns starting at its
     lead, strictly increasing and below ``count``; one nonzero integer
-    coefficient per column.  Anything else -- a stale or inconsistent entry,
-    or one that does not parse at all -- is None, which the engine counts
-    as a miss, recomputes and overwrites.
+    coefficient per column.  Its tags must be one integer in
+    ``range(relations)`` per echelon row.  Anything else -- a stale or
+    inconsistent entry, or one that does not parse at all -- is None, which
+    the engine counts as a miss, recomputes and overwrites.
     """
     echelon = []
     prev = -1
     try:
         if payload["monomial_count"] != count:
+            return None
+        tags = payload["tags"]
+        if not (
+            type(tags) is list
+            and all(type(t) is int and 0 <= t < relations for t in tags)
+        ):
             return None
         for lead, cols, coeffs in payload["echelon"]:
             coeffs = [int(c) for c in coeffs]
@@ -486,7 +503,9 @@ def _parse_basis_payload(payload, count):
             prev = lead
     except (KeyError, TypeError, ValueError):
         return None
-    return echelon
+    if len(tags) != len(echelon):
+        return None
+    return echelon, tags
 
 
 def _complement(sorted_cols, total):
@@ -705,30 +724,109 @@ class GradedRing:
         return basis
 
     def _compute_basis(self, d):
+        """Echelonize the degree-``d`` slice of I' from the rows that are
+        not provably dependent.
+
+        Write f_0, f_1, ... for the multi-term relations in ``_prepped``
+        order, r_i for the degree of f_i, and A_i(d) for the span of the
+        rows of f_0..f_i at degree d, the images in S/J of f_j*m for m a
+        column of degree d - r_j.  The relations are inserted in index
+        order, each row tagged with its relation's index, so the tag of an
+        echelon row names the relation whose row adopted its lead.  Two
+        criteria of matrix-F5 (Faugere, ISSAC 2002; Bardet, Faugere and
+        Salvy, J. Symbolic Comput. 70, 2015) skip rows before they are
+        built:
+
+        (a) Koszul: skip the row f_i*m when the column of m at degree
+            e = d - r_i is a lead of ``basis(e)`` tagged j < i.
+        (b) Redundant relation: at every degree d > r_i, skip all rows of
+            f_i when no lead of ``basis(r_i)`` is tagged i.
+
+        Both rest on one fact: J is an ideal, so S -> S/J is a ring map.
+        For a monomial t, the image of t*f_j is zero when t lies in J and
+        a row of f_j when it does not; so if q = sum h_j f_j mod J with
+        every j < i, then u*q lies in A_{i-1} for every homogeneous u.
+
+        Proof of (a).  The lead m tagged j < i was adopted while only rows
+        of f_0..f_{i-1} had been inserted, so some g = m + sum c_m' m' in
+        A_{i-1}(e) has lead m, every m' a column later than m.  By the fact
+        f_i*g lies in A_{i-1}(d), and f_i*m = f_i*g - sum c_m' f_i*m' lies
+        in A_{i-1}(d) plus the span of the rows f_i*m' with m' later than
+        m.  By induction from the last column, and on i, every row skipped
+        by (a) lies in the span of the rows kept.
+
+        Proof of (b).  At degree r_i, f_i has the one row f_i*1.  If it
+        adopted no lead -- it reduced to zero, was empty, or was never
+        inserted because the earlier rows already spanned every column --
+        then f_i = sum h_j f_j mod J with j < i, and by the fact every row
+        f_i*m of a higher degree lies in A_{i-1}(d).
+
+        The tags are canonical.  By the proofs the rows kept for f_0..f_i
+        at degree e span A_i(e).  An incremental echelon never changes an
+        adopted lead, so once they are inserted its leads are the leading
+        columns of A_i(e): the leads tagged at most i are the lead set of
+        A_i(e), whatever rows were skipped and in whatever order the rest
+        came.  So the leads of ``basis(d)``, its quotient columns, RREF and
+        socle table, and every rank and report, are those of the full
+        slice; only the raw echelon rows may differ.  A cached lower degree
+        serves the criteria through its stored tags, which are checked for
+        shape only (:func:`_parse_basis_payload`).
+
+        The criteria read ``basis(e)`` and ``basis(r_i)``, both below
+        ``d``, built on demand; a degree below every r_i has no leads and
+        is not built for them.
+        """
         keys = self._mono_keys(d)
         count = len(keys)
         key_to_col = self.key_to_col(d)
+        prepped = self._prepped
+        lowest = min((rdeg for rdeg, _, _ in prepped), default=d)
         reducer = SpanReducer(count)
-        for rdeg, tkeys, tcoeffs in self._prepped:
+        adopted = {}  # degree r -> tags of basis(r), for (b)
+        owners = {}  # degree e -> tag of each column's lead, for (a)
+        for i, (rdeg, tkeys, tcoeffs) in enumerate(prepped):
             if rdeg > d:
                 continue
             if reducer.rank == count:
                 break
-            mult = self._mono_keys(d - rdeg)
-            reducer.insert_products(tkeys, tcoeffs, mult, key_to_col)
-        return GradedBasis(self, d, keys, reducer.echelon_rows())
+            if rdeg < d:
+                tags = adopted.get(rdeg)
+                if tags is None:
+                    tags = adopted[rdeg] = set(self.basis(rdeg).tags)
+                if i not in tags:
+                    continue
+            e = d - rdeg
+            mult = self._mono_keys(e)
+            if e >= lowest:
+                owner = owners.get(e)
+                if owner is None:
+                    owner = owners[e] = self._lead_owners(e)
+                mult = [mk for mk, j in zip(mult, owner) if j >= i]
+            reducer.insert_products(tkeys, tcoeffs, mult, key_to_col, i)
+        return GradedBasis(self, d, keys, reducer.echelon_rows(),
+                           reducer.echelon_tags())
+
+    def _lead_owners(self, e):
+        """Per degree-``e`` column, the tag of its lead in ``basis(e)``, or
+        ``len(_prepped)`` (after every relation) for a non-pivot column."""
+        basis = self.basis(e)
+        owner = [len(self._prepped)] * basis.monomial_count
+        for lead, tag in zip(basis.pivot_cols, basis.tags):
+            owner[lead] = tag
+        return owner
 
     def _load_cached_basis(self, d):
         if self.cache is None:
             return None
         payload = self.cache.get(self._basis_cache_key(d))
         keys = self._mono_keys(d)
-        echelon = None if payload is None else _parse_basis_payload(payload, len(keys))
-        if echelon is None:
+        parsed = (None if payload is None
+                  else _parse_basis_payload(payload, len(keys), len(self._prepped)))
+        if parsed is None:
             self.cache_misses += 1
             return None
         self.cache_hits += 1
-        return GradedBasis(self, d, keys, echelon)
+        return GradedBasis(self, d, keys, *parsed)
 
     def _store_cached_basis(self, basis):
         if self.cache is None:

@@ -7,16 +7,22 @@ stale rows.  Writes go through a temporary file and an atomic rename; reads
 verify an embedded payload digest and treat any mismatch as a miss, deleting
 the corrupt file so the caller recomputes.
 
-The cache holds bases only.  Every basis is stored whole: its column count
-and its exact echelon, from which the engine reads pivots, rank and
-dimension again on load, after parsing the echelon and checking its shape
-(``algebra._parse_basis_payload``).  So a warm run eliminates nothing: on a
-2-core host a warm ``fm check --n 5 --mode full`` takes under 2 s against a
-2.0 MB cache (about 30 s cold), and a warm ``xn check --n 6`` about 1.2 s
-against 1.7 MB.  Gram ranks are not stored: a stored rank could only be
-checked by computing it, and from the bases all of a ring's Gram ranks
-take about 3 ms for X^5, 40-50 ms for X^6 and 30-35 ms for X[5] on the
-same host.
+The cache holds bases only.  Every basis is stored whole: its column count,
+its exact echelon and the tag of each echelon row (the index of the
+relation that adopted its lead), from which the engine reads pivots, rank
+and dimension again on load, after parsing the echelon and the tags and
+checking their shape (``algebra._parse_basis_payload``).  So a warm run
+eliminates nothing: on a 2-core host a warm ``fm check --n 5 --mode full``
+takes under 1 s against a 2.2 MB cache (about 2.8 s cold), and a warm
+``xn check --n 6`` about 0.7 s against 1.9 MB.  Gram ranks are not stored:
+a stored rank could only be checked by computing it, and from the bases
+all of a ring's Gram ranks take about 3 ms for X^5, 40-50 ms for X^6 and
+30-35 ms for X[5] on the same host.
+
+Shape is all that is checked, for the tags as for the echelon: a
+well-formed entry is trusted for its row space, and its tags steer the
+rows that ``GradedRing._compute_basis`` skips at higher degrees, even at a
+degree that is computed fresh.
 """
 
 import hashlib
@@ -31,6 +37,25 @@ _SCHEMA = "tautring-cache-1"
 
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _payload_digest(payload):
+    """``_digest(canonical_json(payload))`` for a dict ``payload``.
+
+    The text is hashed one item at a time.  Until it returns, the JSON
+    encoder holds one small string per number and string it has written,
+    about 100 bytes each; encoding a large basis whole would hold the
+    pieces of its echelon and of its tags at once.
+    """
+    digest = hashlib.sha256(b"{")
+    for i, item in enumerate(sorted(payload.items())):
+        text = _encode(dict([item]))[1:-1]
+        digest.update((("," if i else "") + text).encode("utf-8"))
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 class CacheStore:
@@ -54,9 +79,9 @@ class CacheStore:
         try:
             ok = (
                 body["schema"] == _SCHEMA
-                and body["digest"] == _digest(canonical_json(body["payload"]))
+                and body["digest"] == _payload_digest(body["payload"])
             )
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, AttributeError):
             ok = False
         if not ok:
             try:
@@ -72,7 +97,7 @@ class CacheStore:
             "schema": _SCHEMA,
             "key": key,
             "payload": payload,
-            "digest": _digest(canonical_json(payload)),
+            "digest": _payload_digest(payload),
         }
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:

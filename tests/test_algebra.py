@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tautring._kernel import SpanReducer
 from tautring.algebra import (
     GradedRing,
     Monomial,
@@ -411,3 +412,60 @@ def test_higher_degree_ideal_dimensions_match_oracle():
     ring = GradedRing(presentation)
     for d in range(6):
         assert ring.basis(d).dimension == oracle_dimension(presentation, d)
+
+
+# ----- rows skipped by the F5 criteria ----------------------------------------
+
+
+def _slice_row(ring, d, tkeys, tcoeffs, mk):
+    """The row of a relation times ``mk`` at degree ``d``, terms in J dropped."""
+    key_to_col = ring.key_to_col(d)
+    row = [(key_to_col[k + mk], c) for k, c in zip(tkeys, tcoeffs) if k + mk in key_to_col]
+    return [col for col, _ in row], [c for _, c in row]
+
+
+def _full_slice(ring, d):
+    """The echelon of every row of the degree-``d`` slice: each multi-term
+    relation times every multiplier, nothing skipped."""
+    full = SpanReducer(len(ring.key_to_col(d)))
+    for rdeg, tkeys, tcoeffs in ring._prepped:
+        for mk in ring._mono_keys(d - rdeg) if rdeg <= d else ():
+            cols, coeffs = _slice_row(ring, d, tkeys, tcoeffs, mk)
+            if cols:
+                full.insert(cols, coeffs)
+    return full
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    [xn_presentation(n) for n in range(1, 6)] + [fm_presentation(3), fm_presentation(4)],
+    ids=lambda p: p.label,
+)
+def test_every_skipped_row_reduces_to_zero_against_the_full_slice(presentation, monkeypatch):
+    # _compute_basis hands the kernel only the rows the Koszul and
+    # redundant-relation criteria keep; every row it leaves out, for any
+    # reason, must lie in the span of all rows of its degree.
+    handed = {}  # (id of the degree's column map, relation index) -> multipliers
+    insert_products = SpanReducer.insert_products
+
+    def spy(reducer, term_keys, term_coeffs, mult_keys, key_to_col, tag=-1):
+        handed.setdefault((id(key_to_col), tag), set()).update(mult_keys)
+        return insert_products(reducer, term_keys, term_coeffs, mult_keys, key_to_col, tag)
+
+    monkeypatch.setattr(SpanReducer, "insert_products", spy)
+    ring = GradedRing(presentation)
+    skipped = 0
+    for d in range(presentation.socle_degree + 2):
+        basis = ring.basis(d)
+        full = _full_slice(ring, d)
+        assert basis.pivot_cols == tuple(lead for lead, _, _ in full.echelon_rows())
+        column_map = id(ring.key_to_col(d))
+        for i, (rdeg, tkeys, tcoeffs) in enumerate(ring._prepped):
+            kept = handed.get((column_map, i), set())
+            for mk in ring._mono_keys(d - rdeg) if rdeg <= d else ():
+                if mk in kept:
+                    continue
+                cols, coeffs = _slice_row(ring, d, tkeys, tcoeffs, mk)
+                skipped += 1
+                assert not cols or full.insert(cols, coeffs) == -1, (d, i, mk)
+    assert skipped or presentation.label in ("xn:1", "xn:2")

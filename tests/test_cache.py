@@ -11,9 +11,11 @@ from tautring.algebra import (
     Monomial,
     Poly,
     Presentation,
+    canonical_json,
     gen_a,
 )
-from tautring.cache import CacheStore
+from tautring.cache import CacheStore, _digest, _payload_digest
+from tautring.fm import fm_presentation
 from tautring.xn import xn_presentation
 
 
@@ -117,6 +119,13 @@ def _edit_row(payload, index, edit):
     return dict(payload, echelon=echelon)
 
 
+def _edit_tags(payload, edit):
+    return dict(payload, tags=edit(list(payload["tags"])))
+
+
+#: the number of multi-term relations of X^3, so tags lie in range(_X3_RELATIONS)
+_X3_RELATIONS = len(GradedRing(xn_presentation(3))._prepped)
+
 # one case per clause of ``_parse_basis_payload`` and per way a row can fail
 # to parse; degree 2 of X^3 has 12 columns and an echelon of 6 rows, each
 # with at least two columns
@@ -141,6 +150,10 @@ TAMPERED_BASES = {
         p, 0, lambda lead, cols, coeffs: [lead, cols, ["x"] + coeffs[1:]]),
     "integer-for-cols": lambda p: _edit_row(
         p, 0, lambda lead, cols, coeffs: [lead, lead, coeffs]),
+    "missing-tags": lambda p: {k: v for k, v in p.items() if k != "tags"},
+    "short-tags": lambda p: _edit_tags(p, lambda tags: tags[:-1]),
+    "non-integer-tag": lambda p: _edit_tags(p, lambda tags: [str(tags[0])] + tags[1:]),
+    "tag-out-of-range": lambda p: _edit_tags(p, lambda tags: tags[:-1] + [_X3_RELATIONS]),
 }
 
 
@@ -184,3 +197,37 @@ def test_a_planted_gram_rank_does_not_change_the_verdict(tmp_path):
     # the cache holds the three bases, next to the planted entry, and nothing else
     assert (ring.cache_hits, ring.cache_misses) == (0, 3)
     assert store.stats()["entry_count"] == 1 + 3
+
+
+@pytest.mark.parametrize("presentation", [xn_presentation(4), fm_presentation(3)],
+                         ids=lambda p: p.label)
+def test_a_partially_warm_cache_serves_the_criteria_through_its_tags(
+        tmp_path, monkeypatch, presentation):
+    # Degrees 0..2 come from the cache, so the skips at every higher degree
+    # read the stored tags of lower degrees, not tags computed in this run.
+    store = CacheStore(tmp_path)
+    filler = GradedRing(presentation, cache=store)
+    for d in range(3):
+        filler.basis(d)
+    # an entry of the previous engine version, without tags, for degree 3
+    old = dict(GradedRing(presentation).basis(3).to_payload(), schema="tautring-basis/2")
+    del old["tags"]
+    store.put(dict(filler._basis_cache_key(3), engine="3"), old)
+
+    computed = []
+    compute = GradedRing._compute_basis
+    monkeypatch.setattr(GradedRing, "_compute_basis",
+                        lambda ring, d: computed.append(d) or compute(ring, d))
+    ring = GradedRing(presentation, cache=store)
+    report = ring.gorenstein_check()
+    top = presentation.socle_degree
+    assert computed == list(range(3, top + 1))
+    assert (ring.cache_hits, ring.cache_misses) == (3, top - 2)
+    assert report.to_payload() == GradedRing(presentation).gorenstein_check().to_payload()
+
+
+def test_payload_digest_hashes_the_canonical_text():
+    ring = GradedRing(fm_presentation(3))
+    payloads = [ring.basis(d).to_payload() for d in range(4)]
+    for payload in payloads + [{}, {"b": [1, {"z": None, "a": "é"}], "a": 2}]:
+        assert _payload_digest(payload) == _digest(canonical_json(payload))

@@ -10,6 +10,9 @@ import tautring
 import tautring._kernel
 import tautring.algebra
 from tautring._kernel import SpanReducer
+from tautring.algebra import GradedRing
+from tautring.cache import CacheStore
+from tautring.xn import xn_presentation
 from test_algebra import _fraction_rank
 
 
@@ -62,6 +65,23 @@ def test_benchmark_traced_name_resolves(path):
     for name in owners:
         owner = getattr(owner, name)
     assert callable(vars(owner).get(attr))
+
+
+def test_echelon_rows_keep_the_traced_shape(tmp_path):
+    # perfbench/tracer.py unpacks ``_, cols, _`` from each echelon row of
+    # every basis it records; a row of any other shape crashes the traced
+    # child, which no tier-1 test runs.
+    store = CacheStore(tmp_path)
+    computed = GradedRing(xn_presentation(3), cache=store)
+    cached = GradedRing(xn_presentation(3), cache=store)
+    for d in range(4):
+        for ring in (computed, cached):
+            rows = ring.basis(d).echelon_rows()
+            assert all(
+                len(row) == 3 and [type(part) for part in row] == [int, list, list]
+                for row in rows
+            )
+    assert cached.cache_hits == 4 and cached.cache_misses == 0
 
 
 def _random_stream(rng, ncols, rows):
@@ -129,9 +149,9 @@ def test_insert_products_drops_terms_without_a_column():
 def test_insert_products_skips_rows_left_empty():
     reducer = SpanReducer(2)
     calls = []
-    reducer.insert = lambda cols, coeffs: calls.append((cols, coeffs))
-    reducer.insert_products([1, 2], [1, -1], [10, 20], {12: 0})
-    assert calls == [([0], [-1])]
+    reducer.insert = lambda cols, coeffs, tag: calls.append((cols, coeffs, tag))
+    reducer.insert_products([1, 2], [1, -1], [10, 20], {12: 0}, 7)
+    assert calls == [([0], [-1], 7)]
 
 
 def test_reducer_rejects_inconsistent_row():
