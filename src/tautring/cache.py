@@ -13,16 +13,19 @@ relation that adopted its lead), from which the engine reads pivots, rank
 and dimension again on load, after parsing the echelon and the tags and
 checking their shape (``algebra._parse_basis_payload``).  So a warm run
 eliminates nothing: on a 2-core host a warm ``fm check --n 5 --mode full``
-takes under 1 s against a 2.2 MB cache (about 2.8 s cold), and a warm
-``xn check --n 6`` about 0.7 s against 1.9 MB.  Gram ranks are not stored:
-a stored rank could only be checked by computing it, and from the bases
-all of a ring's Gram ranks take about 3 ms for X^5, 40-50 ms for X^6 and
-30-35 ms for X[5] on the same host.
+takes about 0.7 s against a 0.4 MB cache (about 1.5 s cold), and a warm
+``xn check --n 6`` about 0.3 s against 0.17 MB.  Gram ranks are not
+stored: a stored rank could only be checked by computing it, and from the
+bases all of a ring's Gram ranks take about 2 ms for X^5, 12-17 ms for
+X^6 and 20-30 ms for X[5] on the same host.
 
 Shape is all that is checked, for the tags as for the echelon: a
-well-formed entry is trusted for its row space, and its tags steer the
-rows that ``GradedRing._compute_basis`` skips at higher degrees, even at a
-degree that is computed fresh.
+well-formed entry is trusted for its row space.  Its tags steer the rows
+that ``GradedRing._compute_basis`` skips at higher degrees, and its dead
+monomials (pivots whose RREF row has no tail) decide the columns of the
+next degree (``GradedRing._columns``), even at a degree that is computed
+fresh.  ``monomial_count`` catches a next-degree entry stored over other
+columns, not a wrong row space itself.
 """
 
 import hashlib
@@ -42,19 +45,26 @@ def _digest(text):
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _payload_digest(payload):
-    """``_digest(canonical_json(payload))`` for a dict ``payload``.
+def _payload_pieces(payload):
+    """``canonical_json(payload)`` for a dict ``payload``, one top-level
+    item at a time.
 
-    The text is hashed one item at a time.  Until it returns, the JSON
+    Each item is encoded by the C one-shot encoder.  Until it returns, that
     encoder holds one small string per number and string it has written,
     about 100 bytes each; encoding a large basis whole would hold the
     pieces of its echelon and of its tags at once.
     """
-    digest = hashlib.sha256(b"{")
+    yield "{"
     for i, item in enumerate(sorted(payload.items())):
-        text = _encode(dict([item]))[1:-1]
-        digest.update((("," if i else "") + text).encode("utf-8"))
-    digest.update(b"}")
+        yield ("," if i else "") + _encode(dict([item]))[1:-1]
+    yield "}"
+
+
+def _payload_digest(payload):
+    """``_digest(canonical_json(payload))`` for a dict ``payload``."""
+    digest = hashlib.sha256()
+    for piece in _payload_pieces(payload):
+        digest.update(piece.encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -92,17 +102,21 @@ class CacheStore:
         return body["payload"]
 
     def put(self, key, payload):
-        """Store ``payload`` under ``key`` atomically (temp file + rename)."""
-        body = {
-            "schema": _SCHEMA,
-            "key": key,
-            "payload": payload,
-            "digest": _payload_digest(payload),
-        }
+        """Store ``payload`` under ``key`` atomically (temp file + rename).
+
+        The payload is encoded once, one top-level item at a time; each
+        piece goes to the digest and to the file, and the digest is written
+        last.
+        """
+        digest = hashlib.sha256()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(body, handle, sort_keys=True, separators=(",", ":"))
+                handle.write(f'{{"schema":{_encode(_SCHEMA)},"key":{_encode(key)},"payload":')
+                for piece in _payload_pieces(payload):
+                    digest.update(piece.encode("utf-8"))
+                    handle.write(piece)
+                handle.write(f',"digest":"{digest.hexdigest()}"}}')
             os.replace(tmp, self._path_for(key))
         except BaseException:
             try:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tautring import algebra
 from tautring._kernel import SpanReducer
 from tautring.algebra import (
     GradedRing,
@@ -99,7 +100,10 @@ def _fraction_kernel(rows):
     return basis
 
 
-def oracle_dimension(presentation, degree):
+def _oracle_rows(presentation, degree):
+    """Every relation times every monomial multiplier of the right degree,
+    as dense rows over all degree-``degree`` monomials, with the column
+    index of each monomial."""
     monomials = _all_monomials(presentation.generators, degree)
     index = {m: i for i, m in enumerate(monomials)}
     rows = []
@@ -113,7 +117,12 @@ def oracle_dimension(presentation, degree):
             for m, c in product.terms.items():
                 row[index[m]] = c
             rows.append(row)
-    return len(monomials) - (_fraction_rank(rows) if rows else 0)
+    return index, rows
+
+
+def oracle_dimension(presentation, degree):
+    index, rows = _oracle_rows(presentation, degree)
+    return len(index) - (_fraction_rank(rows) if rows else 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -200,14 +209,15 @@ def test_two_point_gram_matrix_in_degree_one():
 
 
 def test_size_ceiling_refusal():
-    # the ceiling counts columns outside the monomial ideal: 90 in degree 3
-    # of X^4, 173 in degree 4
+    # the ceiling counts columns, the monomials outside the grown ideal J':
+    # 39 in degree 2 of X^4, 90 in degree 3 and 17 in degree 4
     presentation = xn_presentation(4)
-    ring = ring_for(presentation, size_ceiling=100)
+    ring = ring_for(presentation, size_ceiling=50)
     with pytest.raises(SizeCeilingError) as info:
         ring.basis(4)
-    assert info.value.ceiling == 100
-    assert info.value.count > 100
+    assert info.value.degree == 3
+    assert info.value.ceiling == 50
+    assert info.value.count > 50
 
 
 def test_ring_registry_reuses_instances():
@@ -216,6 +226,19 @@ def test_ring_registry_reuses_instances():
     assert r1 is r2
     r3 = ring_for(xn_presentation(3), size_ceiling=10**9)
     assert r3 is not r1
+
+
+def test_ring_registry_evicts_the_least_recently_used_ring():
+    size = algebra._RING_REGISTRY_SIZE
+    presentation = xn_presentation(2)
+    first = ring_for(presentation, size_ceiling=1)
+    for ceiling in range(2, size + 1):
+        ring_for(presentation, size_ceiling=ceiling)
+    assert ring_for(presentation, size_ceiling=1) is first  # now the most recent
+    ring_for(presentation, size_ceiling=size + 1)  # evicts ceiling 2, the oldest
+    assert len(algebra._RING_REGISTRY) <= size
+    assert (presentation.content_hash, 2) not in algebra._RING_REGISTRY
+    assert ring_for(presentation, size_ceiling=1) is first
 
 
 def test_presentation_hash_is_stable_and_distinguishing():
@@ -387,6 +410,8 @@ def _higher_degree_ideal_presentation():
     ids=lambda p: p.label,
 )
 def test_columns_are_the_monomials_outside_the_ideal_in_reference_order(presentation):
+    # the columns of degree d are the monomials outside the ideal of J and of
+    # the dead monomials below d: the pivots whose RREF row has no tail
     ring = GradedRing(presentation)
     ideal = [
         ring.monomial_key(next(iter(rel.terms)))
@@ -405,6 +430,41 @@ def test_columns_are_the_monomials_outside_the_ideal_in_reference_order(presenta
         ]
         outside = [k for k in everything if not any(divides(j, k) for j in ideal)]
         assert ring._mono_keys(d) == outside
+        basis = ring.basis(d)
+        ideal += [basis.keys[lead] for lead, (cols, _) in basis.rref().items()
+                  if len(cols) == 1]
+    assert len(ideal) > sum(len(rel.terms) == 1 for rel in presentation.relations)
+
+
+@pytest.mark.parametrize(
+    "presentation, top",
+    [(xn_presentation(n), n) for n in (1, 2, 3)]
+    # the dense oracle takes about 35 s per rank at degree 4 of X^4 (715
+    # monomials), where X^4 has no dead monomial
+    + [(xn_presentation(4), 3), (fm_presentation(3), 3),
+       (_higher_degree_ideal_presentation(), 3)],
+    ids=lambda p: getattr(p, "label", p),
+)
+def test_every_dead_monomial_lies_in_the_ideal(presentation, top):
+    # a monomial the engine drops from every higher degree must be zero in R:
+    # its unit row lies in the span of the oracle's relation rows, built up
+    # to degree ``top``
+    ring = GradedRing(presentation)
+    found = 0
+    for d in range(presentation.socle_degree + 1):
+        dead = set(ring._mono_keys(d)) - ring._alive(d)
+        if not dead:
+            continue
+        assert d <= top, f"{len(dead)} dead monomials in degree {d}, beyond the oracle"
+        index, rows = _oracle_rows(presentation, d)
+        units = []
+        for key in dead:
+            unit = [Fraction(0)] * len(index)
+            unit[index[ring.decode_key(key)]] = Fraction(1)
+            units.append(unit)
+        assert _fraction_rank(rows + units) == _fraction_rank(rows), d
+        found += len(dead)
+    assert found or presentation.label in ("xn:1", "xn:2")
 
 
 def test_higher_degree_ideal_dimensions_match_oracle():

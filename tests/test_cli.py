@@ -52,7 +52,7 @@ def test_usage_error_exits_two(runner):
 def test_size_guard_exits_three(runner):
     result = invoke(
         runner,
-        ["--format", "json", "--size-ceiling", "100", "xn", "check", "--n", "4"],
+        ["--format", "json", "--size-ceiling", "50", "xn", "check", "--n", "4"],
     )
     assert result.exit_code == 3
     report = strict_report_of(result)
@@ -60,8 +60,8 @@ def test_size_guard_exits_three(runner):
     assert report["command"] == "xn check"
     assert report["inputs"] == {"n": 4}
     assert report["checks"][0]["name"] == "size-guard"
-    assert report["checks"][0]["ceiling"] == 100
-    assert report["checks"][0]["count"] > 100  # degree 4 has 173 columns
+    assert report["checks"][0]["ceiling"] == 50
+    assert report["checks"][0]["count"] > 50  # degree 3 has 90 columns
 
 
 def test_hilbert_far_above_the_socle_is_zeros(runner):
