@@ -29,9 +29,9 @@ column indices are positions in the enumeration order of
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lt
+from types import SimpleNamespace
 
 from ._kernel import SpanReducer, _integral_coeffs, _rref_from_echelon
 
@@ -73,34 +73,45 @@ class SocleError(PresentationError):
     """The socle is not one-dimensional (or its witness class vanishes)."""
 
 
-@dataclass(frozen=True)
+_KIND_ORDER = {"a": 0, "b": 1, "D": 2}
+
+
 class Generator:
     """A degree-one generator: a point class, a diagonal correction, or a
-    boundary divisor indexed by a subset of the marked points."""
+    boundary divisor indexed by a subset of the marked points.
 
-    kind: str  # "a", "b" or "D"
-    data: tuple
+    An immutable value.  Its ``sort_key`` and its hash, that of the tuple
+    ``(kind, data)``, are computed once, when it is built.
+    """
 
-    def __post_init__(self):
-        if self.kind == "a":
-            (i,) = self.data
+    __slots__ = ("kind", "data", "sort_key", "_hash")
+
+    def __init__(self, kind, data):
+        if kind == "a":
+            (i,) = data
             if i < 1:
                 raise ValueError("point index must be >= 1")
-        elif self.kind == "b":
-            i, j = self.data
+        elif kind == "b":
+            i, j = data
             if not 1 <= i < j:
                 raise ValueError("pair must be increasing and >= 1")
-        elif self.kind == "D":
-            subset = self.data
-            if tuple(sorted(set(subset))) != subset or len(subset) < 3:
+        elif kind == "D":
+            if tuple(sorted(set(data))) != data or len(data) < 3:
                 raise ValueError("subset must be sorted, distinct, size >= 3")
         else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+            raise ValueError(f"unknown generator kind {kind!r}")
+        self.kind = kind  # "a", "b" or "D"
+        self.data = data
+        self.sort_key = (_KIND_ORDER[kind], len(data), data)
+        self._hash = hash((kind, data))
 
-    @property
-    def sort_key(self):
-        order = {"a": 0, "b": 1, "D": 2}
-        return (order[self.kind], len(self.data), self.data)
+    def __eq__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return self.kind == other.kind and self.data == other.data
+
+    def __hash__(self):
+        return self._hash
 
     def __lt__(self, other):
         return self.sort_key < other.sort_key
@@ -137,22 +148,43 @@ def gen_D(subset):
     return Generator("D", tuple(sorted(subset)))
 
 
-@dataclass(frozen=True)
+def _factor_key(factor):
+    return factor[0].sort_key
+
+
 class Monomial:
     """A product of generators with positive integer exponents.
 
     ``exps`` is a tuple of ``(Generator, exponent)`` pairs sorted by the
-    generator order; the empty tuple is the unit monomial.
+    generator order; the empty tuple is the unit monomial.  An immutable
+    value: its ``degree``, its ``sort_key`` (the factors' generator keys
+    and exponents) and its hash, that of the tuple ``(exps,)``, are
+    computed once, when it is built.
     """
 
-    exps: tuple = ()
+    __slots__ = ("exps", "degree", "sort_key", "_hash")
 
-    def __post_init__(self):
-        if any(e <= 0 for _, e in self.exps):
+    def __init__(self, exps=()):
+        if any(e <= 0 for _, e in exps):
             raise ValueError("exponents must be positive")
-        keys = [g.sort_key for g, _ in self.exps]
+        keys = [g.sort_key for g, _ in exps]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("factors must be sorted and distinct")
+        self._fill(exps, sum(e for _, e in exps))
+
+    def _fill(self, exps, degree):
+        self.exps = exps
+        self.degree = degree
+        self.sort_key = tuple([(g.sort_key, e) for g, e in exps])
+        self._hash = hash((exps,))
+
+    @classmethod
+    def _trusted(cls, exps, degree):
+        """The monomial of ``exps`` of total exponent ``degree``, factors
+        already sorted, distinct and positive; nothing is checked."""
+        m = object.__new__(cls)
+        m._fill(exps, degree)
+        return m
 
     @classmethod
     def from_factors(cls, factors):
@@ -160,17 +192,22 @@ class Monomial:
         acc = {}
         for g in factors:
             acc[g] = acc.get(g, 0) + 1
-        return cls(tuple(sorted(acc.items(), key=lambda t: t[0].sort_key)))
+        return cls(tuple(sorted(acc.items(), key=_factor_key)))
 
-    @property
-    def degree(self):
-        return sum(e for _, e in self.exps)
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self._hash == other._hash and self.exps == other.exps
+
+    def __hash__(self):
+        return self._hash
 
     def __mul__(self, other):
         acc = dict(self.exps)
         for g, e in other.exps:
             acc[g] = acc.get(g, 0) + e
-        return Monomial(tuple(sorted(acc.items(), key=lambda t: t[0].sort_key)))
+        return Monomial._trusted(tuple(sorted(acc.items(), key=_factor_key)),
+                                 self.degree + other.degree)
 
     def to_payload(self):
         return [[g.to_payload(), e] for g, e in self.exps]
@@ -194,8 +231,23 @@ class Monomial:
 ONE = Monomial()
 
 
+def _exact(c):
+    """The coefficient ``c`` as an int when it is integral, otherwise as a
+    Fraction; ``str`` prints both the same way, so payloads do not depend
+    on which one a computation produced."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
-    """A finite rational linear combination of monomials."""
+    """A finite rational linear combination of monomials.
+
+    Coefficients are exact: an integral one is stored as an int, any other
+    as a Fraction (see :func:`_exact`).
+    """
 
     __slots__ = ("terms",)
 
@@ -204,11 +256,11 @@ class Poly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for m, c in items:
-                c = Fraction(c)
+                c = _exact(c)
                 if not c:
                     continue
                 prev = data.get(m)
-                c = c if prev is None else prev + c
+                c = c if prev is None else _exact(prev + c)
                 if c:
                     data[m] = c
                 elif prev is not None:
@@ -221,7 +273,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, m, coeff=1):
-        return cls({m: Fraction(coeff)})
+        return cls({m: coeff})
 
     @classmethod
     def generator(cls, g, coeff=1):
@@ -247,7 +299,7 @@ class Poly:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, 0) + c
+            v = _exact(out.get(m, 0) + c)
             if v:
                 out[m] = v
             elif m in out:
@@ -270,7 +322,7 @@ class Poly:
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     m = m1 * m2
-                    v = out.get(m, 0) + c1 * c2
+                    v = _exact(out.get(m, 0) + c1 * c2)
                     if v:
                         out[m] = v
                     elif m in out:
@@ -284,11 +336,11 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Poly.zero()
         p = Poly.__new__(Poly)
-        p.terms = {m: v * c for m, v in self.terms.items()}
+        p.terms = {m: _exact(v * c) for m, v in self.terms.items()}
         return p
 
     def __eq__(self, other):
@@ -296,10 +348,7 @@ class Poly:
 
     def sorted_terms(self):
         """Terms sorted by monomial (generator order, then exponents)."""
-        return sorted(
-            self.terms.items(),
-            key=lambda t: [(g.sort_key, e) for g, e in t[0].exps],
-        )
+        return sorted(self.terms.items(), key=lambda t: t[0].sort_key)
 
     def to_payload(self):
         return [
@@ -1148,18 +1197,11 @@ class GradedRing:
         )
 
 
-@dataclass
-class PairingReport:
-    """Outcome of a Gorenstein verification run."""
-
-    label: str
-    socle_degree: int
-    hilbert: list
-    above_socle_dimension: int
-    socle_ok: bool
-    socle_note: str
-    records: list = field(default_factory=list)
-    verdict: str = "defective"
+class PairingReport(SimpleNamespace):
+    """Outcome of a Gorenstein verification run: ``label``,
+    ``socle_degree``, ``hilbert``, ``above_socle_dimension``, ``socle_ok``,
+    ``socle_note``, one record per degree in ``records``, and ``verdict``
+    ("gorenstein" or "defective")."""
 
     @property
     def passed(self):

@@ -10,13 +10,12 @@ error, 3 size-guard refusal.  Report bodies are deterministic for fixed
 inputs and cache state (timing excluded), so reruns are diffable.
 """
 
+import argparse
 import json
 import os
 import sys
 import time
 from fractions import Fraction
-
-import click
 
 from . import fm as fm_mod
 from . import hodge as hodge_mod
@@ -27,6 +26,11 @@ from .cache import CacheStore
 REPORT_SCHEMA = "tautring-report-1"
 
 CROSS_CHECK_LIMIT = 4  # full-engine verification bound for block mode
+
+
+class UsageError(Exception):
+    """An argument that parses but cannot be used; exits 2 like a parse
+    error, with the subcommand's usage line."""
 
 
 def _jsonable(value):
@@ -89,8 +93,7 @@ def check(name, ok, **witness):
     return record
 
 
-def emit(ctx, command, inputs, checks, summary_extra=None, *, status=None):
-    run = ctx.obj
+def emit(run, command, inputs, checks, summary_extra=None, *, status=None):
     passed = sum(1 for c in checks if c["status"] == "pass")
     failed = sum(1 for c in checks if c["status"] == "fail")
     if status is None:
@@ -107,136 +110,77 @@ def emit(ctx, command, inputs, checks, summary_extra=None, *, status=None):
         "cache": run.cache_report(),
         "timing": {"seconds": round(time.monotonic() - run.started, 3)},
     }
-    if run.format == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _echo_table(report)
+    try:
+        if run.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            _echo_table(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (``| head``): exit 1 without a
+        # traceback, and without a second one when Python flushes at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     if status == "size-guard":
         sys.exit(3)
     sys.exit(0 if failed == 0 else 1)
 
 
 def _echo_table(report):
-    click.echo(f"command : {report['command']}")
+    print(f"command : {report['command']}")
     for key, value in sorted(report["inputs"].items()):
-        click.echo(f"  {key} = {value}")
+        print(f"  {key} = {value}")
     width = max((len(c["name"]) for c in report["checks"]), default=0)
     for c in report["checks"]:
         extras = {
             k: v for k, v in c.items() if k not in ("name", "status")
         }
         tail = "  " + json.dumps(extras, sort_keys=True) if extras else ""
-        click.echo(f"  {c['name']:<{width}}  {c['status']}{tail}")
-    click.echo(f"summary : {json.dumps(report['summary'], sort_keys=True)}")
+        print(f"  {c['name']:<{width}}  {c['status']}{tail}")
+    print(f"summary : {json.dumps(report['summary'], sort_keys=True)}")
     if report["cache"] is not None:
-        click.echo(
+        print(
             f"cache   : {report['cache']['entry_count']} entries, "
             f"{report['cache']['total_bytes']} bytes, "
             f"{report['cache']['hits']} hits, {report['cache']['misses']} misses"
         )
-    click.echo(f"timing  : {report['timing']['seconds']}s")
+    print(f"timing  : {report['timing']['seconds']}s")
 
 
-def _subcommand_path(ctx):
-    """Subcommand names below the root group, e.g. ``xn hilbert``; unlike
-    ``ctx.command_path`` this does not depend on how the program was
-    started (``tautring`` or ``python -m tautring.cli``)."""
-    names = []
-    while ctx.parent is not None:
-        names.append(ctx.info_name)
-        ctx = ctx.parent
-    return " ".join(reversed(names))
-
-
-def guarded(fn):
-    """Convert engine size refusals into exit code 3 with a marked report."""
-
-    def wrapper(ctx, *args, **kwargs):
-        try:
-            return fn(ctx, *args, **kwargs)
-        except SizeCeilingError as exc:
-            emit(
-                ctx,
-                _subcommand_path(ctx),
-                kwargs,
-                [
-                    check(
-                        "size-guard",
-                        False,
-                        label=exc.label,
-                        degree=exc.degree,
-                        count=exc.count,
-                        ceiling=exc.ceiling,
-                        reason=exc.reason,
-                    )
-                ],
-                status="size-guard",
-            )
-
-    return wrapper
 
 
 def _parse_alphas(text):
     try:
         alphas = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise click.UsageError(f"--alphas must be comma-separated integers, got {text!r}")
+        raise UsageError(f"--alphas must be comma-separated integers, got {text!r}")
     if not alphas:
-        raise click.UsageError("--alphas must be nonempty")
+        raise UsageError("--alphas must be nonempty")
     return alphas
-
-
-@click.group()
-@click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table",
-              help="Report format.")
-@click.option("--cache-dir", envvar="TAUTRING_CACHE_DIR", default=None,
-              type=click.Path(file_okay=False),
-              help="Basis cache directory (also via TAUTRING_CACHE_DIR).")
-@click.option("--size-ceiling", type=click.IntRange(min=1), default=SIZE_CEILING_DEFAULT,
-              show_default=True, help="Refuse degrees with more columns (monomials outside the "
-                   "monomial ideal) than this.")
-@click.pass_context
-def main(ctx, fmt, cache_dir, size_ceiling):
-    """Exact verification of tautological rings of points on a genus-2 curve."""
-    ctx.obj = RunContext(fmt, cache_dir, size_ceiling)
 
 
 # ----- power-ring commands ---------------------------------------------------
 
 
-@main.group()
-def xn():
-    """Power ring X^n commands."""
-
-
-@xn.command("hilbert")
-@click.option("--n", type=click.IntRange(min=1), required=True)
-@click.option("--max-degree", type=click.IntRange(min=0), default=None)
-@click.pass_context
-@guarded
-def xn_hilbert(ctx, n, max_degree):
+def xn_hilbert(run, n, max_degree):
     """Graded dimensions of the power ring."""
     top = n if max_degree is None else max_degree
-    ring = ctx.obj.ring(xn_mod.xn_presentation(n))
+    ring = run.ring(xn_mod.xn_presentation(n))
     dims = ring.hilbert(top)
     checks = [check("hilbert", True, dimensions=dims)]
     if top >= n:
         sym = all(dims[d] == dims[n - d] for d in range(n + 1))
         checks.append(check("palindrome", sym))
-    emit(ctx, "xn hilbert", {"n": n, "max_degree": top}, checks,
+    emit(run, "xn hilbert", {"n": n, "max_degree": top}, checks,
          {"hilbert": dims})
 
 
-@xn.command("check")
-@click.option("--n", type=click.IntRange(min=1), required=True)
-@click.pass_context
-@guarded
-def xn_check(ctx, n):
+def xn_check(run, n):
     """Full pairing verification of the power ring."""
-    ring = ctx.obj.ring(xn_mod.xn_presentation(n))
+    ring = run.ring(xn_mod.xn_presentation(n))
     report = ring.gorenstein_check()
     checks = _pairing_checks(report)
-    emit(ctx, "xn check", {"n": n}, checks,
+    emit(run, "xn check", {"n": n}, checks,
          {"verdict": report.verdict, "hilbert": report.hilbert})
 
 
@@ -262,27 +206,19 @@ def _pairing_checks(report):
     return checks
 
 
-@xn.command("six-point")
-@click.option("--n", type=click.IntRange(min=6), required=True)
-@click.option("--degree", type=click.IntRange(min=3), required=True)
-@click.pass_context
-@guarded
-def xn_six_point(ctx, n, degree):
+def xn_six_point(run, n, degree):
     """Six-point relation vectors over the standard monomials."""
     vectors, standard = xn_mod.six_point_relations(n, degree)
     checks = [
         check("vectors-nonzero", all(v for v in vectors), count=len(vectors)),
     ]
     payload = [sorted((i, str(c)) for i, c in vec.items()) for vec in vectors]
-    emit(ctx, "xn six-point", {"n": n, "degree": degree}, checks,
+    emit(run, "xn six-point", {"n": n, "degree": degree}, checks,
          {"vector_count": len(vectors), "standard_count": len(standard),
           "vectors": payload})
 
 
-@xn.command("derive-six-point")
-@click.pass_context
-@guarded
-def xn_derive_six_point(ctx):
+def xn_derive_six_point(run):
     """Derive the six-point relation from the rational-tails pullback."""
     derived = xn_mod.derive_six_point()
     expected = -xn_mod.six_point_poly(range(1, 7))
@@ -291,13 +227,10 @@ def xn_derive_six_point(ctx):
         check("matches-minus-sum-over-matchings", ok,
               term_count=len(derived.sorted_terms())),
     ]
-    emit(ctx, "xn derive-six-point", {}, checks, {"derived": str(derived)})
+    emit(run, "xn derive-six-point", {}, checks, {"derived": str(derived)})
 
 
-@xn.command("faber-relation")
-@click.pass_context
-@guarded
-def xn_faber_relation(ctx):
+def xn_faber_relation(run):
     """Reduce the rational-tails three-point relation to normal form."""
     reduced = xn_mod.verify_faber_relation()
     expected = (
@@ -305,14 +238,10 @@ def xn_faber_relation(ctx):
         - xn_mod.a_poly(1) * xn_mod.b_poly(2, 3)
     ).scale(2)
     checks = [check("reduces-to-quadratic-pair", reduced == expected)]
-    emit(ctx, "xn faber-relation", {}, checks, {"reduced": str(reduced)})
+    emit(run, "xn faber-relation", {}, checks, {"reduced": str(reduced)})
 
 
-@xn.command("matching-gram")
-@click.option("--m", type=click.IntRange(min=1), required=True)
-@click.pass_context
-@guarded
-def xn_matching_gram(ctx, m):
+def xn_matching_gram(run, m):
     """Gram matrix of the pure-matching monomials on 2m points."""
     gram = xn_mod.matching_gram(m)
     matchings = xn_mod.perfect_matchings(range(1, 2 * m + 1))
@@ -330,35 +259,24 @@ def xn_matching_gram(ctx, m):
     checks.append(check("rank", True, rank=rank, size=len(matchings)))
     if m == 3:
         checks.append(check("corank-one", rank == len(matchings) - 1))
-    emit(ctx, "xn matching-gram", {"m": m}, checks,
+    emit(run, "xn matching-gram", {"m": m}, checks,
          {"rank": rank, "size": len(matchings)})
 
 
 # ----- compactified-ring commands --------------------------------------------
 
 
-@main.group()
-def fm():
-    """Compactified ring X[n] commands."""
-
-
-@fm.command("check")
-@click.option("--n", type=click.IntRange(min=1), required=True)
-@click.option("--mode", type=click.Choice(["full", "blocks"]), default="full",
-              show_default=True)
-@click.pass_context
-@guarded
-def fm_check(ctx, n, mode):
+def fm_check(run, n, mode):
     """Verify the compactified ring: full engine or block decomposition."""
     if mode == "full":
-        ring = ctx.obj.ring(fm_mod.fm_presentation(n))
+        ring = run.ring(fm_mod.fm_presentation(n))
         report = ring.gorenstein_check()
         checks = _pairing_checks(report)
-        emit(ctx, "fm check", {"n": n, "mode": mode}, checks,
+        emit(run, "fm check", {"n": n, "mode": mode}, checks,
              {"verdict": report.verdict, "hilbert": report.hilbert})
         return
     cross = n <= CROSS_CHECK_LIMIT
-    engine = ctx.obj.ring(fm_mod.fm_presentation(n)) if cross else None
+    engine = run.ring(fm_mod.fm_presentation(n)) if cross else None
     checks = []
     rank_sums = {}
     for d in range(n + 1):
@@ -389,64 +307,48 @@ def fm_check(ctx, n, mode):
     else:
         checks.append(check("sign-rule", True,
                             note="conditional: engine cross-check runs for n <= 4"))
-    emit(ctx, "fm check", {"n": n, "mode": mode}, checks,
+    emit(run, "fm check", {"n": n, "mode": mode}, checks,
          {"rank_sums": [rank_sums[d] for d in range(n + 1)]})
 
 
-@fm.command("standard")
-@click.option("--n", type=click.IntRange(min=1), required=True)
-@click.option("--degree", type=click.IntRange(min=0), required=True)
-@click.pass_context
-@guarded
-def fm_standard(ctx, n, degree):
+def fm_standard(run, n, degree):
     """Enumerate standard monomials of one degree."""
     monomials = fm_mod.enumerate_standard_fm(n, degree)
     checks = [check("enumerated", True, count=len(monomials))]
-    emit(ctx, "fm standard", {"n": n, "degree": degree}, checks,
+    emit(run, "fm standard", {"n": n, "degree": degree}, checks,
          {"count": len(monomials),
           "monomials": [m.serialize() for m in monomials]})
 
 
-@fm.command("dual")
-@click.option("--monomial", "payload_text", required=True,
-              help='Serialized monomial, e.g. \'{"n": 3, "D": [[[1,2,3], 1]]}\'.')
-@click.option("--n", type=click.IntRange(min=1), default=None,
-              help="Ground-set size (if absent from the payload).")
-@click.pass_context
-@guarded
-def fm_dual(ctx, payload_text, n):
+def fm_dual(run, payload_text, n):
     """Dual of a standard monomial."""
     try:
         payload = json.loads(payload_text)
     except ValueError as exc:
-        raise click.UsageError(f"--monomial is not valid JSON: {exc}")
+        raise UsageError(f"--monomial is not valid JSON: {exc}")
     size = payload.get("n", n)
     if size is None:
-        raise click.UsageError("ground-set size missing: pass --n or a payload key 'n'")
+        raise UsageError("ground-set size missing: pass --n or a payload key 'n'")
     try:
         v = fm_mod.StandardMonomialFM.deserialize(size, payload)
         w = fm_mod.dual_fm(v)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     checks = [
         check("involution", fm_mod.dual_fm(w) == v),
         check("degrees-complementary", v.degree + w.degree == size,
               degree=v.degree, dual_degree=w.degree),
     ]
-    emit(ctx, "fm dual", {"n": size, "monomial": payload}, checks,
+    emit(run, "fm dual", {"n": size, "monomial": payload}, checks,
          {"dual": w.serialize()})
 
 
-@fm.command("presentation")
-@click.option("--n", type=click.IntRange(min=1), required=True)
-@click.pass_context
-@guarded
-def fm_presentation_cmd(ctx, n):
+def fm_presentation_cmd(run, n):
     """Summary of the compactified ring's presentation."""
     pres = fm_mod.fm_presentation(n)
     counts = fm_mod.fm_relation_counts(n)
     checks = [check("relation-families", True, **counts)]
-    emit(ctx, "fm presentation", {"n": n}, checks,
+    emit(run, "fm presentation", {"n": n}, checks,
          {"generators": len(pres.generators),
           "relations": len(pres.relations),
           "socle_degree": pres.socle_degree,
@@ -456,67 +358,187 @@ def fm_presentation_cmd(ctx, n):
 # ----- moduli-side commands ---------------------------------------------------
 
 
-@main.command("hodge")
-@click.argument("action", type=click.Choice(["eval"]))
-@click.option("--g", type=click.IntRange(min=2), default=2, show_default=True)
-@click.option("--alphas", required=True, help="Comma-separated exponents.")
-@click.pass_context
-@guarded
-def hodge_cmd(ctx, action, g, alphas):
+def hodge_cmd(run, action, g, alphas):
     """Closed-form psi-lambda integral evaluation."""
     exps = _parse_alphas(alphas)
     try:
         value = hodge_mod.hodge_psi_integral(exps, g=g)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     checks = [check("evaluated", True, value=value)]
-    emit(ctx, "hodge eval", {"g": g, "alphas": exps}, checks, {"value": value})
+    emit(run, "hodge eval", {"g": g, "alphas": exps}, checks, {"value": value})
 
 
-@main.command("bridge")
-@click.option("--n", type=click.IntRange(min=1), required=True)
-@click.option("--alphas", default=None, help="Comma-separated exponents (default: all ones).")
-@click.pass_context
-@guarded
-def bridge_cmd(ctx, n, alphas):
+def bridge_cmd(run, n, alphas):
     """Compare the closed form against the fiber-side socle evaluation."""
     exps = _parse_alphas(alphas) if alphas else [1] * n
     if len(exps) != n:
-        raise click.UsageError("--alphas length must equal --n")
-    ring = ctx.obj.ring(fm_mod.fm_presentation(n))
+        raise UsageError("--alphas length must equal --n")
+    ring = run.ring(fm_mod.fm_presentation(n))
     try:
         lhs, rhs, ok = hodge_mod.bridge_check(n, exps, ring=ring)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     checks = [check("bridge-identity", ok, lhs=lhs, rhs=rhs)]
-    emit(ctx, "bridge", {"n": n, "alphas": exps}, checks,
+    emit(run, "bridge", {"n": n, "alphas": exps}, checks,
          {"lhs": lhs, "rhs": rhs, "constant": hodge_mod.bridge_constant()})
 
 
 # ----- cache admin ------------------------------------------------------------
 
 
-@main.command("cache")
-@click.argument("action", type=click.Choice(["stats", "clear"]))
-@click.pass_context
-def cache_cmd(ctx, action):
+def cache_cmd(run, action):
     """Inspect or empty the basis cache."""
-    store = ctx.obj.cache
+    store = run.cache
     if store is None:
-        raise click.UsageError(
+        raise UsageError(
             "no cache directory configured (--cache-dir or TAUTRING_CACHE_DIR)"
         )
     if action == "stats":
         stats = store.stats()
         checks = [check("stats", True, entry_count=stats["entry_count"],
                         total_bytes=stats["total_bytes"])]
-        emit(ctx, "cache stats", {"directory": store.directory}, checks,
+        emit(run, "cache stats", {"directory": store.directory}, checks,
              {"entries": stats["entries"]})
     else:
         removed = store.clear()
         checks = [check("cleared", True, removed=removed)]
-        emit(ctx, "cache clear", {"directory": store.directory}, checks,
+        emit(run, "cache clear", {"directory": store.directory}, checks,
              {"removed": removed})
+
+
+# ----- argument parsing -------------------------------------------------------
+
+
+def _at_least(low):
+    """Argument type: an integer no smaller than ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    return parse
+
+
+def _directory(text):
+    """Argument type: a path that is not an existing file."""
+    if os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a file, not a directory")
+    return text
+
+
+def _parser(prog):
+    """The argument parser.  Each subcommand's defaults name the function
+    that runs it (``_command``), its path below the program name, which a
+    size-guard report gives as its ``command`` (``_path``), and its own
+    parser (``_parser``), whose usage line a usage error prints.  The cache directory's default
+    is read from TAUTRING_CACHE_DIR now, so it is the one in force for this
+    call; an empty value sets none."""
+    main_parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Exact verification of tautological rings of points on a "
+                    "genus-2 curve.")
+    main_parser.add_argument("--format", dest="fmt", choices=["json", "table"],
+                             default="table", help="Report format.")
+    main_parser.add_argument("--cache-dir", type=_directory,
+                             default=os.environ.get("TAUTRING_CACHE_DIR") or None,
+                             help="Basis cache directory (also via TAUTRING_CACHE_DIR).")
+    main_parser.add_argument("--size-ceiling", type=_at_least(1),
+                             default=SIZE_CEILING_DEFAULT,
+                             help="Refuse degrees with more columns (monomials outside "
+                                  "the monomial ideal) than this (default: %(default)s).")
+    groups = main_parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(subparsers, path, fn):
+        parser = subparsers.add_parser(path.split()[-1], help=fn.__doc__,
+                                       description=fn.__doc__, allow_abbrev=False)
+        parser.set_defaults(_command=fn, _path=path, _parser=parser)
+        return parser
+
+    def group(name, doc):
+        parser = groups.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        return parser.add_subparsers(required=True, metavar="COMMAND")
+
+    xn = group("xn", "Power ring X^n commands.")
+    p = command(xn, "xn hilbert", xn_hilbert)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--max-degree", type=_at_least(0), default=None)
+    p = command(xn, "xn check", xn_check)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p = command(xn, "xn six-point", xn_six_point)
+    p.add_argument("--n", type=_at_least(6), required=True)
+    p.add_argument("--degree", type=_at_least(3), required=True)
+    command(xn, "xn derive-six-point", xn_derive_six_point)
+    command(xn, "xn faber-relation", xn_faber_relation)
+    p = command(xn, "xn matching-gram", xn_matching_gram)
+    p.add_argument("--m", type=_at_least(1), required=True)
+
+    fm = group("fm", "Compactified ring X[n] commands.")
+    p = command(fm, "fm check", fm_check)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--mode", choices=["full", "blocks"], default="full",
+                   help="(default: %(default)s)")
+    p = command(fm, "fm standard", fm_standard)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--degree", type=_at_least(0), required=True)
+    p = command(fm, "fm dual", fm_dual)
+    p.add_argument("--monomial", dest="payload_text", metavar="JSON", required=True,
+                   help='Serialized monomial, e.g. \'{"n": 3, "D": [[[1,2,3], 1]]}\'.')
+    p.add_argument("--n", type=_at_least(1), default=None,
+                   help="Ground-set size (if absent from the payload).")
+    p = command(fm, "fm presentation", fm_presentation_cmd)
+    p.add_argument("--n", type=_at_least(1), required=True)
+
+    p = command(groups, "hodge", hodge_cmd)
+    p.add_argument("action", choices=["eval"])
+    p.add_argument("--g", type=_at_least(2), default=2, help="(default: %(default)s)")
+    p.add_argument("--alphas", required=True, help="Comma-separated exponents.")
+    p = command(groups, "bridge", bridge_cmd)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--alphas", default=None,
+                   help="Comma-separated exponents (default: all ones).")
+    p = command(groups, "cache", cache_cmd)
+    p.add_argument("action", choices=["stats", "clear"])
+    return main_parser
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run one command line (``args``, by default ``sys.argv[1:]``) and
+    exit with its code: 0 pass, 1 a check failed, 2 usage error, 3
+    size-guard refusal.  Every outcome, a usage error included, ends in
+    SystemExit.  ``prog_name`` names the program in usage messages;
+    ``standalone_mode`` is accepted for callers that pass it and changes
+    nothing."""
+    params = vars(_parser(prog_name).parse_args(args))
+    run = RunContext(params.pop("fmt"), params.pop("cache_dir"), params.pop("size_ceiling"))
+    command, path, parser = params.pop("_command"), params.pop("_path"), params.pop("_parser")
+    try:
+        command(run, **params)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except SizeCeilingError as exc:
+        emit(
+            run,
+            path,
+            params,
+            [
+                check(
+                    "size-guard",
+                    False,
+                    label=exc.label,
+                    degree=exc.degree,
+                    count=exc.count,
+                    ceiling=exc.ceiling,
+                    reason=exc.reason,
+                )
+            ],
+            status="size-guard",
+        )
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ a pairing inside a smaller power ring X^S.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from types import SimpleNamespace
 
 from .algebra import (
     Monomial,
@@ -191,25 +191,23 @@ def forest_of(dpart):
 # ----- monomials -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StandardMonomialFM:
     """A monomial a(A).b(B).prod D_I^{e_I} of the compactified ring.
 
-    The constructor validates shape only (sorted disjoint data); use
+    An immutable value with fields ``n`` (the ground-set size), ``A`` (a
+    frozenset of indices), ``B`` (a frozenset of increasing pairs) and
+    ``D`` (``((sorted subset tuple, exponent >= 1), ...)`` in decreasing
+    subset order); two monomials are equal when all four are.  The
+    constructor validates shape only (sorted disjoint data); use
     :func:`is_standard_fm` for the standardness predicate.
     """
 
-    n: int
-    A: frozenset
-    B: frozenset  # increasing pairs
-    D: tuple  # ((sorted subset tuple, exponent >= 1), ...) in decreasing subset order
-
-    def __post_init__(self):
-        ground = set(range(1, self.n + 1))
-        seen = set(self.A)
+    def __init__(self, n, A, B, D):
+        ground = set(range(1, n + 1))
+        seen = set(A)
         if not seen <= ground:
             raise ValueError("a-indices outside the ground set")
-        for p in self.B:
+        for p in B:
             i, j = p
             if not i < j:
                 raise ValueError(f"pair {p} must be increasing")
@@ -218,18 +216,31 @@ class StandardMonomialFM:
             seen.update(p)
         expect = tuple(
             sorted(
-                ((tuple(sorted(s)), e) for s, e in self.D),
+                ((tuple(sorted(s)), e) for s, e in D),
                 key=lambda t: subset_key(t[0]),
                 reverse=True,
             )
         )
-        if self.D != expect:
+        if D != expect:
             raise ValueError("D-part must be sorted in decreasing subset order")
-        for s, e in self.D:
+        for s, e in D:
             if len(s) < 3 or not set(s) <= ground or e < 1:
                 raise ValueError(f"invalid D-factor {s}^{e}")
-        if len({s for s, _ in self.D}) != len(self.D):
+        if len({s for s, _ in D}) != len(D):
             raise ValueError("repeated subset in D-part")
+        self.n = n
+        self.A = A
+        self.B = B
+        self.D = D
+
+    def __eq__(self, other):
+        if other.__class__ is not StandardMonomialFM:
+            return NotImplemented
+        return (self.n == other.n and self.A == other.A and self.B == other.B
+                and self.D == other.D)
+
+    def __hash__(self):
+        return hash((self.n, self.A, self.B, self.D))
 
     @classmethod
     def make(cls, n, A=(), B=(), D=()):
@@ -628,21 +639,13 @@ def psi_pullback(n, i):
 # ----- block pairing ---------------------------------------------------------
 
 
-@dataclass
-class BlockReport:
-    """Pairing data for one D-part block of degree-d standard monomials."""
-
-    n: int
-    degree: int
-    dpart: tuple  # serialized D-part [[subset, exp], ...]
-    s_set: tuple
-    sign_exponent: int
-    size: int
-    gram: list  # signed block entries, rows indexed gram[i][j]
-    rank: int
-    xs_dimension: int
-    ok: bool
-    conditional: bool  # True when the sign rule is assumed, not engine-checked
+class BlockReport(SimpleNamespace):
+    """Pairing data for one D-part block of degree-d standard monomials:
+    ``n``, ``degree``, ``dpart`` (the D-part), ``s_set``,
+    ``sign_exponent``, ``size``, ``gram`` (signed block entries, rows
+    indexed ``gram[i][j]``), ``rank``, ``xs_dimension``, ``ok``, and
+    ``conditional`` (True when the sign rule is assumed, not engine-checked).
+    """
 
 
 def block_pairing(n, degree, cross_check_engine=None):

@@ -20,8 +20,6 @@ that combinatorial skeleton.
 """
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     Monomial,
@@ -112,7 +110,7 @@ def _rewrite_monomial(a_exps, b_exps, contract_shared=True, picker=None):
     the confluence tests); the default takes the first in a fixed scan
     order, which makes the result deterministic.
     """
-    coeff = Fraction(1)
+    coeff = 1
     while True:
         redexes = _collect_redexes(a_exps, b_exps, contract_shared)
         if not redexes:
@@ -171,16 +169,18 @@ def quadratic_normal_form(q, *, contract_shared=True, picker=None):
 # ----- standard monomials --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StandardMonomialXn:
-    """A squarefree a-part times disjoint b-pairs avoiding the a-indices."""
+    """A squarefree a-part times disjoint b-pairs avoiding the a-indices.
 
-    A: frozenset
-    B: frozenset  # of increasing pairs
+    An immutable value: ``A`` is a frozenset of indices, ``B`` a frozenset
+    of increasing pairs, and two monomials are equal when both are.
+    """
 
-    def __post_init__(self):
-        seen = set(self.A)
-        for p in self.B:
+    __slots__ = ("A", "B")
+
+    def __init__(self, A, B):
+        seen = set(A)
+        for p in B:
             i, j = p
             if not i < j:
                 raise ValueError(f"pair {p} must be increasing")
@@ -188,6 +188,16 @@ class StandardMonomialXn:
                 raise ValueError("a-indices and b-pairs must be disjoint")
             seen.add(i)
             seen.add(j)
+        self.A = A
+        self.B = B
+
+    def __eq__(self, other):
+        if other.__class__ is not StandardMonomialXn:
+            return NotImplemented
+        return self.A == other.A and self.B == other.B
+
+    def __hash__(self):
+        return hash((self.A, self.B))
 
     @classmethod
     def make(cls, A=(), B=()):
@@ -381,7 +391,7 @@ def socle_coefficient(q, ground):
     """
     nf = quadratic_normal_form(q)
     target = Monomial(tuple((gen_a(i), 1) for i in sorted(ground)))
-    return nf.terms.get(target, Fraction(0))
+    return nf.terms.get(target, 0)
 
 
 def matching_cycle_count(u, v):

@@ -1,0 +1,33 @@
+"""Shared test helpers."""
+
+import contextlib
+import io
+import os
+from types import SimpleNamespace
+
+from tautring.cli import main
+
+
+def run_cli(args, env=None):
+    """Run the command line ``args`` in this process, as ``tautring`` would.
+
+    ``env`` maps environment variables to set for the call.  Returns
+    ``exit_code``, the code ``main`` exits with, and ``output``, what it
+    printed to standard output.  Any other exception propagates.
+    """
+    saved = {key: os.environ.get(key) for key in env or ()}
+    os.environ.update(env or {})
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            main(list(args), prog_name="tautring")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+    return SimpleNamespace(exit_code=code, output=out.getvalue())

@@ -9,10 +9,8 @@ import json
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from tautring.algebra import _integer_rank, ring_for
-from tautring.cli import main
 from tautring.fm import (
     StandardMonomialFM,
     block_pairing,
@@ -39,19 +37,18 @@ from tautring.xn import (
     six_point_relations,
     xn_presentation,
 )
+from conftest import run_cli
 from test_algebra import _fraction_kernel
 
-runner = CliRunner()
 
-
-def run_cli(args):
-    result = runner.invoke(main, ["--format", "json"] + args, catch_exceptions=False)
+def report_for(args):
+    result = run_cli(["--format", "json"] + args)
     return result.exit_code, json.loads(result.output)
 
 
 def test_criterion_01_power_ring_gorenstein_through_six_points():
     for n in range(1, 7):
-        code, report = run_cli(["xn", "check", "--n", str(n)])
+        code, report = report_for(["xn", "check", "--n", str(n)])
         assert code == 0, f"xn check --n {n} exited {code}"
         assert report["summary"]["verdict"] == "gorenstein"
     print("criterion 1: PASS - xn check perfect pairing for n = 1..6")
@@ -72,14 +69,14 @@ def test_criterion_02_hilbert_data_and_symmetry():
 
 
 def test_criterion_03_faber_relation_pullback():
-    code, report = run_cli(["xn", "faber-relation"])
+    code, report = report_for(["xn", "faber-relation"])
     assert code == 0
     assert report["summary"]["reduced"] == "-2*a1*b(2,3) + 2*b(1,2)*b(1,3)"
     print("criterion 3: PASS - three-point relation reduces to 2(b12 b13 - a1 b23)")
 
 
 def test_criterion_04_six_point_derivation():
-    code, report = run_cli(["xn", "derive-six-point"])
+    code, report = report_for(["xn", "derive-six-point"])
     assert code == 0
     assert report["checks"][0]["status"] == "pass"
     assert report["checks"][0]["term_count"] == 15
@@ -115,7 +112,7 @@ def test_criterion_06_compactified_ring_full_engine():
         5: [1, 31, 147, 147, 31, 1],
     }
     for n in (2, 3, 4, 5):
-        code, report = run_cli(["fm", "check", "--n", str(n), "--mode", "full"])
+        code, report = report_for(["fm", "check", "--n", str(n), "--mode", "full"])
         assert code == 0
         assert report["summary"]["verdict"] == "gorenstein"
         assert report["summary"]["hilbert"] == expected[n]
@@ -124,7 +121,7 @@ def test_criterion_06_compactified_ring_full_engine():
 
 def test_criterion_07_compactified_ring_block_route():
     for n in range(1, 7):
-        code, report = run_cli(["fm", "check", "--n", str(n), "--mode", "blocks"])
+        code, report = report_for(["fm", "check", "--n", str(n), "--mode", "blocks"])
         assert code == 0, f"fm check blocks n={n}"
         names = {c["name"] for c in report["checks"]}
         if n <= 4:

@@ -248,6 +248,78 @@ def test_presentation_hash_is_stable_and_distinguishing():
     assert p3.content_hash != fm_presentation(3).content_hash
 
 
+# content hashes of the shipped presentations; they are part of every cache key
+PINNED_HASHES = {
+    "xn:1": "6cc26c394eb2626fcc5e596a9b04f0d00a759202cb25ddeef908a12db85e1c18",
+    "xn:2": "82c1368c91a89a2cea5a80c4d2182a801c596dc62e4b6a5cf96a57d75881aa47",
+    "xn:3": "c3c5b7e5919559bb735d16da17d5d151677db649381880c89937e7d787ddcffa",
+    "xn:4": "cc435aa60be020a38a34275d476fdb3a2bd2a9750cf127812d575a2830f14f1d",
+    "xn:5": "7ccd7581c4b9fd7e2d9ed3dfc667fd5f97fe31024330c8025c85758a46290c99",
+    "fm:1": "3b1eb92ada8d346b5f684efad3689694046a7023667797103f16f2e906ea2113",
+    "fm:2": "70775d99aa1c540124b1431c5ecc24b76e41d522f9d14ecb266efed1c468cacd",
+    "fm:3": "06779d7c4d385fae1c62ba0b14d96b02c8e8d1630139817424fafbbb8c7c41d6",
+    "fm:4": "ced70be956266fb63f9a171d110cc782c98291413012f35b389a3ccd475008ef",
+}
+
+
+def test_presentation_hashes_are_pinned():
+    shipped = [xn_presentation(n) for n in range(1, 6)]
+    shipped += [fm_presentation(n) for n in range(1, 5)]
+    assert {p.label: p.content_hash for p in shipped} == PINNED_HASHES
+
+
+def test_generator_hash_order_and_validation():
+    a1, b12, d123 = gen_a(1), gen_b(2, 1), algebra.gen_D([3, 1, 2])
+    assert hash(a1) == hash(("a", (1,)))
+    assert hash(b12) == hash(("b", (1, 2)))
+    assert hash(d123) == hash(("D", (1, 2, 3)))
+    assert a1 == algebra.Generator("a", (1,)) and a1 != gen_a(2)
+    # kinds a < b < D, then the size of the index data, then the data
+    gens = [algebra.gen_D([1, 2, 3, 4]), d123, gen_b(2, 3), b12, gen_a(2), a1]
+    assert sorted(gens) == gens[::-1]
+    assert a1.sort_key == (0, 1, (1,))
+    for kind, data in (("a", (0,)), ("b", (2, 1)), ("D", (1, 2)), ("D", (2, 1, 3)),
+                       ("c", (1,))):
+        with pytest.raises(ValueError):
+            algebra.Generator(kind, data)
+
+
+def test_monomial_hash_and_validation():
+    a1, a2, b12 = gen_a(1), gen_a(2), gen_b(1, 2)
+    m = Monomial(((a1, 2), (b12, 1)))
+    assert hash(m) == hash((((a1, 2), (b12, 1)),))
+    assert m.degree == 3 and hash(Monomial()) == hash(((),))
+    for bad in (((b12, 1), (a1, 1)),  # unsorted
+                ((a1, 1), (a1, 1)),  # repeated
+                ((a1, 0),),  # non-positive exponent
+                ((a1, 1), (a2, -1))):
+        with pytest.raises(ValueError):
+            Monomial(bad)
+
+
+def test_product_monomials_equal_validated_ones():
+    a1, a2, b12 = gen_a(1), gen_a(2), gen_b(1, 2)
+    x = Monomial(((a2, 1), (b12, 1)))
+    y = Monomial(((a1, 1), (a2, 2)))
+    product = x * y
+    built = Monomial(((a1, 1), (a2, 3), (b12, 1)))
+    assert product == built and hash(product) == hash(built)
+    assert product.degree == 5 and product.sort_key == built.sort_key
+    assert x * Monomial() == x and Monomial() * x == x
+    assert Monomial.from_factors([b12, a2, a1, a2, a2]) == built
+
+
+def test_poly_stores_integral_coefficients_as_ints():
+    m = Monomial(((gen_a(1), 1),))
+    p = Poly({m: Fraction(4, 2)})
+    assert type(p.terms[m]) is int and p.terms[m] == 2
+    assert p.to_payload() == [[m.to_payload(), "2"]]
+    q = Poly({m: Fraction(1, 2)})
+    assert type(q.terms[m]) is Fraction and q.to_payload()[0][1] == "1/2"
+    assert type((q + q).terms[m]) is int and type(q.scale(4).terms[m]) is int
+    assert p == Poly({m: Fraction(2)}) and str(p) == "2*a1"
+
+
 def test_mixed_degree_polynomials_are_rejected():
     q = a_poly(1) + a_poly(1) * a_poly(2)
     with pytest.raises(ValueError):

@@ -1,24 +1,15 @@
 """Command-line interface: exit codes, report shape, cache workflow."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from tautring.cli import main
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args, **kw):
-    result = runner.invoke(main, args, catch_exceptions=False, **kw)
-    return result
 
 
 def report_of(result):
@@ -34,8 +25,8 @@ def strict_report_of(result):
     return json.loads(result.output, parse_constant=refuse)
 
 
-def test_xn_check_passes(runner):
-    result = invoke(runner, ["--format", "json", "xn", "check", "--n", "3"])
+def test_xn_check_passes():
+    result = run_cli(["--format", "json", "xn", "check", "--n", "3"])
     assert result.exit_code == 0
     report = report_of(result)
     assert report["schema"] == "tautring-report-1"
@@ -44,14 +35,72 @@ def test_xn_check_passes(runner):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
-def test_usage_error_exits_two(runner):
-    result = runner.invoke(main, ["xn", "check", "--n", "0"])
+def test_importing_the_cli_loads_no_heavy_modules():
+    # start-up cost: the front end uses argparse, the value classes are
+    # hand-written, so neither click nor dataclasses (and with it inspect)
+    # is imported on the way to a report
+    import tautring
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tautring.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys; before = set(sys.modules); import tautring.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    loaded = set(json.loads(done.stdout))
+    assert "tautring.cli" in loaded
+    assert not loaded & {"click", "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("args, code", [
+    (["xn", "check", "--n", "2"], 0),
+    (["xn", "faber-relation"], 1),  # with the relation broken below
+    (["xn", "check", "--n", "0"], 2),
+    (["bridge", "--n", "2", "--alphas", "1"], 2),
+    (["--size-ceiling", "50", "xn", "check", "--n", "4"], 3),
+])
+def test_main_exits_with_the_documented_code(args, code, monkeypatch, capsys):
+    # the call the benchmark's tracer makes: the code comes from SystemExit
+    from tautring import cli as cli_module
+    from tautring.xn import a_poly
+
+    monkeypatch.setattr(cli_module.xn_mod, "verify_faber_relation", lambda: a_poly(1))
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main(["--format", "json"] + args, prog_name="tautring",
+                        standalone_mode=False)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith("usage: tautring")
+    else:
+        assert json.loads(out)["summary"]["status"] == (
+            {0: "pass", 1: "fail", 3: "size-guard"}[code])
+
+
+def test_a_reader_that_stops_early_gets_exit_one_and_no_traceback():
+    import tautring
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tautring.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tautring.cli", "--format", "json",
+         "fm", "standard", "--n", "4", "--degree", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the child has written anything
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
+
+
+def test_usage_error_exits_two():
+    result = run_cli(["xn", "check", "--n", "0"])
     assert result.exit_code == 2
 
 
-def test_size_guard_exits_three(runner):
-    result = invoke(
-        runner,
+def test_size_guard_exits_three():
+    result = run_cli(
         ["--format", "json", "--size-ceiling", "50", "xn", "check", "--n", "4"],
     )
     assert result.exit_code == 3
@@ -64,9 +113,9 @@ def test_size_guard_exits_three(runner):
     assert report["checks"][0]["count"] > 50  # degree 3 has 90 columns
 
 
-def test_hilbert_far_above_the_socle_is_zeros(runner):
-    result = invoke(
-        runner, ["--format", "json", "xn", "hilbert", "--n", "1", "--max-degree", "70"]
+def test_hilbert_far_above_the_socle_is_zeros():
+    result = run_cli(
+        ["--format", "json", "xn", "hilbert", "--n", "1", "--max-degree", "70"]
     )
     assert result.exit_code == 0
     report = strict_report_of(result)
@@ -74,7 +123,7 @@ def test_hilbert_far_above_the_socle_is_zeros(runner):
     assert report["summary"]["hilbert"] == [1, 1] + [0] * 69
 
 
-def test_packing_refusal_report_is_strict_json(runner, monkeypatch):
+def test_packing_refusal_report_is_strict_json(monkeypatch):
     # a presentation where vanishing above the socle cannot be proven, so
     # every degree is built until the exponent packing runs out
     from tautring import cli as cli_module
@@ -84,8 +133,8 @@ def test_packing_refusal_report_is_strict_json(runner, monkeypatch):
     free = Presentation("free-one-generator", (1,), [x], [], 1,
                         Monomial(((x, 1),)))
     monkeypatch.setattr(cli_module.xn_mod, "xn_presentation", lambda n: free)
-    result = invoke(
-        runner, ["--format", "json", "xn", "hilbert", "--n", "1", "--max-degree", "70"]
+    result = run_cli(
+        ["--format", "json", "xn", "hilbert", "--n", "1", "--max-degree", "70"]
     )
     assert result.exit_code == 3
     report = strict_report_of(result)
@@ -95,67 +144,67 @@ def test_packing_refusal_report_is_strict_json(runner, monkeypatch):
     assert "packing" in guard["reason"]
 
 
-def test_check_failure_exits_one(runner, monkeypatch):
+def test_check_failure_exits_one(monkeypatch):
     from tautring import cli as cli_module
     from tautring.xn import a_poly
 
     monkeypatch.setattr(
         cli_module.xn_mod, "verify_faber_relation", lambda: a_poly(1)
     )
-    result = invoke(runner, ["--format", "json", "xn", "faber-relation"])
+    result = run_cli(["--format", "json", "xn", "faber-relation"])
     assert result.exit_code == 1
     assert report_of(result)["summary"]["status"] == "fail"
 
 
-def test_faber_relation_report(runner):
-    result = invoke(runner, ["--format", "json", "xn", "faber-relation"])
+def test_faber_relation_report():
+    result = run_cli(["--format", "json", "xn", "faber-relation"])
     assert result.exit_code == 0
     report = report_of(result)
     assert report["summary"]["reduced"] == "-2*a1*b(2,3) + 2*b(1,2)*b(1,3)"
 
 
-def test_derive_six_point_passes(runner):
-    result = invoke(runner, ["--format", "json", "xn", "derive-six-point"])
+def test_derive_six_point_passes():
+    result = run_cli(["--format", "json", "xn", "derive-six-point"])
     assert result.exit_code == 0
     report = report_of(result)
     assert report["checks"][0]["status"] == "pass"
     assert report["checks"][0]["term_count"] == 15
 
 
-def test_matching_gram_reports_rank(runner):
-    result = invoke(runner, ["--format", "json", "xn", "matching-gram", "--m", "3"])
+def test_matching_gram_reports_rank():
+    result = run_cli(["--format", "json", "xn", "matching-gram", "--m", "3"])
     assert result.exit_code == 0
     report = report_of(result)
     assert report["summary"]["rank"] == 14
     assert report["summary"]["size"] == 15
 
 
-def test_hodge_eval(runner):
-    result = invoke(
-        runner, ["--format", "json", "hodge", "eval", "--g", "2", "--alphas", "1,1"]
+def test_hodge_eval():
+    result = run_cli(
+        ["--format", "json", "hodge", "eval", "--g", "2", "--alphas", "1,1"]
     )
     assert result.exit_code == 0
     assert report_of(result)["summary"]["value"] == "1/960"
 
 
-def test_hodge_eval_rejects_bad_exponents(runner):
-    result = runner.invoke(
-        main, ["hodge", "eval", "--g", "2", "--alphas", "0,2"]
+def test_hodge_eval_rejects_bad_exponents():
+    result = run_cli(
+        ["hodge", "eval", "--g", "2", "--alphas", "0,2"]
     )
     assert result.exit_code == 2
 
 
-def test_bridge_command(runner):
-    result = invoke(runner, ["--format", "json", "bridge", "--n", "2"])
+def test_bridge_command():
+    result = run_cli(["--format", "json", "bridge", "--n", "2"])
     assert result.exit_code == 0
     report = report_of(result)
     assert report["summary"]["lhs"] == "1/960"
     assert report["summary"]["constant"] == "1/5760"
 
 
-def test_fm_check_blocks(runner):
-    result = invoke(
-        runner, ["--format", "json", "fm", "check", "--n", "3", "--mode", "blocks"]
+def test_fm_check_blocks():
+    result = run_cli(
+        ["--format", "json", "fm", "check", "--n", "3", "--mode", "blocks"]
     )
     assert result.exit_code == 0
     report = report_of(result)
@@ -165,23 +214,22 @@ def test_fm_check_blocks(runner):
     assert "sign-rule-and-triangularity" in names
 
 
-def test_fm_check_full(runner):
-    result = invoke(
-        runner, ["--format", "json", "fm", "check", "--n", "3", "--mode", "full"]
+def test_fm_check_full():
+    result = run_cli(
+        ["--format", "json", "fm", "check", "--n", "3", "--mode", "full"]
     )
     assert result.exit_code == 0
     assert report_of(result)["summary"]["hilbert"] == [1, 7, 7, 1]
 
 
-def test_fm_standard_and_dual(runner):
-    result = invoke(
-        runner, ["--format", "json", "fm", "standard", "--n", "3", "--degree", "2"]
+def test_fm_standard_and_dual():
+    result = run_cli(
+        ["--format", "json", "fm", "standard", "--n", "3", "--degree", "2"]
     )
     assert result.exit_code == 0
     assert report_of(result)["summary"]["count"] == 7
 
-    result = invoke(
-        runner,
+    result = run_cli(
         ["--format", "json", "fm", "dual", "--monomial",
          '{"n": 3, "D": [[[1, 2, 3], 1]]}'],
     )
@@ -191,22 +239,22 @@ def test_fm_standard_and_dual(runner):
     }
 
 
-def test_fm_dual_requires_a_ground_size(runner):
-    result = runner.invoke(
-        main, ["fm", "dual", "--monomial", '{"D": [[[1, 2, 3], 1]]}']
+def test_fm_dual_requires_a_ground_size():
+    result = run_cli(
+        ["fm", "dual", "--monomial", '{"D": [[[1, 2, 3], 1]]}']
     )
     assert result.exit_code == 2
 
 
-def test_fm_presentation_summary(runner):
-    result = invoke(runner, ["--format", "json", "fm", "presentation", "--n", "3"])
+def test_fm_presentation_summary():
+    result = run_cli(["--format", "json", "fm", "presentation", "--n", "3"])
     assert result.exit_code == 0
     report = report_of(result)
     assert report["summary"]["generators"] == 7
     assert report["summary"]["relations"] == 24
 
 
-def test_cache_flow_and_warm_rerun_is_byte_identical(runner, tmp_path):
+def test_cache_flow_and_warm_rerun_is_byte_identical(tmp_path):
     cache_dir = str(tmp_path / "cache")
     args = ["--format", "json", "--cache-dir", cache_dir, "xn", "check", "--n", "3"]
 
@@ -215,41 +263,40 @@ def test_cache_flow_and_warm_rerun_is_byte_identical(runner, tmp_path):
         report.pop("timing")
         return json.dumps(report, indent=2, sort_keys=True)
 
-    cold = invoke(runner, args)
+    cold = run_cli(args)
     assert cold.exit_code == 0
-    warm1 = invoke(runner, args)
-    warm2 = invoke(runner, args)
+    warm1 = run_cli(args)
+    warm2 = run_cli(args)
     assert body(warm1) == body(warm2)
     assert report_of(warm1)["cache"]["entry_count"] > 0
 
-    stats = invoke(
-        runner, ["--format", "json", "--cache-dir", cache_dir, "cache", "stats"]
+    stats = run_cli(
+        ["--format", "json", "--cache-dir", cache_dir, "cache", "stats"]
     )
     assert stats.exit_code == 0
     entry_count = report_of(stats)["summary"]["entries"]
     assert len(entry_count) >= 4  # bases for degrees 0..3 at least
 
-    cleared = invoke(
-        runner, ["--format", "json", "--cache-dir", cache_dir, "cache", "clear"]
+    cleared = run_cli(
+        ["--format", "json", "--cache-dir", cache_dir, "cache", "clear"]
     )
     assert cleared.exit_code == 0
     assert report_of(cleared)["summary"]["removed"] >= 4
 
-    stats2 = invoke(
-        runner, ["--format", "json", "--cache-dir", cache_dir, "cache", "stats"]
+    stats2 = run_cli(
+        ["--format", "json", "--cache-dir", cache_dir, "cache", "stats"]
     )
     assert report_of(stats2)["summary"]["entries"] == []
 
 
-def test_cache_command_requires_directory(runner):
-    result = runner.invoke(main, ["cache", "stats"], env={"TAUTRING_CACHE_DIR": ""})
+def test_cache_command_requires_directory():
+    result = run_cli(["cache", "stats"], env={"TAUTRING_CACHE_DIR": ""})
     assert result.exit_code == 2
 
 
-def test_cache_dir_environment_variable(runner, tmp_path):
+def test_cache_dir_environment_variable(tmp_path):
     cache_dir = str(tmp_path / "envcache")
-    result = invoke(
-        runner,
+    result = run_cli(
         ["--format", "json", "xn", "hilbert", "--n", "2"],
         env={"TAUTRING_CACHE_DIR": cache_dir},
     )
@@ -257,25 +304,25 @@ def test_cache_dir_environment_variable(runner, tmp_path):
     assert report_of(result)["cache"]["entry_count"] > 0
 
 
-def test_table_format_renders(runner):
-    result = invoke(runner, ["xn", "hilbert", "--n", "2"])
+def test_table_format_renders():
+    result = run_cli(["xn", "hilbert", "--n", "2"])
     assert result.exit_code == 0
     assert "hilbert" in result.output
     assert "summary" in result.output
 
 
-def test_cache_block_reports_this_runs_hits_and_misses(runner, tmp_path):
+def test_cache_block_reports_this_runs_hits_and_misses(tmp_path):
     args = ["--format", "json", "--cache-dir", str(tmp_path / "cache"),
             "xn", "check", "--n", "3"]
-    cold = report_of(invoke(runner, args))["cache"]
-    warm = report_of(invoke(runner, args))["cache"]
+    cold = report_of(run_cli(args))["cache"]
+    warm = report_of(run_cli(args))["cache"]
     assert cold["hits"] == 0 and cold["misses"] > 0
     assert warm["hits"] == cold["misses"] and warm["misses"] == 0
     assert set(warm) == {"directory", "entry_count", "total_bytes", "hits", "misses"}
     assert warm["entry_count"] == cold["entry_count"] > 0
 
 
-def test_cache_block_counts_a_payload_failing_verification_as_a_miss(runner, tmp_path):
+def test_cache_block_counts_a_payload_failing_verification_as_a_miss(tmp_path):
     from tautring.algebra import GradedRing
     from tautring.cache import CacheStore
     from tautring.xn import xn_presentation
@@ -283,23 +330,23 @@ def test_cache_block_counts_a_payload_failing_verification_as_a_miss(runner, tmp
     cache_dir = tmp_path / "cache"
     args = ["--format", "json", "--cache-dir", str(cache_dir),
             "xn", "check", "--n", "3"]
-    cold = report_of(invoke(runner, args))["cache"]
+    cold = report_of(run_cli(args))["cache"]
     store = CacheStore(cache_dir)
     key = GradedRing(xn_presentation(3))._basis_cache_key(1)
     payload = store.get(key)
     store.put(key, dict(payload, monomial_count=payload["monomial_count"] + 1))
-    warm = report_of(invoke(runner, args))["cache"]
+    warm = report_of(run_cli(args))["cache"]
     assert warm["misses"] == 1 and warm["hits"] == cold["misses"] - 1
 
 
-def test_cache_runs_leave_the_ring_registry_unchanged(runner, tmp_path):
+def test_cache_runs_leave_the_ring_registry_unchanged(tmp_path):
     from tautring import algebra
 
     args = ["--format", "json", "--cache-dir", str(tmp_path / "cache"),
             "xn", "check", "--n", "3"]
     before = len(algebra._RING_REGISTRY)
     for _ in range(5):
-        assert invoke(runner, args).exit_code == 0
+        assert run_cli(args).exit_code == 0
     assert len(algebra._RING_REGISTRY) == before
     assert all(ring.cache is None for ring in algebra._RING_REGISTRY.values())
 
@@ -333,7 +380,6 @@ _EXIT_CODES = {"pass": 0, "fail": 1, "size-guard": 3}
 def test_reports_are_strict_json_with_honest_exit_codes_and_stable_reruns(
     command, ceiling
 ):
-    runner = CliRunner()
     with tempfile.TemporaryDirectory() as cache_dir:
         args = ["--format", "json", "--cache-dir", cache_dir]
         if ceiling is not None:
@@ -341,7 +387,7 @@ def test_reports_are_strict_json_with_honest_exit_codes_and_stable_reruns(
         args += command
         bodies = []
         for _ in range(3):  # cold, then two warm reruns
-            result = runner.invoke(main, args, catch_exceptions=False)
+            result = run_cli(args)
             report = strict_report_of(result)
             assert result.exit_code == _EXIT_CODES[report["summary"]["status"]]
             report.pop("timing")

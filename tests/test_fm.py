@@ -105,6 +105,26 @@ def test_standardness_examples():
     assert not is_standard_fm(mk(5, D={(1, 2, 3, 4, 5): 2, (1, 2, 3): 1}))
 
 
+def test_standard_monomial_equality_hash_and_validation():
+    mk = StandardMonomialFM.make
+    v = mk(4, A=[4], D={(3, 1, 2): 1})
+    same = StandardMonomialFM(4, frozenset({4}), frozenset(), (((1, 2, 3), 1),))
+    assert v == same and hash(v) == hash(same)
+    assert hash(v) == hash((4, frozenset({4}), frozenset(), (((1, 2, 3), 1),)))
+    assert v != mk(5, A=[4], D={(1, 2, 3): 1})
+    assert len({v, same, mk(4, D={(1, 2, 3): 1})}) == 2
+    for bad in (dict(A=[5]),  # outside the ground set
+                dict(A=[1], B=[(1, 2)]),  # a-index inside a pair
+                dict(D={(1, 2): 1}),  # D-index set too small
+                dict(D={(1, 2, 5): 1})):  # D-index set outside the ground set
+        with pytest.raises(ValueError):
+            mk(4, **bad)
+    with pytest.raises(ValueError):  # D-part not in decreasing subset order
+        StandardMonomialFM(4, frozenset(), frozenset(), (((1, 2, 3), 1), ((1, 2, 3, 4), 1)))
+    with pytest.raises(ValueError):  # exponent below one
+        StandardMonomialFM(4, frozenset(), frozenset(), (((1, 2, 3), 0),))
+
+
 def test_enumeration_counts_for_three_points():
     counts = [len(enumerate_standard_fm(3, d)) for d in range(4)]
     assert counts == [1, 7, 7, 1]

@@ -263,3 +263,18 @@ def test_standard_monomial_serialization_round_trip():
     payload = v.serialize()
     assert payload == {"A": [2], "B": [[3, 4]]}
     assert StandardMonomialXn.deserialize(payload) == v
+
+
+def test_standard_monomial_equality_hash_and_validation():
+    v = StandardMonomialXn.make((2,), ((4, 3),))
+    same = StandardMonomialXn(frozenset({2}), frozenset({(3, 4)}))
+    assert v == same and hash(v) == hash(same)
+    assert hash(v) == hash((frozenset({2}), frozenset({(3, 4)})))
+    assert v != StandardMonomialXn.make((1,), ((3, 4),))
+    assert len({v, same, StandardMonomialXn.make((), ((3, 4),))}) == 2
+    with pytest.raises(ValueError):
+        StandardMonomialXn(frozenset(), frozenset({(4, 3)}))  # pair not increasing
+    with pytest.raises(ValueError):
+        StandardMonomialXn.make((3,), ((3, 4),))  # a-index inside a pair
+    with pytest.raises(ValueError):
+        StandardMonomialXn.make((), ((1, 2), (2, 3)))  # pairs overlap
