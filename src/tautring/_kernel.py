@@ -1,8 +1,9 @@
 """Exact linear algebra on integer rows: elimination, RREF and rank.
 
-Every rank the engine reports -- graded pieces, Gram pairings and block
-pairings -- comes from fraction-free elimination in :class:`SpanReducer`,
-and every canonical row form from :func:`_rref_from_echelon`.  Rows are
+Every rank the engine reports -- graded pieces, and through
+:func:`_integer_rank` Gram pairings and block pairings -- comes from
+fraction-free elimination in :class:`SpanReducer`, and every canonical row
+form from :func:`_rref_from_echelon`.  Rows are
 ``(cols, coeffs)`` pairs: strictly increasing column indices and nonzero
 integers (:func:`_integral_coeffs` makes exact rationals such integers, and
 :func:`_normalize` is the one place content is stripped from a finished
@@ -128,7 +129,8 @@ def _rref_from_echelon(pivot_rows):
     Rows are processed in descending pivot order so that every pivot column
     appearing in a tail refers to an already-reduced row.  Each result row
     is content-free with a positive lead and zero in every other pivot
-    column, which makes it a unique normal form of the row space.
+    column, which makes it a unique normal form of the row space.  The
+    result maps pivot column -> (cols, coeffs), in ascending pivot order.
     """
     reduced = {}
     for lead in sorted(pivot_rows, reverse=True):
@@ -154,7 +156,28 @@ def _rref_from_echelon(pivot_rows):
         coeffs_out = [row[c] for c in cols_out]
         _normalize(coeffs_out)
         reduced[lead] = (cols_out, coeffs_out)
-    return reduced
+    return dict(reversed(reduced.items()))
+
+
+def _integer_rank(rows):
+    """Exact rank of a matrix given as a list of rows of ints and Fractions.
+
+    Each nonzero row is made integral and the rows are fed to the reducer
+    sparsest first.
+    """
+    ncols = len(rows[0]) if rows else 0
+    int_rows = []
+    for row in rows:
+        cols = [j for j, v in enumerate(row) if v]
+        if cols:
+            int_rows.append((cols, _integral_coeffs([row[j] for j in cols])))
+    int_rows.sort(key=lambda r: (len(r[0]), r[0], r[1]))
+    reducer = SpanReducer(ncols)
+    for cols, coeffs in int_rows:
+        if reducer.rank == ncols:
+            break
+        reducer.insert(cols, coeffs)
+    return reducer.rank
 
 
 def _combine(rcols, rcoeffs, pcols, pcoeffs):

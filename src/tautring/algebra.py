@@ -11,7 +11,10 @@ piece of the quotient ring R = S/I by explicit exact linear algebra:
   monomials inside J' (see :meth:`GradedRing._columns`);
 * the degree-``d`` slice of I/J' (multi-term relation times a multiplier
   outside J', with the terms that land in J' dropped) is echelonized
-  exactly, and the quotient is read off the non-pivot columns.
+  exactly and back-substituted into its canonical RREF, the one form a
+  :class:`GradedBasis` holds and the cache stores.  The quotient is read
+  off the non-pivot columns, normal forms and the socle functional off the
+  RREF rows.
 
 No Groebner basis is computed -- ranks of explicit integer matrices decide
 everything, which keeps the verification auditable.  A row of the slice is
@@ -24,7 +27,7 @@ socle degree the engine proves vanishing instead of building the piece
 Monomials are encoded as packed integers (one bit field per generator
 exponent) so that multiplying two monomials is a single integer addition;
 column indices are positions in the enumeration order of
-:meth:`GradedRing._mono_keys`.
+:meth:`GradedRing._columns`.
 """
 
 import hashlib
@@ -33,7 +36,7 @@ from fractions import Fraction
 from operator import lt
 from types import SimpleNamespace
 
-from ._kernel import SpanReducer, _integral_coeffs, _rref_from_echelon
+from ._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_echelon
 
 #: Default per-degree ceiling on the number of columns (monomials outside
 #: the monomial ideal) the engine will enumerate before refusing (guards
@@ -42,7 +45,7 @@ SIZE_CEILING_DEFAULT = 5_000_000
 
 #: Bumped whenever the on-disk basis payload format or the engine's
 #: column conventions change; part of every cache key.
-ENGINE_VERSION = "5"
+ENGINE_VERSION = "6"
 
 
 class SizeCeilingError(RuntimeError):
@@ -118,11 +121,6 @@ class Generator:
 
     def to_payload(self):
         return [self.kind, list(self.data)]
-
-    @classmethod
-    def from_payload(cls, payload):
-        kind, data = payload
-        return cls(kind, tuple(data))
 
     def __str__(self):
         if self.kind == "a":
@@ -211,12 +209,6 @@ class Monomial:
 
     def to_payload(self):
         return [[g.to_payload(), e] for g, e in self.exps]
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(
-            tuple((Generator.from_payload(g), e) for g, e in payload)
-        )
 
     def __str__(self):
         if not self.exps:
@@ -434,46 +426,39 @@ class Presentation:
 
 
 class GradedBasis:
-    """One graded piece of a quotient ring: its columns and its echelon.
+    """One graded piece of a quotient ring: its columns and its RREF.
 
     The columns are the degree-``degree`` monomials outside the monomial
     ideal J' (``monomial_count`` counts only those, ``keys`` lists them in
-    column order).  ``echelon`` holds the exact echelon rows ``(lead, cols,
-    coeffs)`` of the slice of the multi-term relations, sorted by lead, and
-    everything else is read off it: the leads are the pivot columns, their
-    number is the rank, and the non-pivot columns form the quotient basis,
-    which is canonical for the row space (independent of relation order).
-    So ``dimension == monomial_count - rank`` always.  ``tags`` runs
-    parallel to the echelon: the index in ``ring._prepped`` of the relation
-    whose row adopted each lead, which :meth:`GradedRing._compute_basis`
-    reads at higher degrees.  Computed and cached bases are built by this
-    one constructor.
+    column order).  The piece is held in one form, the canonical integer
+    RREF of the slice of the multi-term relations (:meth:`rref`), and
+    everything else is read off it: its leads are the pivot columns, their
+    number is the rank, and the non-pivot columns form the quotient basis.
+    The RREF is a function of the row space alone, so ``dimension ==
+    monomial_count - rank`` always.  ``tags`` runs parallel to the pivots:
+    the index in ``GradedRing._prepped`` of the relation whose row adopted
+    each lead, which :meth:`GradedRing._compute_basis` reads at higher
+    degrees.  Neither depends on the rows ``_compute_basis`` skipped (see
+    its docstring).  Computed and cached bases are built by this one
+    constructor.
     """
 
-    def __init__(self, ring, degree, keys, echelon, tags):
-        self.ring = ring
+    def __init__(self, degree, keys, rref, tags):
         self.degree = degree
         self.keys = keys
         self.monomial_count = len(keys)
-        self._echelon = echelon
+        self._rref = rref
         self.tags = tags
-        self.pivot_cols = tuple(lead for lead, _, _ in echelon)
+        self.pivot_cols = tuple(rref)
         self.rank = len(self.pivot_cols)
         self.dimension = self.monomial_count - self.rank
         self.quotient_cols = _complement(self.pivot_cols, self.monomial_count)
-        self._rref = None
         self._qpos = None
-        self._pivot_set = None
 
     def rref(self):
-        """Canonical integer RREF rows, keyed by pivot column.
-
-        Built lazily from the raw echelon by back-substitution (descending
-        pivot order, so tails only reference already-reduced rows).
-        """
-        if self._rref is None:
-            pivot_rows = {lead: (cols, coeffs) for lead, cols, coeffs in self._echelon}
-            self._rref = _rref_from_echelon(pivot_rows)
+        """Canonical integer RREF rows, ``{lead: (cols, coeffs)}`` in
+        ascending lead order: each row content-free with a positive lead,
+        its tail only in non-pivot columns."""
         return self._rref
 
     def quotient_pos(self, col):
@@ -482,43 +467,40 @@ class GradedBasis:
             self._qpos = {c: i for i, c in enumerate(self.quotient_cols)}
         return self._qpos[col]
 
-    def pivot_set(self):
-        if self._pivot_set is None:
-            self._pivot_set = frozenset(self.pivot_cols)
-        return self._pivot_set
-
     def echelon_rows(self):
-        return self._echelon
+        """The RREF rows as ``(lead, cols, coeffs)``, sorted by lead."""
+        return [(lead, cols, coeffs) for lead, (cols, coeffs) in self._rref.items()]
 
     def to_payload(self):
-        """The cache payload; it shares this basis's column and tag lists,
-        so it is for serializing, not for editing."""
+        """The cache payload; it shares this basis's row and tag lists, so
+        it is for serializing, not for editing."""
         return {
-            "schema": "tautring-basis/3",
+            "schema": "tautring-basis/4",
             "degree": self.degree,
             "monomial_count": self.monomial_count,
-            "echelon": [
+            "rref": [
                 [lead, cols, [str(c) for c in coeffs]]
-                for lead, cols, coeffs in self._echelon
+                for lead, (cols, coeffs) in self._rref.items()
             ],
             "tags": self.tags,
         }
 
 
 def _parse_basis_payload(payload, count, relations):
-    """``(echelon, tags)`` of a cached basis payload over ``count`` columns
-    and ``relations`` row sources, or None when the payload is not one.
+    """``(rref, tags)`` of a cached basis payload over ``count`` columns and
+    ``relations`` row sources, or None when the payload is not one.
 
     The payload must have been built over the same ``count`` columns, and
-    its echelon must have the shape the kernel produces: leads strictly
-    increasing inside ``range(count)``; each row's columns starting at its
-    lead, strictly increasing and below ``count``; one nonzero integer
-    coefficient per column.  Its tags must be one integer in
-    ``range(relations)`` per echelon row.  Anything else -- a stale or
-    inconsistent entry, or one that does not parse at all -- is None, which
-    the engine counts as a miss, recomputes and overwrites.
+    its rows must have the shape of an RREF: leads strictly increasing
+    inside ``range(count)``; each row's columns starting at its lead,
+    strictly increasing and below ``count``; one nonzero integer
+    coefficient per column; and no tail column a lead, which the readers of
+    :meth:`GradedBasis.rref` rely on.  Its tags must be one integer in
+    ``range(relations)`` per row.  Anything else -- a stale or inconsistent
+    entry, or one that does not parse at all -- is None, which the engine
+    counts as a miss, recomputes and overwrites.
     """
-    echelon = []
+    rref = {}
     prev = -1
     try:
         if payload["monomial_count"] != count:
@@ -529,7 +511,7 @@ def _parse_basis_payload(payload, count, relations):
             and all(type(t) is int and 0 <= t < relations for t in tags)
         ):
             return None
-        for lead, cols, coeffs in payload["echelon"]:
+        for lead, cols, coeffs in payload["rref"]:
             coeffs = [int(c) for c in coeffs]
             if not (
                 prev < lead
@@ -540,13 +522,15 @@ def _parse_basis_payload(payload, count, relations):
                 and all(coeffs)
             ):
                 return None
-            echelon.append((lead, cols, coeffs))
+            rref[lead] = (cols, coeffs)
             prev = lead
     except (KeyError, TypeError, ValueError):
         return None
-    if len(tags) != len(echelon):
+    if len(tags) != len(rref) or any(
+        c in rref for cols, _ in rref.values() for c in cols[1:]
+    ):
         return None
-    return echelon, tags
+    return rref, tags
 
 
 def _complement(sorted_cols, total):
@@ -573,12 +557,12 @@ class GradedRing:
         gens = presentation.generators
         self._gen_index = {g: i for i, g in enumerate(gens)}
         # Bit width per exponent slot: big enough for any degree we can
-        # afford to enumerate; checked again in _mono_keys().
+        # afford to enumerate; checked again in _columns().
         self._bits = max(6, (presentation.socle_degree + 2).bit_length())
         self._gen_keys = [1 << (self._bits * i) for i in range(len(gens))]
         self._mask = (1 << self._bits) - 1
         self._degree_cap = self._mask
-        self._mono_keys_memo = {}
+        self._columns_memo = {}
         self._key_to_col_memo = {}
         self._basis_memo = {}
         self._socle_table_memo = None
@@ -652,10 +636,6 @@ class GradedRing:
 
     # ----- monomial enumeration ----------------------------------------
 
-    def _mono_keys(self, d):
-        """Keys of the degree-``d`` columns (see :meth:`_columns`)."""
-        return self._columns(d)
-
     def _columns(self, d):
         """Keys of the degree-``d`` monomials outside J', in column order.
 
@@ -679,13 +659,13 @@ class GradedRing:
         and both proofs, use no more than that, so they carry over
         unchanged.  The RREF is canonical for the row space, so the dead
         columns depend neither on relation order nor on the rows skipped.
-        The raw echelon's single-entry rows are only some of them: they
-        leave 9,053 degree-5 columns in X[5], the RREF rule 3,624.
+        The single-entry rows of a raw echelon would be only some of them:
+        they leave 9,053 degree-5 columns in X[5], the RREF rule 3,624.
 
         Refuses (SizeCeilingError) once the count passes the size ceiling,
         or when ``d`` exceeds the exponent packing width.
         """
-        keys = self._mono_keys_memo.get(d)
+        keys = self._columns_memo.get(d)
         if keys is not None:
             return keys
         if d > self._degree_cap:
@@ -712,13 +692,13 @@ class GradedRing:
                         reason=f"needs more than {ceiling} columns (monomials "
                                f"outside the monomial ideal)",
                     )
-        self._mono_keys_memo[d] = keys
+        self._columns_memo[d] = keys
         return keys
 
     def _alive(self, d):
         """The set of degree-``d`` columns that are not dead.  A degree below
         every multi-term relation has no pivots; its basis is not looked up."""
-        keys = self._mono_keys(d)
+        keys = self._columns(d)
         alive = set(keys)
         if d >= self._lowest:
             alive.difference_update(keys[lead] for lead, (cols, _) in
@@ -745,7 +725,7 @@ class GradedRing:
         key without a column lies in J', inside I, and is zero in the ring."""
         mapping = self._key_to_col_memo.get(d)
         if mapping is None:
-            mapping = {k: i for i, k in enumerate(self._mono_keys(d))}
+            mapping = {k: i for i, k in enumerate(self._columns(d))}
             self._key_to_col_memo[d] = mapping
         return mapping
 
@@ -766,7 +746,7 @@ class GradedRing:
 
     def _compute_basis(self, d):
         """Echelonize the degree-``d`` slice of I/J' from the rows that are
-        not provably dependent.
+        not provably dependent, and back-substitute it into its RREF.
 
         Write f_0, f_1, ... for the multi-term relations in ``_prepped``
         order, r_i for the degree of f_i, and A_i(d) for the span of the
@@ -810,15 +790,16 @@ class GradedRing:
         A_i(e), whatever rows were skipped and in whatever order the rest
         came.  So the leads of ``basis(d)``, its quotient columns, RREF and
         socle table, and every rank and report, are those of the full
-        slice; only the raw echelon rows may differ.  A cached lower degree
-        serves the criteria through its stored tags, which are checked for
-        shape only (:func:`_parse_basis_payload`).
+        slice; only the raw echelon rows may differ, and they are dropped
+        once the RREF is built.  A cached lower degree serves the criteria
+        through its stored tags, which are checked for shape only
+        (:func:`_parse_basis_payload`).
 
         The criteria read ``basis(e)`` and ``basis(r_i)``, both below
         ``d``, built on demand; a degree below every r_i has no leads and
         is not built for them.
         """
-        keys = self._mono_keys(d)
+        keys = self._columns(d)
         count = len(keys)
         key_to_col = self.key_to_col(d)
         prepped = self._prepped
@@ -837,15 +818,16 @@ class GradedRing:
                 if i not in tags:
                     continue
             e = d - rdeg
-            mult = self._mono_keys(e)
+            mult = self._columns(e)
             if e >= self._lowest:
                 owner = owners.get(e)
                 if owner is None:
                     owner = owners[e] = self._lead_owners(e)
                 mult = [mk for mk, j in zip(mult, owner) if j >= i]
             reducer.insert_products(tkeys, tcoeffs, mult, key_to_col, i)
-        return GradedBasis(self, d, keys, reducer.echelon_rows(),
-                           reducer.echelon_tags())
+        rref = _rref_from_echelon(
+            {lead: (cols, coeffs) for lead, cols, coeffs in reducer.echelon_rows()})
+        return GradedBasis(d, keys, rref, reducer.echelon_tags())
 
     def _lead_owners(self, e):
         """Per degree-``e`` column, the tag of its lead in ``basis(e)``, or
@@ -860,14 +842,14 @@ class GradedRing:
         if self.cache is None:
             return None
         payload = self.cache.get(self._basis_cache_key(d))
-        keys = self._mono_keys(d)
+        keys = self._columns(d)
         parsed = (None if payload is None
                   else _parse_basis_payload(payload, len(keys), len(self._prepped)))
         if parsed is None:
             self.cache_misses += 1
             return None
         self.cache_hits += 1
-        return GradedBasis(self, d, keys, *parsed)
+        return GradedBasis(d, keys, *parsed)
 
     def _store_cached_basis(self, basis):
         if self.cache is None:
@@ -918,7 +900,6 @@ class GradedRing:
             return []
         key_to_col = self.key_to_col(degree)
         rref = basis.rref()
-        pivot_set = basis.pivot_set()
         out = [Fraction(0)] * basis.dimension
         for key, coeff in key_coeffs.items():
             if not coeff:
@@ -926,8 +907,9 @@ class GradedRing:
             col = key_to_col.get(key)
             if col is None:
                 continue  # in J', inside I (the caller checked the degree)
-            if col in pivot_set:
-                cols, coeffs = rref[col]
+            row = rref.get(col)
+            if row is not None:
+                cols, coeffs = row
                 lead = coeffs[0]
                 for c, v in zip(cols[1:], coeffs[1:]):
                     out[basis.quotient_pos(c)] -= coeff * Fraction(v, lead)
@@ -977,10 +959,9 @@ class GradedRing:
         """Socle evaluation as a linear functional on degree-n columns.
 
         Returns a list of Fractions, one per degree-``socle`` monomial in
-        column order, normalized so the socle monomial maps to 1.  Built
-        once by back-substitution over the echelon (descending pivots, so
-        every tail column is already evaluated); all socle evaluations and
-        Gram entries reduce to lookups in this table.
+        column order, normalized so the socle monomial maps to 1.  Read once
+        off the RREF (see :meth:`gorenstein_check`); all socle evaluations
+        and Gram entries reduce to lookups in this table.
         """
         if self._socle_table_memo is not None:
             return self._socle_table_memo
@@ -991,15 +972,10 @@ class GradedRing:
                 f"socle of {self.presentation.label!r} has dimension "
                 f"{basis.dimension}, expected 1"
             )
-        lam = [None] * basis.monomial_count
-        lam[basis.quotient_cols[0]] = Fraction(1)
-        for lead, cols, coeffs in reversed(basis.echelon_rows()):
-            acc = 0
-            for c, v in zip(cols[1:], coeffs[1:]):
-                x = lam[c]
-                if x:
-                    acc += v * x
-            lam[lead] = -acc / coeffs[0] if acc else Fraction(0)
+        # lambda(q0) = 1 at the one non-pivot column; every other is a lead
+        lam = [Fraction(1)] * basis.monomial_count
+        for lead, (cols, coeffs) in basis.rref().items():
+            lam[lead] = Fraction(-coeffs[1], coeffs[0]) if len(cols) > 1 else Fraction(0)
         s_col = self.key_to_col(n).get(
             self.monomial_key(self.presentation.socle_monomial)
         )
@@ -1131,18 +1107,13 @@ class GradedRing:
         The socle is checked once, by :meth:`socle_table`: it raises
         SocleError exactly when R_n is not one-dimensional or the socle
         monomial s has normal-form coordinate zero.  Proof of the second
-        half: let R_n = Q*[q0], q0 the one non-pivot column.  The echelon
-        rows span the relation slice, and with the unit vector of q0 they
-        are triangular on all columns, so there is exactly one functional
-        that is 1 on q0 and vanishes on the row space.  The normal-form
-        coordinate of a degree-n column c is that functional at c, since
-        c minus that multiple of q0 lies in the row space.  The table's
-        back-substitution sets lambda(q0) = 1 and solves each row, in
-        descending lead order, for the value at its lead so that the row
-        evaluates to zero; so before scaling it is that same functional,
-        and lambda(s) -- zero when s lies in J', where it has no column --
-        is the coordinate of s.  Hence normal_form(s)[0] != 0 iff
-        socle_table does not raise.
+        half: let R_n = Q*[q0], q0 the one non-pivot column.  A tail of the
+        RREF lies in the non-pivot columns, so the row of a pivot c is
+        lead*c + t*q0 or lead*c, and [c] = lambda(c)*[q0] with lambda(c) =
+        -t/lead, or 0.  So before scaling the table holds the normal-form
+        coordinate of every column, and lambda(s) -- zero when s lies in
+        J', where it has no column -- is that of s.  Hence
+        normal_form(s)[0] != 0 iff socle_table does not raise.
         """
         n = self.presentation.socle_degree
         hilbert = self.hilbert(n)
@@ -1221,27 +1192,6 @@ class PairingReport(SimpleNamespace):
         }
 
 
-def _integer_rank(rows):
-    """Exact rank of a matrix given as a list of rows of ints and Fractions.
-
-    Each nonzero row is made integral and the rows are fed to the kernel
-    sparsest first.
-    """
-    ncols = len(rows[0]) if rows else 0
-    int_rows = []
-    for row in rows:
-        cols = [j for j, v in enumerate(row) if v]
-        if cols:
-            int_rows.append((cols, _integral_coeffs([row[j] for j in cols])))
-    int_rows.sort(key=lambda r: (len(r[0]), r[0], r[1]))
-    reducer = SpanReducer(ncols)
-    for cols, coeffs in int_rows:
-        if reducer.rank == ncols:
-            break
-        reducer.insert(cols, coeffs)
-    return reducer.rank
-
-
 # ----- module-level convenience API -------------------------------------
 
 _RING_REGISTRY = {}  # the rings used last, least recently used first
@@ -1249,17 +1199,20 @@ _RING_REGISTRY_SIZE = 8
 
 
 def ring_for(presentation, *, size_ceiling=SIZE_CEILING_DEFAULT):
-    """Shared cache-free GradedRing for a presentation (keyed by content
-    hash and size ceiling).
+    """Shared cache-free GradedRing for a presentation (keyed by the
+    presentation object and the size ceiling).
 
     Reusing the ring lets separate API calls share memoized bases.  Only
     the ``_RING_REGISTRY_SIZE`` rings used last are kept, so a long-lived
     process does not keep every ring it built; one ``fm check --n 6 --mode
     blocks`` uses five (X^1, X^2, X^3, X^4 and X^6).  A ring bound to a
     cache belongs to whoever owns that cache (the CLI builds one per run),
-    so the registry never holds one.
+    so the registry never holds one.  The memoized presentations of
+    ``xn_presentation`` and ``fm_presentation`` are the same object on
+    every call, so finding their ring hashes nothing; an equal presentation
+    built separately gets a ring of its own.
     """
-    key = (presentation.content_hash, size_ceiling)
+    key = (presentation, size_ceiling)
     ring = _RING_REGISTRY.pop(key, None)
     if ring is None:
         ring = GradedRing(presentation, size_ceiling=size_ceiling)

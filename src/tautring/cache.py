@@ -7,25 +7,27 @@ stale rows.  Writes go through a temporary file and an atomic rename; reads
 verify an embedded payload digest and treat any mismatch as a miss, deleting
 the corrupt file so the caller recomputes.
 
-The cache holds bases only.  Every basis is stored whole: its column count,
-its exact echelon and the tag of each echelon row (the index of the
-relation that adopted its lead), from which the engine reads pivots, rank
-and dimension again on load, after parsing the echelon and the tags and
-checking their shape (``algebra._parse_basis_payload``).  So a warm run
-eliminates nothing: on a 2-core host a warm ``fm check --n 5 --mode full``
-takes about 0.7 s against a 0.4 MB cache (about 1.5 s cold), and a warm
-``xn check --n 6`` about 0.3 s against 0.17 MB.  Gram ranks are not
-stored: a stored rank could only be checked by computing it, and from the
-bases all of a ring's Gram ranks take about 2 ms for X^5, 12-17 ms for
-X^6 and 20-30 ms for X[5] on the same host.
+The cache holds bases only.  Every basis is stored whole, in the one form
+the engine holds it: its column count, its canonical integer RREF and the
+tag of each row (the index of the relation that adopted its lead).  On
+load the engine parses the rows and the tags, checks their shape
+(``algebra._parse_basis_payload``) and reads pivots, rank and dimension
+off them again.  The RREF and the tags are functions of the row space, so
+an entry does not depend on the rows the engine skipped to find it.  A
+warm run eliminates and back-substitutes nothing: on a 2-core host a warm
+``fm check --n 5 --mode full`` takes about 0.55 s against a 0.54 MB cache
+(about 1.7 s cold), and a warm ``xn check --n 6`` about 0.23 s against
+0.17 MB.  Gram ranks are not stored: a stored rank could only be checked
+by computing it, and from the bases all of a ring's Gram ranks take about
+2 ms for X^5, 12-17 ms for X^6 and 20-30 ms for X[5] on the same host.
 
-Shape is all that is checked, for the tags as for the echelon: a
-well-formed entry is trusted for its row space.  Its tags steer the rows
-that ``GradedRing._compute_basis`` skips at higher degrees, and its dead
-monomials (pivots whose RREF row has no tail) decide the columns of the
-next degree (``GradedRing._columns``), even at a degree that is computed
-fresh.  ``monomial_count`` catches a next-degree entry stored over other
-columns, not a wrong row space itself.
+Shape is all that is checked, for the tags as for the rows: a well-formed
+entry is trusted for its row space.  Its tags steer the rows that
+``GradedRing._compute_basis`` skips at higher degrees, and its dead
+monomials (pivots whose row has no tail) decide the columns of the next
+degree (``GradedRing._columns``), even at a degree that is computed fresh.
+``monomial_count`` catches a next-degree entry stored over other columns,
+not a wrong row space itself.
 """
 
 import hashlib

@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import fm as fm_mod
 from . import hodge as hodge_mod
 from . import xn as xn_mod
+from ._kernel import _integer_rank
 from .algebra import SIZE_CEILING_DEFAULT, GradedRing, SizeCeilingError, ring_for
 from .cache import CacheStore
 
@@ -51,7 +52,7 @@ class RunContext:
         self.cache = CacheStore(cache_dir) if cache_dir else None
         self.size_ceiling = size_ceiling
         self.started = time.monotonic()
-        self.rings = {}  # content hash -> ring bound to this run's store
+        self.rings = {}  # presentation -> ring bound to this run's store
 
     def ring(self, presentation):
         """The engine for ``presentation``.  Without a store it is the shared
@@ -59,12 +60,12 @@ class RunContext:
         presentation, and dropped with the run."""
         if self.cache is None:
             return ring_for(presentation, size_ceiling=self.size_ceiling)
-        ring = self.rings.get(presentation.content_hash)
+        ring = self.rings.get(presentation)
         if ring is None:
             ring = GradedRing(
                 presentation, size_ceiling=self.size_ceiling, cache=self.cache
             )
-            self.rings[presentation.content_hash] = ring
+            self.rings[presentation] = ring
         return ring
 
     def cache_report(self):
@@ -253,8 +254,6 @@ def xn_matching_gram(run, m):
             if gram[i][j] != Fraction(-4) ** cycles:
                 closed_ok = False
     checks.append(check("closed-form-entries", closed_ok, size=len(matchings)))
-    from .algebra import _integer_rank
-
     rank = _integer_rank(gram)
     checks.append(check("rank", True, rank=rank, size=len(matchings)))
     if m == 3:
@@ -280,7 +279,8 @@ def fm_check(run, n, mode):
     checks = []
     rank_sums = {}
     for d in range(n + 1):
-        reports = fm_mod.block_pairing(n, d, cross_check_engine=engine)
+        reports = fm_mod.block_pairing(n, d, cross_check_engine=engine,
+                                       size_ceiling=run.size_ceiling)
         ok = all(r.ok for r in reports)
         rank_sums[d] = sum(r.rank for r in reports)
         checks.append(

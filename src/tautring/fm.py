@@ -20,7 +20,9 @@ import itertools
 from functools import cached_property, cmp_to_key
 from types import SimpleNamespace
 
+from ._kernel import _integer_rank
 from .algebra import (
+    SIZE_CEILING_DEFAULT,
     Monomial,
     Poly,
     Presentation,
@@ -53,11 +55,6 @@ def subset_key(subset):
     """
     t = tuple(sorted(subset))
     return (len(t), t)
-
-
-def compare_subsets(I, J):
-    ki, kj = subset_key(I), subset_key(J)
-    return -1 if ki < kj else (1 if ki > kj else 0)
 
 
 def _dpart_dict(dpart):
@@ -141,12 +138,6 @@ class Forest:
         """Number of children (maximal proper subsets present)."""
         return len(self.children[r])
 
-    def is_external(self, r):
-        return not self.children[r]
-
-    def edge_count(self):
-        return sum(len(c) for c in self.children)
-
     def child_union_size(self, r):
         """Size of the union of all member sets strictly inside vertex r."""
         return sum(len(self.subsets[c]) for c in self.children[r])
@@ -181,11 +172,6 @@ class Forest:
     def sign_exponent(self):
         """The epsilon of the block sign rule: |union| + total branching."""
         return len(self.union) + sum(len(c) for c in self.children)
-
-
-def forest_of(dpart):
-    """Forest of a D-part; rejects overlapping non-nested index sets."""
-    return Forest(_dpart_dict(dpart).keys())
 
 
 # ----- monomials -------------------------------------------------------------
@@ -648,18 +634,18 @@ class BlockReport(SimpleNamespace):
     """
 
 
-def block_pairing(n, degree, cross_check_engine=None):
+def block_pairing(n, degree, cross_check_engine=None, *,
+                  size_ceiling=SIZE_CEILING_DEFAULT):
     """Decompose the degree-d pairing into one block per D-part.
 
     Each block pairs the a/b-parts of its standard monomials against the
     duals inside the power ring on the section set S; entries carry the
     global sign (-1)^epsilon.  A block passes when its rank equals the
-    degree-matching quotient dimension of X^S.  When ``cross_check_engine``
-    is given (small n), every block entry and every cross-block product is
-    verified against the full engine.
+    degree-matching quotient dimension of X^S, built under
+    ``size_ceiling``.  When ``cross_check_engine`` is given (small n),
+    every block entry and every cross-block product is verified against
+    the full engine.
     """
-    from .algebra import _integer_rank
-
     standard = enumerate_standard_fm(n, degree)
     groups = {}
     for v in standard:
@@ -679,7 +665,7 @@ def block_pairing(n, degree, cross_check_engine=None):
         ]
         rank = _integer_rank(gram)
         ab_degree = degree - sum(e for _, e in dkey)
-        xs_ring = ring_for(xn_presentation(len(S)))
+        xs_ring = ring_for(xn_presentation(len(S)), size_ceiling=size_ceiling)
         xs_dim = xs_ring.basis(ab_degree).dimension if ab_degree <= len(S) else 0
         reports.append(
             BlockReport(

@@ -12,7 +12,6 @@ calibrated once on the one-point instance and then becomes a genuine
 cross-check for every larger instance.
 """
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -136,18 +135,3 @@ def bridge_check(n, alphas, *, ring=None):
     lhs = hodge_psi_integral(alphas)
     rhs = bridge_constant() * fiber_socle_of_psi(n, alphas, ring=ring)
     return lhs, rhs, lhs == rhs
-
-
-def valid_alpha_vectors(n, g=GENUS):
-    """All exponent vectors (a_1..a_n), a_i >= 1, summing to g - 2 + n."""
-    total = g - 2 + n
-    out = []
-    for cuts in itertools.combinations(range(1, total), n - 1):
-        parts = []
-        prev = 0
-        for c in list(cuts) + [total]:
-            parts.append(c - prev)
-            prev = c
-        if all(p >= 1 for p in parts):
-            out.append(tuple(parts))
-    return out

@@ -102,20 +102,20 @@ def _collect_redexes(a_exps, b_exps, contract_shared):
     return redexes
 
 
-def _rewrite_monomial(a_exps, b_exps, contract_shared=True, picker=None):
+def _rewrite_monomial(a_exps, b_exps, contract_shared=True):
     """Run the quadratic rewrite chain on one monomial.
 
     Returns ``(coeff, a_exps, b_exps)`` or ``None`` when the monomial
-    rewrites to zero.  ``picker`` selects among available redexes (used by
-    the confluence tests); the default takes the first in a fixed scan
-    order, which makes the result deterministic.
+    rewrites to zero.  Each step rewrites the first redex of
+    :func:`_collect_redexes`, in its fixed scan order, which makes the
+    result deterministic.
     """
     coeff = 1
     while True:
         redexes = _collect_redexes(a_exps, b_exps, contract_shared)
         if not redexes:
             return coeff, a_exps, b_exps
-        choice = redexes[0] if picker is None else picker(redexes)
+        choice = redexes[0]
         tag = choice[0]
         if tag in ("a_square", "a_meets_b"):
             return None
@@ -141,7 +141,7 @@ def _rewrite_monomial(a_exps, b_exps, contract_shared=True, picker=None):
             b_exps[new] = b_exps.get(new, 0) + 1
 
 
-def quadratic_normal_form(q, *, contract_shared=True, picker=None):
+def quadratic_normal_form(q, *, contract_shared=True):
     """Normal form of an a/b polynomial under the quadratic relations.
 
     With ``contract_shared`` the full system is used and every term lands on
@@ -153,7 +153,7 @@ def quadratic_normal_form(q, *, contract_shared=True, picker=None):
     out = {}
     for m, c in q.terms.items():
         a_exps, b_exps = _split_ab(m)
-        res = _rewrite_monomial(dict(a_exps), dict(b_exps), contract_shared, picker)
+        res = _rewrite_monomial(dict(a_exps), dict(b_exps), contract_shared)
         if res is None:
             continue
         factor, a_exps, b_exps = res

@@ -25,7 +25,6 @@ from tautring.hodge import (
     faber_constant,
     fiber_socle_of_psi,
     hodge_psi_integral,
-    valid_alpha_vectors,
 )
 from tautring.xn import (
     StandardMonomialXn,
@@ -39,6 +38,7 @@ from tautring.xn import (
 )
 from conftest import run_cli
 from test_algebra import _fraction_kernel
+from test_hodge import valid_alpha_vectors
 
 
 def report_for(args):

@@ -7,18 +7,21 @@ from fractions import Fraction
 import pytest
 
 from tautring import algebra
-from tautring._kernel import SpanReducer
+from tautring._kernel import SpanReducer, _rref_from_echelon
 from tautring.algebra import (
+    GradedBasis,
     GradedRing,
     Monomial,
     Poly,
     Presentation,
     PresentationError,
     SizeCeilingError,
+    canonical_json,
     gen_a,
     gen_b,
     ring_for,
 )
+from tautring.cache import CacheStore
 from tautring.fm import fm_presentation
 from tautring.xn import a_poly, b_poly, xn_presentation
 
@@ -228,6 +231,12 @@ def test_ring_registry_reuses_instances():
     assert r3 is not r1
 
 
+def test_ring_registry_finds_a_ring_without_hashing_its_presentation():
+    presentation = _higher_degree_ideal_presentation()
+    assert ring_for(presentation) is ring_for(presentation)
+    assert presentation._hash is None  # content_hash was never computed
+
+
 def test_ring_registry_evicts_the_least_recently_used_ring():
     size = algebra._RING_REGISTRY_SIZE
     presentation = xn_presentation(2)
@@ -237,7 +246,7 @@ def test_ring_registry_evicts_the_least_recently_used_ring():
     assert ring_for(presentation, size_ceiling=1) is first  # now the most recent
     ring_for(presentation, size_ceiling=size + 1)  # evicts ceiling 2, the oldest
     assert len(algebra._RING_REGISTRY) <= size
-    assert (presentation.content_hash, 2) not in algebra._RING_REGISTRY
+    assert (presentation, 2) not in algebra._RING_REGISTRY
     assert ring_for(presentation, size_ceiling=1) is first
 
 
@@ -366,14 +375,6 @@ def test_socle_monomial_in_the_ideal_is_reported():
     assert report.verdict == "defective"
 
 
-def test_monomial_payload_round_trip():
-    m = Monomial(((gen_a(1), 1), (gen_b(2, 3), 2)))
-    assert m.degree == 3
-    payload = m.to_payload()
-    rebuilt = Monomial.from_payload(payload)
-    assert rebuilt == m
-
-
 def test_poly_arithmetic_basics():
     p = (a_poly(1) + b_poly(1, 2)) * a_poly(2)
     assert p.degree() == 2
@@ -424,7 +425,7 @@ def test_multiply_at_socle_plus_one_does_not_build_that_degree():
     ring = GradedRing(xn_presentation(3))
     product = ring.multiply(a_poly(1) * a_poly(2), b_poly(1, 3) * b_poly(2, 3))
     assert product.is_zero
-    assert 4 not in ring._basis_memo and 4 not in ring._mono_keys_memo
+    assert 4 not in ring._basis_memo and 4 not in ring._columns_memo
 
 
 def test_hilbert_above_the_socle_is_zero_without_building():
@@ -501,7 +502,7 @@ def test_columns_are_the_monomials_outside_the_ideal_in_reference_order(presenta
             sum(c) for c in itertools.combinations_with_replacement(ring._gen_keys, d)
         ]
         outside = [k for k in everything if not any(divides(j, k) for j in ideal)]
-        assert ring._mono_keys(d) == outside
+        assert ring._columns(d) == outside
         basis = ring.basis(d)
         ideal += [basis.keys[lead] for lead, (cols, _) in basis.rref().items()
                   if len(cols) == 1]
@@ -524,7 +525,7 @@ def test_every_dead_monomial_lies_in_the_ideal(presentation, top):
     ring = GradedRing(presentation)
     found = 0
     for d in range(presentation.socle_degree + 1):
-        dead = set(ring._mono_keys(d)) - ring._alive(d)
+        dead = set(ring._columns(d)) - ring._alive(d)
         if not dead:
             continue
         assert d <= top, f"{len(dead)} dead monomials in degree {d}, beyond the oracle"
@@ -558,13 +559,14 @@ def _slice_row(ring, d, tkeys, tcoeffs, mk):
 
 def _full_slice(ring, d):
     """The echelon of every row of the degree-``d`` slice: each multi-term
-    relation times every multiplier, nothing skipped."""
+    relation times every multiplier, nothing skipped, in relation order and
+    tagged with the relation's index."""
     full = SpanReducer(len(ring.key_to_col(d)))
-    for rdeg, tkeys, tcoeffs in ring._prepped:
-        for mk in ring._mono_keys(d - rdeg) if rdeg <= d else ():
+    for i, (rdeg, tkeys, tcoeffs) in enumerate(ring._prepped):
+        for mk in ring._columns(d - rdeg) if rdeg <= d else ():
             cols, coeffs = _slice_row(ring, d, tkeys, tcoeffs, mk)
             if cols:
-                full.insert(cols, coeffs)
+                full.insert(cols, coeffs, i)
     return full
 
 
@@ -594,10 +596,39 @@ def test_every_skipped_row_reduces_to_zero_against_the_full_slice(presentation, 
         column_map = id(ring.key_to_col(d))
         for i, (rdeg, tkeys, tcoeffs) in enumerate(ring._prepped):
             kept = handed.get((column_map, i), set())
-            for mk in ring._mono_keys(d - rdeg) if rdeg <= d else ():
+            for mk in ring._columns(d - rdeg) if rdeg <= d else ():
                 if mk in kept:
                     continue
                 cols, coeffs = _slice_row(ring, d, tkeys, tcoeffs, mk)
                 skipped += 1
                 assert not cols or full.insert(cols, coeffs) == -1, (d, i, mk)
     assert skipped or presentation.label in ("xn:1", "xn:2")
+
+
+@pytest.mark.parametrize(
+    "presentation", [xn_presentation(4), fm_presentation(3), fm_presentation(4)],
+    ids=lambda p: p.label,
+)
+def test_a_basis_payload_is_the_same_however_the_basis_was_found(
+        presentation, tmp_path, monkeypatch):
+    # a basis is its RREF and its tags, both functions of the slice's row
+    # space: the payload does not depend on the rows the criteria skip, nor
+    # on whether the basis was computed or read back from the cache
+    degrees = range(presentation.socle_degree + 1)
+    store = CacheStore(tmp_path)
+    skipping = GradedRing(presentation, cache=store)
+    payloads = [canonical_json(skipping.basis(d).to_payload()) for d in degrees]
+
+    warm = GradedRing(presentation, cache=store)
+    assert [canonical_json(warm.basis(d).to_payload()) for d in degrees] == payloads
+    assert (warm.cache_hits, warm.cache_misses) == (len(degrees), 0)
+
+    def every_row(ring, d):
+        echelon = _full_slice(ring, d)
+        rref = _rref_from_echelon(
+            {lead: (cols, coeffs) for lead, cols, coeffs in echelon.echelon_rows()})
+        return GradedBasis(d, ring._columns(d), rref, echelon.echelon_tags())
+
+    monkeypatch.setattr(GradedRing, "_compute_basis", every_row)
+    full = GradedRing(presentation)
+    assert [canonical_json(full.basis(d).to_payload()) for d in degrees] == payloads

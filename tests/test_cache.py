@@ -113,10 +113,10 @@ def test_warm_ring_reads_every_basis_and_never_eliminates(tmp_path, monkeypatch)
 
 
 def _edit_row(payload, index, edit):
-    echelon = [list(row) for row in payload["echelon"]]
-    lead, cols, coeffs = echelon[index]
-    echelon[index] = edit(lead, list(cols), list(coeffs))
-    return dict(payload, echelon=echelon)
+    rref = [list(row) for row in payload["rref"]]
+    lead, cols, coeffs = rref[index]
+    rref[index] = edit(lead, list(cols), list(coeffs))
+    return dict(payload, rref=rref)
 
 
 def _edit_tags(payload, edit):
@@ -127,14 +127,22 @@ def _edit_tags(payload, edit):
 _X3_RELATIONS = len(GradedRing(xn_presentation(3))._prepped)
 
 # one case per clause of ``_parse_basis_payload`` and per way a row can fail
-# to parse; degree 2 of X^3 has 12 columns and an echelon of 6 rows, each
-# with at least two columns
+# to parse; degree 2 of X^3 has 12 columns and an RREF of 6 rows, each with
+# at least two columns
 TAMPERED_BASES = {
     "stale-count": lambda p: dict(p, monomial_count=p["monomial_count"] + 1),
-    "dimension-only": lambda p: {k: v for k, v in p.items() if k != "echelon"},
-    "unsorted-pivots": lambda p: dict(p, echelon=p["echelon"][::-1]),
+    "dimension-only": lambda p: {k: v for k, v in p.items() if k != "rref"},
+    # the raw-echelon payload of engine version 5, stored under this key
+    "echelon-payload": lambda p: dict(
+        {k: v for k, v in p.items() if k != "rref"},
+        schema="tautring-basis/3", echelon=p["rref"]),
+    "unsorted-pivots": lambda p: dict(p, rref=p["rref"][::-1]),
     "pivot-out-of-range": lambda p: dict(
-        p, echelon=p["echelon"] + [[p["monomial_count"], [p["monomial_count"]], ["1"]]]),
+        p, rref=p["rref"] + [[p["monomial_count"], [p["monomial_count"]], ["1"]]]),
+    # a row that is echelon but not reduced: its tail reaches the next lead
+    "tail-in-pivot-column": lambda p: _edit_row(
+        p, 0, lambda lead, cols, coeffs: [
+            lead, [lead, p["rref"][1][0]], coeffs[:1] + ["1"]]),
     "echelon-leads": lambda p: _edit_row(
         p, 0, lambda lead, cols, coeffs: [lead, cols[1:], coeffs[1:]]),
     "unsorted-row": lambda p: _edit_row(

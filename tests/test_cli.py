@@ -113,6 +113,19 @@ def test_size_guard_exits_three():
     assert report["checks"][0]["count"] > 50  # degree 3 has 90 columns
 
 
+def test_blocks_mode_honours_the_size_ceiling():
+    # the power rings X^S of the blocks are built under the run's ceiling
+    result = run_cli(["--format", "json", "--size-ceiling", "5",
+                      "fm", "check", "--n", "5", "--mode", "blocks"])
+    assert result.exit_code == 3
+    report = strict_report_of(result)
+    assert report["summary"]["status"] == "size-guard"
+    assert report["inputs"] == {"n": 5, "mode": "blocks"}
+    guard = report["checks"][0]
+    assert guard["name"] == "size-guard" and guard["ceiling"] == 5
+    assert guard["label"].startswith("xn:")
+
+
 def test_hilbert_far_above_the_socle_is_zeros():
     result = run_cli(
         ["--format", "json", "xn", "hilbert", "--n", "1", "--max-degree", "70"]

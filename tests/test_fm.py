@@ -6,19 +6,19 @@ from tautring.algebra import ring_for
 from tautring.fm import (
     Forest,
     StandardMonomialFM,
+    _dpart_dict,
     block_pairing,
     compare_dparts,
-    compare_subsets,
     dual_fm,
     enumerate_standard_fm,
     filtration_p,
     filtration_vanishing_check,
     fm_presentation,
     fm_relation_counts,
-    forest_of,
     is_standard_fm,
     much_less,
     psi_pullback,
+    subset_key,
 )
 from tautring.xn import (
     a_poly,
@@ -37,6 +37,16 @@ FROZEN_FM_HILBERT = {
 
 
 # ----- orders and forests -----------------------------------------------------
+
+
+def compare_subsets(I, J):
+    ki, kj = subset_key(I), subset_key(J)
+    return -1 if ki < kj else (1 if ki > kj else 0)
+
+
+def forest_of(dpart):
+    """Forest of a D-part; rejects overlapping non-nested index sets."""
+    return Forest(_dpart_dict(dpart).keys())
 
 
 def test_subset_order_examples():
@@ -72,7 +82,7 @@ def test_forest_shape_of_the_twenty_point_case():
     ]
     forest = Forest(subsets)
     assert len(forest) == 7
-    assert forest.edge_count() == 5
+    assert sum(map(len, forest.children)) == 5  # edges
     degrees = {forest.subsets[r]: forest.degree(r) for r in range(7)}
     assert degrees[tuple(range(1, 9))] == 2
     assert degrees[tuple(range(9, 19))] == 2
@@ -81,7 +91,7 @@ def test_forest_shape_of_the_twenty_point_case():
         tuple(range(1, 9)),
         tuple(range(9, 21)),
     ]
-    externals = {forest.subsets[r] for r in range(7) if forest.is_external(r)}
+    externals = {forest.subsets[r] for r in range(7) if not forest.children[r]}
     assert externals == {(1, 2, 3), (4, 5, 6, 7), (9, 10, 11, 12), (13, 14, 15, 16)}
     assert sorted(forest.s_set(20)) == [1, 9]
 

@@ -1,5 +1,6 @@
 """Closed-form integrals, constants, and the moduli/fiber bridge."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,22 @@ from tautring.hodge import (
     faber_constant,
     fiber_socle_of_psi,
     hodge_psi_integral,
-    valid_alpha_vectors,
 )
+
+
+def valid_alpha_vectors(n, g=2):
+    """All exponent vectors (a_1..a_n), a_i >= 1, summing to g - 2 + n."""
+    total = g - 2 + n
+    out = []
+    for cuts in itertools.combinations(range(1, total), n - 1):
+        parts = []
+        prev = 0
+        for c in list(cuts) + [total]:
+            parts.append(c - prev)
+            prev = c
+        if all(p >= 1 for p in parts):
+            out.append(tuple(parts))
+    return out
 
 
 def test_bernoulli_values():

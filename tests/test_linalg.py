@@ -2,15 +2,14 @@
 
 Every rank and every canonical form here comes from the engine's one
 kernel (``SpanReducer``, ``_rref_from_echelon``, ``_integral_coeffs`` and
-``algebra._integer_rank``) and is checked against Fraction Gauss-Jordan
+``_integer_rank``) and is checked against Fraction Gauss-Jordan
 references from ``test_algebra`` that share no code with it.
 """
 
 import random
 from fractions import Fraction
 
-from tautring._kernel import SpanReducer, _integral_coeffs, _rref_from_echelon
-from tautring.algebra import _integer_rank
+from tautring._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_echelon
 from test_algebra import _fraction_kernel, _fraction_rank, _fraction_rref
 
 
