@@ -33,7 +33,7 @@ column indices are positions in the enumeration order of
 import hashlib
 import json
 from fractions import Fraction
-from operator import lt
+from operator import lt, mul
 from types import SimpleNamespace
 
 from ._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_echelon
@@ -183,14 +183,6 @@ class Monomial:
         m = object.__new__(cls)
         m._fill(exps, degree)
         return m
-
-    @classmethod
-    def from_factors(cls, factors):
-        """Build from an iterable of generators (repeats multiply up)."""
-        acc = {}
-        for g in factors:
-            acc[g] = acc.get(g, 0) + 1
-        return cls(tuple(sorted(acc.items(), key=_factor_key)))
 
     def __eq__(self, other):
         if other.__class__ is not Monomial:
@@ -547,7 +539,7 @@ def _complement(sorted_cols, total):
 
 
 class GradedRing:
-    """Engine wrapper around a Presentation: bases, products, pairings."""
+    """Engine wrapper around a Presentation: bases, normal forms, pairings."""
 
     def __init__(self, presentation, *, size_ceiling=SIZE_CEILING_DEFAULT,
                  cache=None):
@@ -563,6 +555,7 @@ class GradedRing:
         self._mask = (1 << self._bits) - 1
         self._degree_cap = self._mask
         self._columns_memo = {}
+        self._live_memo = {}
         self._key_to_col_memo = {}
         self._basis_memo = {}
         self._socle_table_memo = None
@@ -729,6 +722,22 @@ class GradedRing:
             self._key_to_col_memo[d] = mapping
         return mapping
 
+    def is_zero_key(self, key, d):
+        """Whether the degree-``d`` monomial with packed ``key`` is zero in
+        the ring: exactly when ``key`` is not a live column (:meth:`_alive`),
+        that is, has no column or is a dead pivot.
+
+        Proof.  A key without a column lies in J', inside I.  A column c is
+        read off the canonical RREF of ``basis(d)``: a non-pivot column is a
+        quotient-basis vector, so [c] != 0; a pivot's row is lead*c + tail
+        with its tail in non-pivot columns, so [c] = -tail/lead, which is
+        zero exactly when the tail is empty, that is when c is dead.
+        """
+        live = self._live_memo.get(d)
+        if live is None:
+            live = self._live_memo[d] = self._alive(d)
+        return key not in live
+
     # ----- basis construction ------------------------------------------
 
     def basis(self, d):
@@ -864,14 +873,7 @@ class GradedRing:
             "degree": d,
         }
 
-    # ----- normal forms and products -----------------------------------
-
-    def _check_poly(self, q):
-        genset = self._gen_index
-        for m in q.terms:
-            for g, _ in m.exps:
-                if g not in genset:
-                    raise PresentationError(f"monomial uses unknown generator: {m}")
+    # ----- normal forms ------------------------------------------------
 
     def normal_form(self, q, degree=None):
         """Coordinates of ``q``'s class in the quotient basis of its degree.
@@ -879,9 +881,9 @@ class GradedRing:
         ``q`` must be homogeneous (the zero polynomial is allowed when
         ``degree`` is given explicitly).  Returns a list of Fractions, one
         per quotient-basis monomial, in column order.  Terms in the
-        monomial ideal J' have no column and contribute zero.
+        monomial ideal J' have no column and contribute zero; a term over a
+        foreign generator raises PresentationError (:meth:`monomial_key`).
         """
-        self._check_poly(q)
         qdeg = q.degree()
         if qdeg is None and degree is None:
             raise ValueError("degree of the zero polynomial is ambiguous")
@@ -910,9 +912,9 @@ class GradedRing:
             row = rref.get(col)
             if row is not None:
                 cols, coeffs = row
-                lead = coeffs[0]
+                scale = Fraction(coeff, coeffs[0])  # one exact scale per row
                 for c, v in zip(cols[1:], coeffs[1:]):
-                    out[basis.quotient_pos(c)] -= coeff * Fraction(v, lead)
+                    out[basis.quotient_pos(c)] -= scale * v
             else:
                 out[basis.quotient_pos(col)] += coeff
         return out
@@ -929,29 +931,6 @@ class GradedRing:
             for c, v in zip(basis.quotient_cols, coords)
             if v
         )
-
-    def multiply(self, u, v):
-        """Product of two classes, in normal form.
-
-        A product above the socle degree is zero when
-        :meth:`_above_socle_dimension` returns 0, which it usually proves
-        without building any piece above the socle.  Otherwise a product in
-        degree socle+1 is reduced explicitly, and a higher one is refused.
-        """
-        self._check_poly(u)
-        self._check_poly(v)
-        du, dv = u.degree(), v.degree()
-        if du is None or dv is None:
-            return Poly.zero()
-        target = du + dv
-        socle = self.presentation.socle_degree
-        if target > socle and self._above_socle_dimension() == 0:
-            return Poly.zero()
-        if target > socle + 1:
-            raise PresentationError(
-                "nonzero piece above the socle; cannot truncate product"
-            )
-        return self.nf_poly(u * v, target)
 
     # ----- socle and pairings -------------------------------------------
 
@@ -989,6 +968,20 @@ class GradedRing:
         self._socle_table_memo = lam
         return lam
 
+    def socle_values(self, keys):
+        """Socle evaluations of the degree-``socle`` monomials with these
+        packed keys, as a list; every socle value by key is read here.
+
+        A key with a column c evaluates to lambda(c), the entry of
+        :meth:`socle_table`.  A degree-``socle`` key without a column is a
+        monomial in J' (:meth:`key_to_col`), which lies in I, so its class
+        and its value are 0 (an int).  The keys must have the socle degree:
+        one of another degree has no column here and would read 0.
+        """
+        lam = self.socle_table()
+        col_of = self.key_to_col(self.presentation.socle_degree).get
+        return [0 if (col := col_of(k)) is None else lam[col] for k in keys]
+
     def socle_eval(self, q):
         """Evaluate a degree-``socle`` class against the socle monomial.
 
@@ -999,35 +992,24 @@ class GradedRing:
         qdeg = q.degree()
         if qdeg is not None and qdeg != n:
             raise ValueError(f"socle evaluation needs degree {n}, got {qdeg}")
-        lam = self.socle_table()
-        key_to_col = self.key_to_col(n)
-        total = Fraction(0)
-        for m, c in q.terms.items():
-            col = key_to_col.get(self.monomial_key(m))
-            if col is not None:
-                total += c * lam[col]
-        return total
+        values = self.socle_values([self.monomial_key(m) for m in q.terms])
+        return sum(map(mul, q.terms.values(), values), Fraction(0))
 
     def gram_matrix(self, d):
         """Pairing matrix between the quotient bases of degrees ``d`` and
         ``socle - d``, as a list of rows indexed ``gram[i][j]``.
 
         The entry of quotient columns r and c is the socle evaluation of
-        their product, an exact rational read from the socle table at the
-        column of the key ``r + c`` (zero when the product lies in J').
+        their product, read by :meth:`socle_values` at the key ``r + c``.
         """
         n = self.presentation.socle_degree
         if not 0 <= d <= n:
             raise ValueError("degree out of range")
-        lam = self.socle_table()  # fails early if the socle is defective
-        col_of = self.key_to_col(n).get
+        self.socle_table()  # fails early if the socle is defective
         rows, cols = self.basis(d), self.basis(n - d)
         col_keys = [cols.keys[c] for c in cols.quotient_cols]
-        return [
-            [0 if (col := col_of(rows.keys[r] + c)) is None else lam[col]
-             for c in col_keys]
-            for r in rows.quotient_cols
-        ]
+        return [self.socle_values([rows.keys[r] + c for c in col_keys])
+                for r in rows.quotient_cols]
 
     def gram_rank(self, d):
         """Rank of the default Gram pairing at degree ``d``.

@@ -17,7 +17,8 @@ a pairing inside a smaller power ring X^S.
 """
 
 import itertools
-from functools import cached_property, cmp_to_key
+from functools import cached_property
+from operator import attrgetter
 from types import SimpleNamespace
 
 from ._kernel import _integer_rank
@@ -72,19 +73,21 @@ def _dpart_dict(dpart):
     return out
 
 
-def compare_dparts(d1, d2):
-    """Order on D-parts: scan subsets in increasing subset order; at the
-    first subset where the exponents differ, the smaller exponent gives the
-    smaller monomial.  Returns -1 / 0 / +1.
+def dpart_key(D):
+    """Sort key of the D-part order, for a D-part in the form of
+    ``StandardMonomialFM.D`` (sorted subsets, decreasing subset order).
+
+    The order scans the index sets in increasing subset order; at the first
+    one where the exponents differ (0 when absent), the smaller exponent
+    gives the smaller D-part.  The key lists the factors in increasing
+    subset order, each set negated in size and in every element, which
+    reverses the subset order.  Proof: past a common prefix the keys differ
+    in the exponent of one set, which decides both orders; or in sets
+    s1 < s2 of D1 and D2, where s1 is absent from D2 (whose later sets lie
+    above s2), so D1 > D2 in both; or one key ends, and the longer part
+    has a further set that the shorter lacks, so it is larger in both.
     """
-    d1 = _dpart_dict(d1)
-    d2 = _dpart_dict(d2)
-    for t in sorted(set(d1) | set(d2), key=subset_key):
-        e1 = d1.get(t, 0)
-        e2 = d2.get(t, 0)
-        if e1 != e2:
-            return -1 if e1 < e2 else 1
-    return 0
+    return tuple([((-len(s), tuple([-i for i in s])), e) for s, e in reversed(D)])
 
 
 # ----- forests ---------------------------------------------------------------
@@ -246,10 +249,6 @@ class StandardMonomialFM:
         return len(self.A) + len(self.B) + sum(e for _, e in self.D)
 
     @property
-    def dpart(self):
-        return dict(self.D)
-
-    @property
     def ab_part(self):
         return StandardMonomialXn(self.A, self.B)
 
@@ -264,14 +263,8 @@ class StandardMonomialFM:
     def to_monomial(self):
         factors = [(gen_a(i), 1) for i in sorted(self.A)]
         factors += [(gen_b(*p), 1) for p in sorted(self.B)]
-        factors += [
-            (gen_D(s), e)
-            for s, e in sorted(self.D, key=lambda t: subset_key(t[0]))
-        ]
+        factors += [(gen_D(s), e) for s, e in reversed(self.D)]
         return Monomial(tuple(factors))
-
-    def to_poly(self):
-        return Poly.monomial(self.to_monomial())
 
     def serialize(self):
         return {
@@ -290,8 +283,10 @@ class StandardMonomialFM:
         )
 
     @property
-    def ab_sort_key(self):
-        return (tuple(sorted(self.A)), tuple(sorted(self.B)))
+    def sort_key(self):
+        """Key of the monomial order: the D-part order (:func:`dpart_key`),
+        then the a/b-part lexicographically."""
+        return (dpart_key(self.D), tuple(sorted(self.A)), tuple(sorted(self.B)))
 
     def __str__(self):
         return str(self.to_monomial())
@@ -299,24 +294,19 @@ class StandardMonomialFM:
     __repr__ = __str__
 
 
-def monomial_compare(v1, v2):
-    """Total order: D-parts first (compare_dparts), a/b-part lexicographic
-    tiebreak.  Works on StandardMonomialFM values of the same ground count."""
-    c = compare_dparts(v1.dpart, v2.dpart)
-    if c:
-        return c
-    k1, k2 = v1.ab_sort_key, v2.ab_sort_key
-    return -1 if k1 < k2 else (1 if k1 > k2 else 0)
-
-
 def much_less(v, w):
-    """v << w: v is smaller than every single D-factor of w (vacuously true
-    when w has no D-part)."""
-    for s, _ in w.D:
-        d_only = StandardMonomialFM.make(w.n, (), (), {s: 1})
-        if monomial_compare(v, d_only) != -1:
-            return False
-    return True
+    """v << w: v lies below every single D-factor D_s of w (vacuously true
+    when w has no D-part); in closed form, v has no D-factor at or below
+    the largest index set of w.
+
+    Proof.  The D-part scan (:func:`dpart_key`) of v against D_s meets
+    first the smallest of s and v's sets.  A set t < s of v gives v > D_s;
+    a smallest set s gives v >= D_s (a larger exponent at s, a further
+    set, or the same D-part and an a/b-part at least D_s's empty one);
+    otherwise the scan meets s with exponent 0 against 1, so v < D_s.
+    """
+    return (not v.D or not w.D
+            or subset_key(v.D[-1][0]) > subset_key(w.D[0][0]))
 
 
 def is_standard_fm(v, n=None):
@@ -399,8 +389,8 @@ def _laminar_families(subsets_desc, max_size):
 
 
 def enumerate_standard_fm(n, degree):
-    """All standard monomials of the given degree, deterministically ordered
-    (by D-part under compare_dparts, then by a/b-part)."""
+    """All standard monomials of the given degree, in the monomial order
+    (``StandardMonomialFM.sort_key``: by D-part, then by a/b-part)."""
     if not 0 <= degree:
         raise ValueError("degree must be nonnegative")
     if n > 12:
@@ -429,7 +419,7 @@ def enumerate_standard_fm(n, degree):
             dpart = dict(zip(forest.subsets, exps))
             for ab in enumerate_standard_xn(len(S), degree - weight, ground=S):
                 out.append(StandardMonomialFM.make(n, ab.A, ab.B, dpart))
-    out.sort(key=cmp_to_key(monomial_compare))
+    out.sort(key=attrgetter("sort_key"))
     return out
 
 
@@ -644,15 +634,14 @@ def block_pairing(n, degree, cross_check_engine=None, *,
     degree-matching quotient dimension of X^S, built under
     ``size_ceiling``.  When ``cross_check_engine`` is given (small n),
     every block entry and every cross-block product is verified against
-    the full engine.
+    the full engine.  The blocks come in the D-part order, each cut from
+    the enumeration, which sorts by D-part first.
     """
-    standard = enumerate_standard_fm(n, degree)
-    groups = {}
-    for v in standard:
-        groups.setdefault(v.D, []).append(v)
+    blocks = [list(members) for _, members in
+              itertools.groupby(enumerate_standard_fm(n, degree), attrgetter("D"))]
     reports = []
-    for dkey in sorted(groups, key=cmp_to_key(lambda a, b: compare_dparts(dict(a), dict(b)))):
-        members = groups[dkey]
+    for members in blocks:
+        dkey = members[0].D
         forest = members[0].forest
         S = sorted(forest.s_set(n))
         eps = forest.sign_exponent()
@@ -683,36 +672,39 @@ def block_pairing(n, degree, cross_check_engine=None, *,
             )
         )
     if cross_check_engine is not None:
-        _cross_check_blocks(cross_check_engine, standard, groups, reports)
+        _cross_check_blocks(cross_check_engine, blocks, reports)
     return reports
 
 
-def _cross_check_blocks(ring, standard, groups, reports):
-    """Verify sign rule and triangularity against the full engine."""
-    by_dpart = {r.dpart: r for r in reports}
-    for dkey, members in groups.items():
-        report = by_dpart[dkey]
-        for ii, v in enumerate(members):
-            for jj, w in enumerate(members):
-                engine_value = ring.socle_eval(
-                    v.to_poly() * dual_fm(w).to_poly()
+def _keys(ring, monomials):
+    """Packed engine keys of standard monomials."""
+    return [ring.monomial_key(v.to_monomial()) for v in monomials]
+
+
+def _cross_check_blocks(ring, blocks, reports):
+    """Verify the sign rule and triangularity against the full engine.
+
+    The engine value of v . dual(w) is read from the socle table at the key
+    key(v) + key(dual(w)) (``GradedRing.socle_values``); no product is
+    built.  Sign rule: inside a block the engine values are the block's
+    signed Gram entries.  Triangularity: for v in an earlier block than w,
+    that is with a smaller D-part, the engine value is 0.
+    """
+    dual_keys = [_keys(ring, map(dual_fm, members)) for members in blocks]
+    for i, (members, report) in enumerate(zip(blocks, reports)):
+        for v, kv, gram_row in zip(members, _keys(ring, members), report.gram):
+            row = ring.socle_values([kv + kd for kd in dual_keys[i]])
+            if row != gram_row:
+                raise AssertionError(
+                    f"sign rule fails at {v} . dual(block {report.dpart}): "
+                    f"engine {row}, block {gram_row}"
                 )
-                if engine_value != report.gram[ii][jj]:
-                    report.ok = False
-                    raise AssertionError(
-                        f"sign rule fails at {v} . dual({w}): engine "
-                        f"{engine_value}, block {report.gram[ii][jj]}"
-                    )
-    for v1 in standard:
-        for v2 in standard:
-            if compare_dparts(v1.dpart, v2.dpart) == -1:
-                engine_value = ring.socle_eval(
-                    v1.to_poly() * dual_fm(v2).to_poly()
-                )
-                if engine_value != 0:
-                    raise AssertionError(
-                        f"triangularity fails: {v1} . dual({v2}) = {engine_value}"
-                    )
+            for later, keys in zip(blocks[i + 1:], dual_keys[i + 1:]):
+                for w, value in zip(later, ring.socle_values([kv + kd for kd in keys])):
+                    if value:
+                        raise AssertionError(
+                            f"triangularity fails: {v} . dual({w}) = {value}"
+                        )
 
 
 def filtration_vanishing_check(n, ring=None):
@@ -720,27 +712,22 @@ def filtration_vanishing_check(n, ring=None):
 
     For every pair of standard monomials v, w (any degrees, product degree
     at most n) with w << v and p(v) + deg(w) > n, the full-engine product
-    must vanish.  Returns the number of pairs checked.
+    must vanish: the key key(v) + key(w) is tested by
+    ``GradedRing.is_zero_key``, with no product built.  Returns the number
+    of pairs checked.
     """
     if ring is None:
         ring = ring_for(fm_presentation(n))
-    all_standard = []
-    for d in range(n + 1):
-        all_standard.extend(enumerate_standard_fm(n, d))
+    standard = [v for d in range(n + 1) for v in enumerate_standard_fm(n, d)]
+    keyed = list(zip(standard, _keys(ring, standard)))
     checked = 0
-    for v in all_standard:
+    for v, kv in keyed:
         pv = filtration_p(v)
-        for w in all_standard:
-            if v.degree + w.degree > n:
+        for w, kw in keyed:
+            d = v.degree + w.degree
+            if d > n or pv + w.degree <= n or not much_less(w, v):
                 continue
-            if pv + w.degree <= n:
-                continue
-            if not much_less(w, v):
-                continue
-            product = ring.multiply(v.to_poly(), w.to_poly())
-            if not product.is_zero:
-                raise AssertionError(
-                    f"filtration vanishing fails: {v} . {w} = {product}"
-                )
+            if not ring.is_zero_key(kv + kw, d):
+                raise AssertionError(f"filtration vanishing fails: {v} . {w} != 0")
             checked += 1
     return checked

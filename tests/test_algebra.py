@@ -33,9 +33,17 @@ from tautring.xn import a_poly, b_poly, xn_presentation
 # elimination over Fraction.  Slow, simple, and a genuinely separate path.
 
 
+def monomial_from_factors(factors):
+    """The monomial of an iterable of generators (repeats multiply up)."""
+    acc = {}
+    for g in factors:
+        acc[g] = acc.get(g, 0) + 1
+    return Monomial(tuple(sorted(acc.items(), key=lambda t: t[0].sort_key)))
+
+
 def _all_monomials(generators, degree):
     out = [
-        Monomial.from_factors(combo)
+        monomial_from_factors(combo)
         for combo in itertools.combinations_with_replacement(generators, degree)
     ]
     return sorted(out, key=lambda m: m.exps)
@@ -189,10 +197,28 @@ def test_normal_form_is_idempotent_on_random_polys():
         assert ring.nf_poly(nf) == nf
 
 
-def test_products_above_socle_vanish():
-    ring = ring_for(xn_presentation(2))
-    q = ring.multiply(a_poly(1) * a_poly(2), b_poly(1, 2))
-    assert q.is_zero
+@pytest.mark.parametrize("presentation", [fm_presentation(3), xn_presentation(4)],
+                         ids=["X[3]", "X^4"])
+def test_key_helpers_agree_with_normal_forms(presentation):
+    # every monomial of degree <= n, those in J' (no column) included:
+    # is_zero_key against the normal form, socle_values against socle_eval
+    # and against the ratio of degree-n normal-form coordinates
+    ring = GradedRing(presentation)
+    n = presentation.socle_degree
+    gens = range(len(presentation.generators))
+    socle_coord = ring.normal_form(Poly.monomial(presentation.socle_monomial))[0]
+    no_column = 0
+    for d in range(n + 1):
+        for combo in itertools.combinations_with_replacement(gens, d):
+            key = sum(ring._gen_keys[g] for g in combo)
+            m = Poly.monomial(ring.decode_key(key))
+            nf = ring.normal_form(m)
+            no_column += key not in ring.key_to_col(d)
+            assert ring.is_zero_key(key, d) == (not any(nf)), (d, m)
+            if d == n:
+                (value,) = ring.socle_values([key])
+                assert value == ring.socle_eval(m) == nf[0] / socle_coord, m
+    assert no_column > 0
 
 
 def test_socle_evaluation_of_socle_monomial_is_one():
@@ -315,7 +341,7 @@ def test_product_monomials_equal_validated_ones():
     assert product == built and hash(product) == hash(built)
     assert product.degree == 5 and product.sort_key == built.sort_key
     assert x * Monomial() == x and Monomial() * x == x
-    assert Monomial.from_factors([b12, a2, a1, a2, a2]) == built
+    assert monomial_from_factors([b12, a2, a1, a2, a2]) == built
 
 
 def test_poly_stores_integral_coefficients_as_ints():
@@ -421,13 +447,6 @@ def test_vanishing_falls_back_to_elimination_when_the_lemma_does_not_apply():
     assert ring.hilbert(3) == [1, 1, 1, 1]
 
 
-def test_multiply_at_socle_plus_one_does_not_build_that_degree():
-    ring = GradedRing(xn_presentation(3))
-    product = ring.multiply(a_poly(1) * a_poly(2), b_poly(1, 3) * b_poly(2, 3))
-    assert product.is_zero
-    assert 4 not in ring._basis_memo and 4 not in ring._columns_memo
-
-
 def test_hilbert_above_the_socle_is_zero_without_building():
     ring = GradedRing(xn_presentation(2))
     assert ring.hilbert(70) == [1, 3, 1] + [0] * 68
@@ -456,6 +475,14 @@ def test_monomials_in_the_ideal_are_zero():
         ring.normal_form(a_poly(1) * a_poly(1), 3)
     with pytest.raises(ValueError):
         ring.socle_eval(a_poly(1) * a_poly(1))
+
+
+def test_foreign_generators_are_refused():
+    ring = ring_for(xn_presentation(2))
+    with pytest.raises(PresentationError):
+        ring.normal_form(a_poly(3))
+    with pytest.raises(PresentationError):
+        ring.socle_eval(a_poly(1) * a_poly(3))
 
 
 def _higher_degree_ideal_presentation():

@@ -8,7 +8,6 @@ import pytest
 from tautring.algebra import (
     ENGINE_VERSION,
     GradedRing,
-    Monomial,
     Poly,
     Presentation,
     canonical_json,
@@ -17,6 +16,8 @@ from tautring.algebra import (
 from tautring.cache import CacheStore, _digest, _payload_digest
 from tautring.fm import fm_presentation
 from tautring.xn import xn_presentation
+
+from test_algebra import monomial_from_factors
 
 
 def test_round_trip_and_stats(tmp_path):
@@ -186,10 +187,10 @@ def test_a_planted_gram_rank_does_not_change_the_verdict(tmp_path):
     # stored; a planted rank 2 made the ring pass.
     a1, a2 = gen_a(1), gen_a(2)
     relations = [
-        Poly.monomial(Monomial.from_factors(f)) for f in ([a1, a1], [a1, a2], [a2] * 3)
+        Poly.monomial(monomial_from_factors(f)) for f in ([a1, a1], [a1, a2], [a2] * 3)
     ]
     presentation = Presentation(
-        "planted", (1, 2), (a1, a2), relations, 2, Monomial.from_factors([a2, a2])
+        "planted", (1, 2), (a1, a2), relations, 2, monomial_from_factors([a2, a2])
     )
     store = CacheStore(tmp_path)
     store.put(

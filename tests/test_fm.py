@@ -1,14 +1,17 @@
 """Compactified-ring combinatorics: forests, duality, blocks, filtration."""
 
+from functools import cmp_to_key
+
 import pytest
 
-from tautring.algebra import ring_for
+from tautring.algebra import Poly, ring_for
 from tautring.fm import (
     Forest,
     StandardMonomialFM,
+    _cross_check_blocks,
     _dpart_dict,
     block_pairing,
-    compare_dparts,
+    dpart_key,
     dual_fm,
     enumerate_standard_fm,
     filtration_p,
@@ -56,13 +59,78 @@ def test_subset_order_examples():
     assert compare_subsets((1, 2, 3), (1, 2, 3)) == 0
 
 
+# The D-part order and the relation << by their definitions, as scans; the
+# sort keys and the closed form of ``much_less`` must agree with them.
+
+
+def reference_compare_dparts(d1, d2):
+    """Order on D-parts: scan subsets in increasing subset order; at the
+    first subset where the exponents differ, the smaller exponent gives the
+    smaller monomial.  Returns -1 / 0 / +1.
+    """
+    d1 = _dpart_dict(d1)
+    d2 = _dpart_dict(d2)
+    for t in sorted(set(d1) | set(d2), key=subset_key):
+        e1 = d1.get(t, 0)
+        e2 = d2.get(t, 0)
+        if e1 != e2:
+            return -1 if e1 < e2 else 1
+    return 0
+
+
+def reference_monomial_compare(v1, v2):
+    """D-parts first, a/b-part lexicographic tiebreak."""
+    c = reference_compare_dparts(v1.D, v2.D)
+    if c:
+        return c
+    k1 = (tuple(sorted(v1.A)), tuple(sorted(v1.B)))
+    k2 = (tuple(sorted(v2.A)), tuple(sorted(v2.B)))
+    return -1 if k1 < k2 else (1 if k1 > k2 else 0)
+
+
+def reference_much_less(v, w):
+    """v << w: v is smaller than every single D-factor of w."""
+    return all(
+        reference_monomial_compare(v, StandardMonomialFM.make(w.n, D={s: 1})) == -1
+        for s, _ in w.D
+    )
+
+
 def test_dpart_order_examples():
     # scanning in increasing subset order, the first differing exponent
     # decides; missing subsets count as exponent zero
-    assert compare_dparts({(1, 2, 4): 1}, {(1, 2, 3): 1}) == -1
-    assert compare_dparts({(1, 2, 3): 1}, {(1, 2, 3): 1, (4, 5, 6): 1}) == -1
-    assert compare_dparts({(1, 2, 3): 2}, {(1, 2, 3): 1}) == 1
-    assert compare_dparts({(1, 2, 3): 1}, {(1, 2, 3): 1}) == 0
+    cmp = reference_compare_dparts
+    assert cmp({(1, 2, 4): 1}, {(1, 2, 3): 1}) == -1
+    assert cmp({(1, 2, 3): 1}, {(1, 2, 3): 1, (4, 5, 6): 1}) == -1
+    assert cmp({(1, 2, 3): 2}, {(1, 2, 3): 1}) == 1
+    assert cmp({(1, 2, 3): 1}, {(1, 2, 3): 1}) == 0
+    for d1, d2 in [({(1, 2, 4): 1}, {(1, 2, 3): 1}),
+                   ({(1, 2, 3): 1}, {(1, 2, 3): 1, (4, 5, 6): 1}),
+                   ({(1, 2, 3): 1}, {(1, 2, 3): 2})]:
+        k1, k2 = (dpart_key(StandardMonomialFM.make(6, D=d).D) for d in (d1, d2))
+        assert k1 < k2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sort_key_and_much_less_agree_with_the_scan_definitions(n):
+    standard = [v for d in range(n + 1) for v in enumerate_standard_fm(n, d)]
+    for d in range(n + 1):
+        found = enumerate_standard_fm(n, d)
+        assert found == sorted(found, key=cmp_to_key(reference_monomial_compare))
+    dparts = {v.D for v in standard}
+    for D1 in dparts:
+        for D2 in dparts:
+            k1, k2 = dpart_key(D1), dpart_key(D2)
+            assert (k1 > k2) - (k1 < k2) == reference_compare_dparts(D1, D2)
+    # much_less reads only the D-parts, and the reference only whether v
+    # has an a/b-part besides; the reference memo keys on both
+    reference = {}
+    for v in standard:
+        for w in standard:
+            memo = (v.D, bool(v.A or v.B), w.D)
+            if memo not in reference:
+                reference[memo] = reference_much_less(v, w)
+            assert much_less(v, w) == reference[memo], (v, w)
 
 
 def test_forest_rejects_overlapping_subsets():
@@ -303,7 +371,8 @@ def test_block_example_at_three_points():
     assert d_block.rank == 1 and d_block.xs_dimension == 1
     ring = ring_for(fm_presentation(3))
     v = StandardMonomialFM.make(3, D={(1, 2, 3): 1})
-    assert ring.socle_eval(v.to_poly() * dual_fm(v).to_poly()) == -1
+    product = Poly.monomial(v.to_monomial()) * Poly.monomial(dual_fm(v).to_monomial())
+    assert ring.socle_eval(product) == -1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -313,6 +382,17 @@ def test_blocks_cross_checked_against_engine(n):
         reports = block_pairing(n, d, cross_check_engine=engine)
         assert all(r.ok for r in reports)
         assert sum(r.rank for r in reports) == engine.basis(d).dimension
+
+
+def test_triangularity_check_catches_blocks_out_of_order():
+    # reversed, the blocks pair larger D-parts with the duals of smaller
+    # ones, and X[4] has a nonzero such product in degree 2
+    engine = ring_for(fm_presentation(4))
+    reports = block_pairing(4, 2)
+    blocks = [[v for v in enumerate_standard_fm(4, 2) if v.D == r.dpart] for r in reports]
+    _cross_check_blocks(engine, blocks, reports)
+    with pytest.raises(AssertionError, match="triangularity fails"):
+        _cross_check_blocks(engine, blocks[::-1], reports[::-1])
 
 
 @pytest.mark.parametrize("n", [5, 6])
