@@ -30,9 +30,9 @@ column indices are positions in the enumeration order of
 :meth:`GradedRing._columns`.
 """
 
-import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 from operator import lt, mul
 from types import SimpleNamespace
 
@@ -404,7 +404,15 @@ class Presentation:
 
     @property
     def content_hash(self):
+        """SHA-256 of the canonical JSON payload, computed once.
+
+        ``hashlib`` is imported here, on first use, not at module top: it
+        loads OpenSSL, which costs every run peak memory and start-up time,
+        and only cache keys and ``fm presentation`` read this hash.
+        """
         if self._hash is None:
+            import hashlib
+
             self._hash = hashlib.sha256(
                 canonical_json(self.to_payload()).encode()
             ).hexdigest()
@@ -897,27 +905,42 @@ class GradedRing:
         return self._normal_form_keys(key_coeffs, degree)
 
     def _normal_form_keys(self, key_coeffs, degree):
+        """:meth:`normal_form` of ``{packed key: coefficient}``.
+
+        A coefficient p/q at a quotient column adds p/q there.  At a pivot
+        column with RREF row ``lead*x + sum(v*x_c)`` (every x_c a quotient
+        column) it adds -p*v/(q*lead) at each x_c, because the row lies in
+        I.  So every contribution is an integer over the denominator q or
+        q*lead of its term: the numerators are summed in integers over the
+        lcm D of those denominators, and each coordinate is one
+        ``Fraction(numerator, D)``, the same value as the sum of the
+        Fractions.
+        """
         basis = self.basis(degree)
         if basis.dimension == 0:
             return []
         key_to_col = self.key_to_col(degree)
         rref = basis.rref()
-        out = [Fraction(0)] * basis.dimension
+        terms = []  # (numerator, denominator, RREF row or None, column)
         for key, coeff in key_coeffs.items():
-            if not coeff:
-                continue
             col = key_to_col.get(key)
-            if col is None:
+            if not coeff or col is None:
                 continue  # in J', inside I (the caller checked the degree)
             row = rref.get(col)
-            if row is not None:
-                cols, coeffs = row
-                scale = Fraction(coeff, coeffs[0])  # one exact scale per row
-                for c, v in zip(cols[1:], coeffs[1:]):
-                    out[basis.quotient_pos(c)] -= scale * v
+            den = coeff.denominator * (1 if row is None else row[1][0])
+            terms.append((coeff.numerator, den, row, col))
+        common = lcm(*(den for _, den, _, _ in terms))
+        nums = [0] * basis.dimension
+        qpos = basis.quotient_pos
+        for num, den, row, col in terms:
+            scale = num * (common // den)
+            if row is None:
+                nums[qpos(col)] += scale
             else:
-                out[basis.quotient_pos(col)] += coeff
-        return out
+                cols, coeffs = row
+                for c, v in zip(cols[1:], coeffs[1:]):
+                    nums[qpos(c)] -= scale * v
+        return [Fraction(x, common) for x in nums]
 
     def nf_poly(self, q, degree=None):
         """Normal form of ``q`` as a Poly over quotient-basis monomials."""

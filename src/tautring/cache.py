@@ -30,7 +30,6 @@ degree (``GradedRing._columns``), even at a degree that is computed fresh.
 not a wrong row space itself.
 """
 
-import hashlib
 import json
 import os
 import tempfile
@@ -40,8 +39,19 @@ from .algebra import canonical_json
 _SCHEMA = "tautring-cache-1"
 
 
+def _sha256(data=b""):
+    """A new SHA-256 object; the one place this module imports ``hashlib``.
+
+    The import is deferred to the first digest because ``hashlib`` loads
+    OpenSSL, and a run without a store never takes one.
+    """
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def _digest(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -64,7 +74,7 @@ def _payload_pieces(payload):
 
 def _payload_digest(payload):
     """``_digest(canonical_json(payload))`` for a dict ``payload``."""
-    digest = hashlib.sha256()
+    digest = _sha256()
     for piece in _payload_pieces(payload):
         digest.update(piece.encode("utf-8"))
     return digest.hexdigest()
@@ -110,7 +120,7 @@ class CacheStore:
         piece goes to the digest and to the file, and the digest is written
         last.
         """
-        digest = hashlib.sha256()
+        digest = _sha256()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:

@@ -715,19 +715,27 @@ def filtration_vanishing_check(n, ring=None):
     must vanish: the key key(v) + key(w) is tested by
     ``GradedRing.is_zero_key``, with no product built.  Returns the number
     of pairs checked.
+
+    The monomials are bucketed by degree, so for v of degree a only the
+    degrees b with n - p(v) < b <= n - a are scanned: the two degree
+    conditions select whole buckets, and ``much_less`` is the only test
+    left per pair.  The pairs are visited in the order of a scan over all
+    ordered pairs of the degree-sorted list.
     """
     if ring is None:
         ring = ring_for(fm_presentation(n))
-    standard = [v for d in range(n + 1) for v in enumerate_standard_fm(n, d)]
-    keyed = list(zip(standard, _keys(ring, standard)))
+    by_degree = []
+    for d in range(n + 1):
+        standard = enumerate_standard_fm(n, d)
+        by_degree.append(list(zip(standard, _keys(ring, standard))))
     checked = 0
-    for v, kv in keyed:
-        pv = filtration_p(v)
-        for w, kw in keyed:
-            d = v.degree + w.degree
-            if d > n or pv + w.degree <= n or not much_less(w, v):
-                continue
-            if not ring.is_zero_key(kv + kw, d):
-                raise AssertionError(f"filtration vanishing fails: {v} . {w} != 0")
-            checked += 1
+    for a, keyed in enumerate(by_degree):
+        for v, kv in keyed:
+            for b in range(max(0, n + 1 - filtration_p(v)), n - a + 1):
+                for w, kw in by_degree[b]:
+                    if not much_less(w, v):
+                        continue
+                    if not ring.is_zero_key(kv + kw, a + b):
+                        raise AssertionError(f"filtration vanishing fails: {v} . {w} != 0")
+                    checked += 1
     return checked

@@ -197,6 +197,49 @@ def test_normal_form_is_idempotent_on_random_polys():
         assert ring.nf_poly(nf) == nf
 
 
+def reference_normal_form(ring, q, d):
+    """The normal form summed in Fractions, one term and tail entry at a
+    time: a pivot column's RREF row lead*x + sum(v*x_c) gives
+    x = -sum(v/lead * x_c)."""
+    basis = ring.basis(d)
+    pos = {c: i for i, c in enumerate(basis.quotient_cols)}
+    out = [Fraction(0)] * basis.dimension
+    for m, coeff in q.terms.items():
+        col = ring.key_to_col(d).get(ring.monomial_key(m))
+        if col is None:
+            continue
+        row = basis.rref().get(col)
+        if row is None:
+            out[pos[col]] += coeff
+        else:
+            cols, coeffs = row
+            for c, v in zip(cols[1:], coeffs[1:]):
+                out[pos[c]] -= Fraction(coeff) * v / coeffs[0]
+    return out
+
+
+@pytest.mark.parametrize("presentation", [fm_presentation(3), fm_presentation(4),
+                                          xn_presentation(4)],
+                         ids=["X[3]", "X[4]", "X^4"])
+def test_normal_forms_equal_the_fraction_sums(presentation):
+    # random rational combinations in every degree, pivot columns, quotient
+    # columns and J' monomials mixed; equal values and Fraction entries
+    rng = random.Random(11)
+    ring = ring_for(presentation)
+    gens = range(len(presentation.generators))
+    for d in range(presentation.socle_degree + 1):
+        keys = [sum(ring._gen_keys[g] for g in combo)
+                for combo in itertools.combinations_with_replacement(gens, d)]
+        for _ in range(15):
+            q = Poly.zero()
+            for key in rng.sample(keys, min(6, len(keys))):
+                c = Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 7, 12]))
+                q = q + Poly.monomial(ring.decode_key(key)).scale(c)
+            nf = ring.normal_form(q, d)
+            assert nf == reference_normal_form(ring, q, d), (d, q)
+            assert all(type(x) is Fraction for x in nf)
+
+
 @pytest.mark.parametrize("presentation", [fm_presentation(3), xn_presentation(4)],
                          ids=["X[3]", "X^4"])
 def test_key_helpers_agree_with_normal_forms(presentation):

@@ -35,22 +35,72 @@ def test_xn_check_passes():
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
-def test_importing_the_cli_loads_no_heavy_modules():
-    # start-up cost: the front end uses argparse, the value classes are
-    # hand-written, so neither click nor dataclasses (and with it inspect)
-    # is imported on the way to a report
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    ``tautring``, with no cache directory in its environment; returns its
+    standard output."""
     import tautring
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(tautring.__file__)))
     env = dict(os.environ)
+    env.pop("TAUTRING_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import json, sys; before = set(sys.modules); import tautring.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    loaded = set(json.loads(done.stdout))
+    return done.stdout
+
+
+def test_importing_the_cli_loads_no_heavy_modules():
+    # start-up cost: the front end uses argparse, the value classes are
+    # hand-written, so neither click nor dataclasses (and with it inspect)
+    # is imported on the way to a report, and hashlib (which loads
+    # OpenSSL's _hashlib) waits for the first digest
+    code = ("import json, sys; before = set(sys.modules); import tautring.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    loaded = set(json.loads(_fresh_python(code)))
     assert "tautring.cli" in loaded
-    assert not loaded & {"click", "dataclasses", "inspect"}
+    assert not loaded & {"click", "dataclasses", "inspect", "hashlib", "_hashlib"}
+
+
+def test_cache_free_commands_take_no_digest():
+    # a run without a store hashes nothing, so OpenSSL is never loaded;
+    # the first content hash then loads it and still reads the pinned value
+    from test_algebra import PINNED_HASHES
+
+    code = """if True:
+        import contextlib, io, json, sys
+        from tautring.cli import main
+        from tautring.xn import xn_presentation
+        for args in (["bridge", "--n", "2"], ["xn", "check", "--n", "3"],
+                     ["fm", "check", "--n", "3", "--mode", "blocks"]):
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(["--format", "json"] + args, prog_name="tautring")
+            except SystemExit as exc:
+                assert exc.code == 0, (args, exc.code)
+        hashing = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+        print(json.dumps([hashing, xn_presentation(3).content_hash,
+                          "_hashlib" in sys.modules]))
+    """
+    hashing, content_hash, loaded_after = json.loads(_fresh_python(code))
+    assert hashing == []
+    assert content_hash == PINNED_HASHES["xn:3"]
+    assert loaded_after
+
+
+def test_cache_entries_keep_their_names(tmp_path):
+    # the cache key digest of every X^3 basis; a change here orphans every
+    # stored entry
+    cache_dir = tmp_path / "cache"
+    result = run_cli(["--format", "json", "--cache-dir", str(cache_dir),
+                      "xn", "check", "--n", "3"])
+    assert result.exit_code == 0
+    assert sorted(os.listdir(cache_dir)) == [
+        "45a1f2b896a369903c3aa7645971ee11b693ba9c6450da1b47891220a9ce6409.json",
+        "ed68c927964cc18161021b1250d2e9969e150784e38f5ef412fb77ef7bde54d4.json",
+        "f8310278d92bca290e09176700fd6dce865e7f7ee3cf72600925ddac7c945fce.json",
+        "fc8080cfffbb648e332c2c0603449e6bf550f14d960acdcf1f53b008bd4ee99a.json",
+    ]
 
 
 @pytest.mark.parametrize("args, code", [

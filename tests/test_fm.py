@@ -4,7 +4,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from tautring.algebra import Poly, ring_for
+from tautring.algebra import GradedRing, Poly, ring_for
 from tautring.fm import (
     Forest,
     StandardMonomialFM,
@@ -297,6 +297,26 @@ def test_much_less_examples():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_filtration_vanishing_against_engine(n):
     filtration_vanishing_check(n)  # raises on any counterexample
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_filtration_check_visits_the_pairs_of_the_full_scan(n):
+    # the degree-bucketed scan tests exactly the pairs, in the same order,
+    # that a scan over every ordered pair selects; a recording zero test
+    # stands in for the engine, so no X[n] basis is built
+    ring = GradedRing(fm_presentation(n))
+    standard = [v for d in range(n + 1) for v in enumerate_standard_fm(n, d)]
+    expected = []
+    for v in standard:
+        for w in standard:
+            d = v.degree + w.degree
+            if d <= n and filtration_p(v) + w.degree > n and much_less(w, v):
+                expected.append((ring.monomial_key(v.to_monomial() * w.to_monomial()), d))
+    seen = []
+    ring.is_zero_key = lambda key, d: seen.append((key, d)) or True
+    assert filtration_vanishing_check(n, ring=ring) == len(expected)
+    assert seen == expected
+    assert len(expected) == {1: 0, 2: 0, 3: 12, 4: 523, 5: 20000}[n]
 
 
 # ----- presentation ----------------------------------------------------------
