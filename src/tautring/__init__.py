@@ -17,7 +17,7 @@ from .algebra import (
     gorenstein_check,
     ring_for,
 )
-from .cache import CacheStore
+from .cache import CachedRing, CacheStore
 from .fm import (
     StandardMonomialFM,
     block_pairing,
@@ -50,6 +50,7 @@ __version__ = "0.1.0"
 KERNEL_BACKEND = "pure"
 
 __all__ = [
+    "CachedRing",
     "CacheStore",
     "GradedRing",
     "KERNEL_BACKEND",

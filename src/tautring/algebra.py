@@ -12,9 +12,8 @@ piece of the quotient ring R = S/I by explicit exact linear algebra:
 * the degree-``d`` slice of I/J' (multi-term relation times a multiplier
   outside J', with the terms that land in J' dropped) is echelonized
   exactly and back-substituted into its canonical RREF, the one form a
-  :class:`GradedBasis` holds and the cache stores.  The quotient is read
-  off the non-pivot columns, normal forms and the socle functional off the
-  RREF rows.
+  :class:`GradedBasis` holds.  The quotient is read off the non-pivot
+  columns, normal forms and the socle functional off the RREF rows.
 
 No Groebner basis is computed -- ranks of explicit integer matrices decide
 everything, which keeps the verification auditable.  A row of the slice is
@@ -33,7 +32,7 @@ column indices are positions in the enumeration order of
 import json
 from fractions import Fraction
 from math import lcm
-from operator import lt, mul
+from operator import mul
 from types import SimpleNamespace
 
 from ._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_echelon
@@ -42,10 +41,6 @@ from ._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_ec
 #: the monomial ideal) the engine will enumerate before refusing (guards
 #: against accidental combinatorial blowup).
 SIZE_CEILING_DEFAULT = 5_000_000
-
-#: Bumped whenever the on-disk basis payload format or the engine's
-#: column conventions change; part of every cache key.
-ENGINE_VERSION = "6"
 
 
 class SizeCeilingError(RuntimeError):
@@ -439,8 +434,7 @@ class GradedBasis:
     the index in ``GradedRing._prepped`` of the relation whose row adopted
     each lead, which :meth:`GradedRing._compute_basis` reads at higher
     degrees.  Neither depends on the rows ``_compute_basis`` skipped (see
-    its docstring).  Computed and cached bases are built by this one
-    constructor.
+    its docstring).
     """
 
     def __init__(self, degree, keys, rref, tags):
@@ -471,67 +465,6 @@ class GradedBasis:
         """The RREF rows as ``(lead, cols, coeffs)``, sorted by lead."""
         return [(lead, cols, coeffs) for lead, (cols, coeffs) in self._rref.items()]
 
-    def to_payload(self):
-        """The cache payload; it shares this basis's row and tag lists, so
-        it is for serializing, not for editing."""
-        return {
-            "schema": "tautring-basis/4",
-            "degree": self.degree,
-            "monomial_count": self.monomial_count,
-            "rref": [
-                [lead, cols, [str(c) for c in coeffs]]
-                for lead, (cols, coeffs) in self._rref.items()
-            ],
-            "tags": self.tags,
-        }
-
-
-def _parse_basis_payload(payload, count, relations):
-    """``(rref, tags)`` of a cached basis payload over ``count`` columns and
-    ``relations`` row sources, or None when the payload is not one.
-
-    The payload must have been built over the same ``count`` columns, and
-    its rows must have the shape of an RREF: leads strictly increasing
-    inside ``range(count)``; each row's columns starting at its lead,
-    strictly increasing and below ``count``; one nonzero integer
-    coefficient per column; and no tail column a lead, which the readers of
-    :meth:`GradedBasis.rref` rely on.  Its tags must be one integer in
-    ``range(relations)`` per row.  Anything else -- a stale or inconsistent
-    entry, or one that does not parse at all -- is None, which the engine
-    counts as a miss, recomputes and overwrites.
-    """
-    rref = {}
-    prev = -1
-    try:
-        if payload["monomial_count"] != count:
-            return None
-        tags = payload["tags"]
-        if not (
-            type(tags) is list
-            and all(type(t) is int and 0 <= t < relations for t in tags)
-        ):
-            return None
-        for lead, cols, coeffs in payload["rref"]:
-            coeffs = [int(c) for c in coeffs]
-            if not (
-                prev < lead
-                and cols[:1] == [lead]
-                and all(map(lt, cols, cols[1:]))
-                and cols[-1] < count
-                and len(cols) == len(coeffs)
-                and all(coeffs)
-            ):
-                return None
-            rref[lead] = (cols, coeffs)
-            prev = lead
-    except (KeyError, TypeError, ValueError):
-        return None
-    if len(tags) != len(rref) or any(
-        c in rref for cols, _ in rref.values() for c in cols[1:]
-    ):
-        return None
-    return rref, tags
-
 
 def _complement(sorted_cols, total):
     """Ascending tuple of the columns not in ``sorted_cols``."""
@@ -549,11 +482,9 @@ def _complement(sorted_cols, total):
 class GradedRing:
     """Engine wrapper around a Presentation: bases, normal forms, pairings."""
 
-    def __init__(self, presentation, *, size_ceiling=SIZE_CEILING_DEFAULT,
-                 cache=None):
+    def __init__(self, presentation, *, size_ceiling=SIZE_CEILING_DEFAULT):
         self.presentation = presentation
         self.size_ceiling = size_ceiling
-        self.cache = cache
         gens = presentation.generators
         self._gen_index = {g: i for i, g in enumerate(gens)}
         # Bit width per exponent slot: big enough for any degree we can
@@ -570,8 +501,6 @@ class GradedRing:
         self._gram_rank_memo = {}
         self._ideal, self._prepped = self._prepare_relations()
         self._lowest = min((rdeg for rdeg, _, _ in self._prepped), default=float("inf"))
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ----- encoding ---------------------------------------------------
 
@@ -749,16 +678,12 @@ class GradedRing:
     # ----- basis construction ------------------------------------------
 
     def basis(self, d):
-        """The degree-``d`` graded piece (memoized, cache-aware)."""
+        """The degree-``d`` graded piece (memoized)."""
         if d < 0:
             raise ValueError("degree must be nonnegative")
         basis = self._basis_memo.get(d)
         if basis is None:
-            basis = self._load_cached_basis(d)
-            if basis is None:
-                basis = self._compute_basis(d)
-                self._store_cached_basis(basis)
-            self._basis_memo[d] = basis
+            basis = self._basis_memo[d] = self._compute_basis(d)
         return basis
 
     def _compute_basis(self, d):
@@ -808,9 +733,7 @@ class GradedRing:
         came.  So the leads of ``basis(d)``, its quotient columns, RREF and
         socle table, and every rank and report, are those of the full
         slice; only the raw echelon rows may differ, and they are dropped
-        once the RREF is built.  A cached lower degree serves the criteria
-        through its stored tags, which are checked for shape only
-        (:func:`_parse_basis_payload`).
+        once the RREF is built.
 
         The criteria read ``basis(e)`` and ``basis(r_i)``, both below
         ``d``, built on demand; a degree below every r_i has no leads and
@@ -854,32 +777,6 @@ class GradedRing:
         for lead, tag in zip(basis.pivot_cols, basis.tags):
             owner[lead] = tag
         return owner
-
-    def _load_cached_basis(self, d):
-        if self.cache is None:
-            return None
-        payload = self.cache.get(self._basis_cache_key(d))
-        keys = self._columns(d)
-        parsed = (None if payload is None
-                  else _parse_basis_payload(payload, len(keys), len(self._prepped)))
-        if parsed is None:
-            self.cache_misses += 1
-            return None
-        self.cache_hits += 1
-        return GradedBasis(d, keys, *parsed)
-
-    def _store_cached_basis(self, basis):
-        if self.cache is None:
-            return
-        self.cache.put(self._basis_cache_key(basis.degree), basis.to_payload())
-
-    def _basis_cache_key(self, d):
-        return {
-            "kind": "basis",
-            "engine": ENGINE_VERSION,
-            "presentation": self.presentation.content_hash,
-            "degree": d,
-        }
 
     # ----- normal forms ------------------------------------------------
 
@@ -1035,12 +932,7 @@ class GradedRing:
                 for r in rows.quotient_cols]
 
     def gram_rank(self, d):
-        """Rank of the default Gram pairing at degree ``d``.
-
-        Always computed from the bases, never read from the cache: a stored
-        rank could not be checked without computing it again, and computing
-        it is cheap (see :mod:`tautring.cache`).
-        """
+        """Rank of the default Gram pairing at degree ``d``."""
         n = self.presentation.socle_degree
         dlo = min(d, n - d)
         rank = self._gram_rank_memo.get(dlo)
@@ -1204,18 +1096,16 @@ _RING_REGISTRY_SIZE = 8
 
 
 def ring_for(presentation, *, size_ceiling=SIZE_CEILING_DEFAULT):
-    """Shared cache-free GradedRing for a presentation (keyed by the
-    presentation object and the size ceiling).
+    """Shared GradedRing for a presentation (keyed by the presentation
+    object and the size ceiling).
 
     Reusing the ring lets separate API calls share memoized bases.  Only
     the ``_RING_REGISTRY_SIZE`` rings used last are kept, so a long-lived
     process does not keep every ring it built; one ``fm check --n 6 --mode
-    blocks`` uses five (X^1, X^2, X^3, X^4 and X^6).  A ring bound to a
-    cache belongs to whoever owns that cache (the CLI builds one per run),
-    so the registry never holds one.  The memoized presentations of
-    ``xn_presentation`` and ``fm_presentation`` are the same object on
-    every call, so finding their ring hashes nothing; an equal presentation
-    built separately gets a ring of its own.
+    blocks`` uses five (X^1, X^2, X^3, X^4 and X^6).  The memoized
+    presentations of ``xn_presentation`` and ``fm_presentation`` are the
+    same object on every call, so finding their ring hashes nothing; an
+    equal presentation built separately gets a ring of its own.
     """
     key = (presentation, size_ceiling)
     ring = _RING_REGISTRY.pop(key, None)

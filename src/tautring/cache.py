@@ -7,36 +7,43 @@ stale rows.  Writes go through a temporary file and an atomic rename; reads
 verify an embedded payload digest and treat any mismatch as a miss, deleting
 the corrupt file so the caller recomputes.
 
-The cache holds bases only.  Every basis is stored whole, in the one form
-the engine holds it: its column count, its canonical integer RREF and the
-tag of each row (the index of the relation that adopted its lead).  On
-load the engine parses the rows and the tags, checks their shape
-(``algebra._parse_basis_payload``) and reads pivots, rank and dimension
-off them again.  The RREF and the tags are functions of the row space, so
-an entry does not depend on the rows the engine skipped to find it.  A
-warm run eliminates and back-substitutes nothing: on a 2-core host a warm
-``fm check --n 5 --mode full`` takes about 0.55 s against a 0.54 MB cache
-(about 1.7 s cold), and a warm ``xn check --n 6`` about 0.23 s against
-0.17 MB.  Gram ranks are not stored: a stored rank could only be checked
-by computing it, and from the bases all of a ring's Gram ranks take about
-2 ms for X^5, 12-17 ms for X^6 and 20-30 ms for X[5] on the same host.
+This module is the only one that reads or writes a basis payload.
+:class:`CachedRing` is a :class:`~tautring.algebra.GradedRing` that looks
+each basis up in a :class:`CacheStore` before computing it and stores each
+basis it computes; a plain ``GradedRing`` computes every basis it holds.
 
-Shape is all that is checked, for the tags as for the rows: a well-formed
-entry is trusted for its row space.  Its tags steer the rows that
-``GradedRing._compute_basis`` skips at higher degrees, and its dead
-monomials (pivots whose row has no tail) decide the columns of the next
-degree (``GradedRing._columns``), even at a degree that is computed fresh.
-``monomial_count`` catches a next-degree entry stored over other columns,
-not a wrong row space itself.
+The cache holds bases only, each whole: its column count, its canonical
+integer RREF and the tag of each row (the index of the relation that
+adopted its lead).  Both are functions of the row space, so an entry does
+not depend on the rows the engine skipped to find it, and a warm run
+eliminates and back-substitutes nothing (README gives timings).  Gram ranks
+are not stored: a stored rank could only be checked by computing it.
+
+What is checked, and what is trusted.  An entry is checked for its digest
+(a torn or edited file is a miss) and for its shape
+(:func:`_parse_basis_payload`): the column count it was built over, an
+RREF with strictly increasing leads and no tail column a lead, and one
+relation index per row.  Its row space is trusted: a well-formed entry
+with a valid digest but a row too few is served as a hit, with the wrong
+dimension.  So are the two things an entry steers beyond its own degree:
+its tags decide the rows that ``GradedRing._compute_basis`` skips at
+higher degrees, and its dead monomials (pivots whose row has no tail)
+decide the columns of the next degree (``GradedRing._columns``), even at a
+degree that is computed fresh.
 """
 
 import json
 import os
 import tempfile
+from operator import lt
 
-from .algebra import canonical_json
+from .algebra import SIZE_CEILING_DEFAULT, GradedBasis, GradedRing, canonical_json
 
 _SCHEMA = "tautring-cache-1"
+
+#: Bumped whenever the on-disk basis payload format or the engine's
+#: column conventions change; part of every cache key.
+ENGINE_VERSION = "6"
 
 
 def _sha256(data=b""):
@@ -177,3 +184,105 @@ class CacheStore:
             except OSError:
                 pass
         return removed
+
+
+def _basis_payload(basis):
+    """The cache payload of a :class:`~tautring.algebra.GradedBasis`; it
+    shares the basis's row and tag lists, so it is for serializing, not for
+    editing."""
+    return {
+        "schema": "tautring-basis/4",
+        "degree": basis.degree,
+        "monomial_count": basis.monomial_count,
+        "rref": [
+            [lead, cols, [str(c) for c in coeffs]]
+            for lead, (cols, coeffs) in basis.rref().items()
+        ],
+        "tags": basis.tags,
+    }
+
+
+def _parse_basis_payload(payload, count, relations):
+    """``(rref, tags)`` of a cached basis payload over ``count`` columns and
+    ``relations`` row sources, or None when the payload is not one.
+
+    The payload must have been built over the same ``count`` columns, and
+    its rows must have the shape of an RREF: leads strictly increasing
+    inside ``range(count)``; each row's columns starting at its lead,
+    strictly increasing and below ``count``; one nonzero integer
+    coefficient per column; and no tail column a lead, which the readers of
+    :meth:`GradedBasis.rref` rely on.  Its tags must be one integer in
+    ``range(relations)`` per row.  Anything else -- a stale or inconsistent
+    entry, or one that does not parse at all -- is None, which
+    :class:`CachedRing` counts as a miss, recomputes and overwrites.
+    """
+    rref = {}
+    prev = -1
+    try:
+        if payload["monomial_count"] != count:
+            return None
+        tags = payload["tags"]
+        if not (
+            type(tags) is list
+            and all(type(t) is int and 0 <= t < relations for t in tags)
+        ):
+            return None
+        for lead, cols, coeffs in payload["rref"]:
+            coeffs = [int(c) for c in coeffs]
+            if not (
+                prev < lead
+                and cols[:1] == [lead]
+                and all(map(lt, cols, cols[1:]))
+                and cols[-1] < count
+                and len(cols) == len(coeffs)
+                and all(coeffs)
+            ):
+                return None
+            rref[lead] = (cols, coeffs)
+            prev = lead
+    except (KeyError, TypeError, ValueError):
+        return None
+    if len(tags) != len(rref) or any(
+        c in rref for cols, _ in rref.values() for c in cols[1:]
+    ):
+        return None
+    return rref, tags
+
+
+class CachedRing(GradedRing):
+    """A GradedRing that reads each basis from ``store`` before computing it.
+
+    Only :meth:`_compute_basis` differs, so a basis is still memoized by
+    ``GradedRing.basis``.  ``cache_hits`` and ``cache_misses`` count this
+    ring's lookups; a payload that fails verification counts as a miss.
+    """
+
+    def __init__(self, presentation, store, *, size_ceiling=SIZE_CEILING_DEFAULT):
+        super().__init__(presentation, size_ceiling=size_ceiling)
+        self.store = store
+        self.cache_hits = 0
+        self.cache_misses = 0
+
+    def _basis_cache_key(self, d):
+        return {
+            "kind": "basis",
+            "engine": ENGINE_VERSION,
+            "presentation": self.presentation.content_hash,
+            "degree": d,
+        }
+
+    def _compute_basis(self, d):
+        """The stored degree-``d`` basis when its entry parses (a hit);
+        otherwise (a miss) the basis ``GradedRing`` computes, then stored."""
+        key = self._basis_cache_key(d)
+        payload = self.store.get(key)
+        keys = self._columns(d)
+        parsed = (None if payload is None
+                  else _parse_basis_payload(payload, len(keys), len(self._prepped)))
+        if parsed is not None:
+            self.cache_hits += 1
+            return GradedBasis(d, keys, *parsed)
+        self.cache_misses += 1
+        basis = super()._compute_basis(d)
+        self.store.put(key, _basis_payload(basis))
+        return basis

@@ -21,8 +21,8 @@ from . import fm as fm_mod
 from . import hodge as hodge_mod
 from . import xn as xn_mod
 from ._kernel import _integer_rank
-from .algebra import SIZE_CEILING_DEFAULT, GradedRing, SizeCeilingError, ring_for
-from .cache import CacheStore
+from .algebra import SIZE_CEILING_DEFAULT, SizeCeilingError, ring_for
+from .cache import CachedRing, CacheStore
 
 REPORT_SCHEMA = "tautring-report-1"
 
@@ -52,28 +52,27 @@ class RunContext:
         self.cache = CacheStore(cache_dir) if cache_dir else None
         self.size_ceiling = size_ceiling
         self.started = time.monotonic()
-        self.rings = {}  # presentation -> ring bound to this run's store
+        self.rings = {}  # presentation -> CachedRing on this run's store
 
     def ring(self, presentation):
         """The engine for ``presentation``.  Without a store it is the shared
-        ``ring_for`` ring; with one it is built for this run, once per
-        presentation, and dropped with the run."""
+        ``ring_for`` ring, which computes every basis; with one it is a
+        CachedRing built for this run, once per presentation, and dropped
+        with the run."""
         if self.cache is None:
             return ring_for(presentation, size_ceiling=self.size_ceiling)
         ring = self.rings.get(presentation)
         if ring is None:
-            ring = GradedRing(
-                presentation, size_ceiling=self.size_ceiling, cache=self.cache
-            )
+            ring = CachedRing(presentation, self.cache, size_ceiling=self.size_ceiling)
             self.rings[presentation] = ring
         return ring
 
     def cache_report(self):
         """The cache directory's size and this run's hits and misses.
 
-        A ring counts a payload that fails verification as a miss; the
-        rings bound to the store are this run's own, so the sums cover
-        this run only.
+        A CachedRing counts a payload that fails verification as a miss;
+        the rings on the store are this run's own, so the sums cover this
+        run only.
         """
         if self.cache is None:
             return None
@@ -326,11 +325,17 @@ def fm_dual(run, payload_text, n):
         payload = json.loads(payload_text)
     except ValueError as exc:
         raise UsageError(f"--monomial is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise UsageError("--monomial must be a JSON object")
     size = payload.get("n", n)
-    if size is None:
-        raise UsageError("ground-set size missing: pass --n or a payload key 'n'")
+    if type(size) is not int or size < 1:
+        raise UsageError("ground-set size missing or not a positive integer: pass "
+                         f"--n or a payload key 'n' (got {size!r})")
     try:
         v = fm_mod.StandardMonomialFM.deserialize(size, payload)
+    except (TypeError, ValueError) as exc:  # a field of the wrong shape or type
+        raise UsageError(f"--monomial is not a monomial on {size} points: {exc}")
+    try:
         w = fm_mod.dual_fm(v)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -425,13 +430,6 @@ def _at_least(low):
     return parse
 
 
-def _directory(text):
-    """Argument type: a path that is not an existing file."""
-    if os.path.isfile(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is a file, not a directory")
-    return text
-
-
 def _parser(prog):
     """The argument parser.  Each subcommand's defaults name the function
     that runs it (``_command``), its path below the program name, which a
@@ -445,7 +443,7 @@ def _parser(prog):
                     "genus-2 curve.")
     main_parser.add_argument("--format", dest="fmt", choices=["json", "table"],
                              default="table", help="Report format.")
-    main_parser.add_argument("--cache-dir", type=_directory,
+    main_parser.add_argument("--cache-dir",
                              default=os.environ.get("TAUTRING_CACHE_DIR") or None,
                              help="Basis cache directory (also via TAUTRING_CACHE_DIR).")
     main_parser.add_argument("--size-ceiling", type=_at_least(1),
@@ -514,8 +512,12 @@ def main(args=None, prog_name=None, standalone_mode=True):
     SystemExit.  ``prog_name`` names the program in usage messages;
     ``standalone_mode`` is accepted for callers that pass it and changes
     nothing."""
-    params = vars(_parser(prog_name).parse_args(args))
-    run = RunContext(params.pop("fmt"), params.pop("cache_dir"), params.pop("size_ceiling"))
+    main_parser = _parser(prog_name)
+    params = vars(main_parser.parse_args(args))
+    try:
+        run = RunContext(params.pop("fmt"), params.pop("cache_dir"), params.pop("size_ceiling"))
+    except OSError as exc:  # the cache directory cannot be made
+        main_parser.error(f"argument --cache-dir: {exc}")
     command, path, parser = params.pop("_command"), params.pop("_path"), params.pop("_parser")
     try:
         command(run, **params)

@@ -27,6 +27,7 @@ from .algebra import (
     Monomial,
     Poly,
     Presentation,
+    SizeCeilingError,
     gen_a,
     gen_b,
     gen_D,
@@ -41,6 +42,9 @@ from .xn import (
     standard_socle_coefficient,
     xn_presentation,
 )
+
+#: Largest ground set :func:`enumerate_standard_fm` enumerates.
+STANDARD_ENUMERATION_LIMIT = 12
 
 
 def D_poly(subset):
@@ -393,8 +397,12 @@ def enumerate_standard_fm(n, degree):
     (``StandardMonomialFM.sort_key``: by D-part, then by a/b-part)."""
     if not 0 <= degree:
         raise ValueError("degree must be nonnegative")
-    if n > 12:
-        raise ValueError("ground set too large to enumerate")
+    if n > STANDARD_ENUMERATION_LIMIT:
+        raise SizeCeilingError(
+            f"fm:{n}", degree, None, STANDARD_ENUMERATION_LIMIT,
+            reason=f"needs a ground set of {n} points, above the limit "
+                   f"n <= {STANDARD_ENUMERATION_LIMIT}",
+        )
     ground = tuple(range(1, n + 1))
     all_subsets = [
         tuple(c)
@@ -454,7 +462,7 @@ def _family4_instances(ground):
     n = len(ground)
     instances = []
 
-    def blocks_of(pool, start_blocks):
+    def blocks_of(pool):
         # all sets of disjoint >=3-subsets of pool (nonempty), canonical order
         found = []
 
@@ -473,7 +481,7 @@ def _family4_instances(ground):
 
     for size0 in range(4, n + 1):
         for J0 in itertools.combinations(ground, size0):
-            for blocks in blocks_of(J0, ()):
+            for blocks in blocks_of(J0):
                 used = set()
                 for blk in blocks:
                     used.update(blk)

@@ -82,63 +82,45 @@ def _join_ab(a_exps, b_exps):
     return Monomial(tuple(factors))
 
 
-def _collect_redexes(a_exps, b_exps, contract_shared):
-    redexes = []
-    for i in sorted(a_exps):
-        if a_exps[i] >= 2:
-            redexes.append(("a_square", i))
-    pairs = sorted(b_exps)
-    for p in pairs:
-        if p[0] in a_exps or p[1] in a_exps:
-            redexes.append(("a_meets_b", p))
-    for p in pairs:
-        if b_exps[p] >= 2:
-            redexes.append(("b_square", p))
-    if contract_shared:
-        for p, q in itertools.combinations(pairs, 2):
-            shared = set(p) & set(q)
-            if shared:
-                redexes.append(("b_shared", p, q))
-    return redexes
-
-
 def _rewrite_monomial(a_exps, b_exps, contract_shared=True):
     """Run the quadratic rewrite chain on one monomial.
 
     Returns ``(coeff, a_exps, b_exps)`` or ``None`` when the monomial
-    rewrites to zero.  Each step rewrites the first redex of
-    :func:`_collect_redexes`, in its fixed scan order, which makes the
-    result deterministic.
+    rewrites to zero.  Each step rewrites the first redex of a fixed scan
+    order, which makes the result deterministic: a_i^2, then a_i b_{i,j}
+    (either rewrites the monomial to zero), then b_{i,j}^2 by pair, then
+    (with ``contract_shared``) two pairs sharing an index, by pair.
     """
     coeff = 1
     while True:
-        redexes = _collect_redexes(a_exps, b_exps, contract_shared)
-        if not redexes:
-            return coeff, a_exps, b_exps
-        choice = redexes[0]
-        tag = choice[0]
-        if tag in ("a_square", "a_meets_b"):
+        if any(e >= 2 for e in a_exps.values()) or any(
+                i in a_exps or j in a_exps for i, j in b_exps):
             return None
-        if tag == "b_square":
-            p = choice[1]
+        pairs = sorted(b_exps)
+        p = next((p for p in pairs if b_exps[p] >= 2), None)
+        if p is not None:  # b_{i,j}^2 -> -4 a_i a_j
             coeff *= -4
             b_exps[p] -= 2
             if not b_exps[p]:
                 del b_exps[p]
             for i in p:
                 a_exps[i] = a_exps.get(i, 0) + 1
-        else:  # b_shared: b_{s,j} b_{s,k} -> a_s b_{j,k}
-            p, q = choice[1], choice[2]
-            (shared,) = set(p) & set(q)
-            j = p[0] if p[1] == shared else p[1]
-            k = q[0] if q[1] == shared else q[1]
-            for pair in (p, q):
-                b_exps[pair] -= 1
-                if not b_exps[pair]:
-                    del b_exps[pair]
-            a_exps[shared] = a_exps.get(shared, 0) + 1
-            new = (j, k) if j < k else (k, j)
-            b_exps[new] = b_exps.get(new, 0) + 1
+            continue
+        shared = contract_shared and next(
+            ((p, q) for p, q in itertools.combinations(pairs, 2) if set(p) & set(q)),
+            None)
+        if not shared:
+            return coeff, a_exps, b_exps
+        # b_{s,j} b_{s,k} -> a_s b_{j,k}
+        p, q = shared
+        (s,) = set(p) & set(q)
+        for pair in (p, q):
+            b_exps[pair] -= 1
+            if not b_exps[pair]:
+                del b_exps[pair]
+        a_exps[s] = a_exps.get(s, 0) + 1
+        new = tuple(sorted(set(p) ^ set(q)))  # (j, k), j < k
+        b_exps[new] = b_exps.get(new, 0) + 1
 
 
 def quadratic_normal_form(q, *, contract_shared=True):

@@ -21,7 +21,7 @@ from tautring.algebra import (
     gen_b,
     ring_for,
 )
-from tautring.cache import CacheStore
+from tautring.cache import CachedRing, CacheStore, _basis_payload
 from tautring.fm import fm_presentation
 from tautring.xn import a_poly, b_poly, xn_presentation
 
@@ -686,11 +686,11 @@ def test_a_basis_payload_is_the_same_however_the_basis_was_found(
     # on whether the basis was computed or read back from the cache
     degrees = range(presentation.socle_degree + 1)
     store = CacheStore(tmp_path)
-    skipping = GradedRing(presentation, cache=store)
-    payloads = [canonical_json(skipping.basis(d).to_payload()) for d in degrees]
+    skipping = CachedRing(presentation, store)
+    payloads = [canonical_json(_basis_payload(skipping.basis(d))) for d in degrees]
 
-    warm = GradedRing(presentation, cache=store)
-    assert [canonical_json(warm.basis(d).to_payload()) for d in degrees] == payloads
+    warm = CachedRing(presentation, store)
+    assert [canonical_json(_basis_payload(warm.basis(d))) for d in degrees] == payloads
     assert (warm.cache_hits, warm.cache_misses) == (len(degrees), 0)
 
     def every_row(ring, d):
@@ -701,4 +701,4 @@ def test_a_basis_payload_is_the_same_however_the_basis_was_found(
 
     monkeypatch.setattr(GradedRing, "_compute_basis", every_row)
     full = GradedRing(presentation)
-    assert [canonical_json(full.basis(d).to_payload()) for d in degrees] == payloads
+    assert [canonical_json(_basis_payload(full.basis(d))) for d in degrees] == payloads

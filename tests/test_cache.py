@@ -6,14 +6,20 @@ import os
 import pytest
 
 from tautring.algebra import (
-    ENGINE_VERSION,
     GradedRing,
     Poly,
     Presentation,
     canonical_json,
     gen_a,
 )
-from tautring.cache import CacheStore, _digest, _payload_digest
+from tautring.cache import (
+    ENGINE_VERSION,
+    CachedRing,
+    CacheStore,
+    _basis_payload,
+    _digest,
+    _payload_digest,
+)
 from tautring.fm import fm_presentation
 from tautring.xn import xn_presentation
 
@@ -34,11 +40,11 @@ def test_round_trip_and_stats(tmp_path):
 
 def test_cold_then_warm_engine_runs(tmp_path):
     store = CacheStore(tmp_path)
-    cold = GradedRing(xn_presentation(3), cache=store)
+    cold = CachedRing(xn_presentation(3), store)
     cold_report = cold.gorenstein_check()
     assert cold.cache_misses > 0 and cold.cache_hits == 0
 
-    warm = GradedRing(xn_presentation(3), cache=store)
+    warm = CachedRing(xn_presentation(3), store)
     warm_report = warm.gorenstein_check()
     assert warm.cache_misses == 0 and warm.cache_hits == cold.cache_misses
     assert warm_report.hilbert == cold_report.hilbert
@@ -47,20 +53,20 @@ def test_cold_then_warm_engine_runs(tmp_path):
 
 def test_key_separation_between_presentations(tmp_path):
     store = CacheStore(tmp_path)
-    GradedRing(xn_presentation(2), cache=store).hilbert(2)
+    CachedRing(xn_presentation(2), store).hilbert(2)
     before = store.stats()["entry_count"]
-    GradedRing(xn_presentation(3), cache=store).hilbert(3)
+    CachedRing(xn_presentation(3), store).hilbert(3)
     assert store.stats()["entry_count"] > before
 
 
 def test_corrupted_entry_is_recomputed(tmp_path):
     store = CacheStore(tmp_path)
-    ring = GradedRing(xn_presentation(2), cache=store)
+    ring = CachedRing(xn_presentation(2), store)
     dims = ring.hilbert(2)
     victim = os.path.join(store.directory, store.entries()[0][0] + ".json")
     with open(victim, "w", encoding="utf-8") as handle:
         handle.write('{"schema": "tautring-cache-1", "payload": {}, "digest": "tampered"}')
-    fresh = GradedRing(xn_presentation(2), cache=store)
+    fresh = CachedRing(xn_presentation(2), store)
     assert fresh.hilbert(2) == dims
     assert fresh.cache_misses >= 1
     # the corrupt file was discarded, then rewritten with valid content
@@ -99,14 +105,14 @@ def test_no_temp_files_left_behind(tmp_path):
 
 def test_warm_ring_reads_every_basis_and_never_eliminates(tmp_path, monkeypatch):
     store = CacheStore(tmp_path)
-    cold = GradedRing(xn_presentation(4), cache=store)
+    cold = CachedRing(xn_presentation(4), store)
     cold_report = cold.gorenstein_check()
 
     def refuse(ring, d):
         raise AssertionError(f"degree {d} eliminated again")
 
     monkeypatch.setattr(GradedRing, "_compute_basis", refuse)
-    warm = GradedRing(xn_presentation(4), cache=store)
+    warm = CachedRing(xn_presentation(4), store)
     warm_report = warm.gorenstein_check()
     assert warm_report.passed
     assert warm_report.to_payload() == cold_report.to_payload()
@@ -169,12 +175,12 @@ TAMPERED_BASES = {
 @pytest.mark.parametrize("tamper", sorted(TAMPERED_BASES))
 def test_inconsistent_cached_basis_is_a_miss_and_is_rewritten(tmp_path, tamper):
     store = CacheStore(tmp_path)
-    cold = GradedRing(xn_presentation(3), cache=store)
-    good = cold.basis(2).to_payload()
+    cold = CachedRing(xn_presentation(3), store)
+    good = _basis_payload(cold.basis(2))
     key = cold._basis_cache_key(2)
     store.put(key, TAMPERED_BASES[tamper](good))
 
-    fresh = GradedRing(xn_presentation(3), cache=store)
+    fresh = CachedRing(xn_presentation(3), store)
     assert fresh.basis(2).dimension == cold.basis(2).dimension
     assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
     assert store.get(key) == good
@@ -198,7 +204,7 @@ def test_a_planted_gram_rank_does_not_change_the_verdict(tmp_path):
          "presentation": presentation.content_hash, "degree": 1},
         {"rank": 2},
     )
-    ring = GradedRing(presentation, cache=store)
+    ring = CachedRing(presentation, store)
     report = ring.gorenstein_check()
     assert report.hilbert == [1, 2, 1]
     assert report.records[1]["gram_rank"] == 1
@@ -215,11 +221,11 @@ def test_a_partially_warm_cache_serves_the_criteria_through_its_tags(
     # Degrees 0..2 come from the cache, so the skips at every higher degree
     # read the stored tags of lower degrees, not tags computed in this run.
     store = CacheStore(tmp_path)
-    filler = GradedRing(presentation, cache=store)
+    filler = CachedRing(presentation, store)
     for d in range(3):
         filler.basis(d)
     # an entry of the previous engine version, without tags, for degree 3
-    old = dict(GradedRing(presentation).basis(3).to_payload(), schema="tautring-basis/2")
+    old = dict(_basis_payload(GradedRing(presentation).basis(3)), schema="tautring-basis/2")
     del old["tags"]
     store.put(dict(filler._basis_cache_key(3), engine="3"), old)
 
@@ -227,7 +233,7 @@ def test_a_partially_warm_cache_serves_the_criteria_through_its_tags(
     compute = GradedRing._compute_basis
     monkeypatch.setattr(GradedRing, "_compute_basis",
                         lambda ring, d: computed.append(d) or compute(ring, d))
-    ring = GradedRing(presentation, cache=store)
+    ring = CachedRing(presentation, store)
     report = ring.gorenstein_check()
     top = presentation.socle_degree
     assert computed == list(range(3, top + 1))
@@ -237,6 +243,22 @@ def test_a_partially_warm_cache_serves_the_criteria_through_its_tags(
 
 def test_payload_digest_hashes_the_canonical_text():
     ring = GradedRing(fm_presentation(3))
-    payloads = [ring.basis(d).to_payload() for d in range(4)]
+    payloads = [_basis_payload(ring.basis(d)) for d in range(4)]
     for payload in payloads + [{}, {"b": [1, {"z": None, "a": "é"}], "a": 2}]:
         assert _payload_digest(payload) == _digest(canonical_json(payload))
+
+
+def test_the_engine_holds_no_cache_code():
+    # cache.py is the one module that reads or writes a basis payload; a
+    # plain GradedRing computes every basis it holds
+    import inspect
+
+    from tautring import algebra
+
+    assert "cache" not in inspect.signature(GradedRing).parameters
+    for name in ("ENGINE_VERSION", "_parse_basis_payload"):
+        assert not hasattr(algebra, name)
+    assert not hasattr(algebra.GradedBasis, "to_payload")
+    ring = GradedRing(xn_presentation(2))
+    ring.hilbert()
+    assert not hasattr(ring, "cache_hits")

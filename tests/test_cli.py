@@ -35,18 +35,23 @@ def test_xn_check_passes():
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
-def _fresh_python(code):
-    """Run ``code`` in a new interpreter that imports this checkout's
-    ``tautring``, with no cache directory in its environment; returns its
-    standard output."""
+def _checkout_env():
+    """An environment in which a new interpreter imports this checkout's
+    ``tautring``, with no cache directory set."""
     import tautring
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(tautring.__file__)))
     env = dict(os.environ)
     env.pop("TAUTRING_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
+    return env
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter (:func:`_checkout_env`); returns
+    its standard output."""
+    done = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
+                          check=True, capture_output=True, text=True)
     return done.stdout
 
 
@@ -129,19 +134,39 @@ def test_main_exits_with_the_documented_code(args, code, monkeypatch, capsys):
 
 
 def test_a_reader_that_stops_early_gets_exit_one_and_no_traceback():
-    import tautring
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tautring.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "tautring.cli", "--format", "json",
          "fm", "standard", "--n", "4", "--degree", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env())
     proc.stdout.close()  # before the child has written anything
     err = proc.stderr.read()
     assert proc.wait() == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--cache-dir", "{file}/sub", "xn", "check", "--n", "2"], 2),
+    (["--cache-dir", "{file}", "xn", "check", "--n", "2"], 2),
+    (["fm", "dual", "--monomial", "[1]"], 2),
+    (["fm", "dual", "--monomial", '{"n": "3"}'], 2),
+    (["fm", "dual", "--monomial", '{"n": 3, "A": [1], "D": 5}'], 2),
+    (["fm", "dual", "--monomial", '{"n": 3, "D": [[[1,2,3], "1"]]}'], 2),
+    (["fm", "standard", "--n", "13", "--degree", "1"], 3),
+], ids=lambda value: value if isinstance(value, int) else " ".join(value))
+def test_bad_input_exits_two_or_three_without_a_traceback(args, code, tmp_path):
+    # "{file}" names an existing file, so "{file}/sub" cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    done = subprocess.run(
+        [sys.executable, "-m", "tautring.cli", "--format", "json"]
+        + [arg.replace("{file}", str(blocker)) for arg in args],
+        env=_checkout_env(), capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 2:
+        assert done.stdout == "" and "usage:" in done.stderr
+    else:
+        assert json.loads(done.stdout)["summary"]["status"] == "size-guard"
 
 
 def test_usage_error_exits_two():
@@ -386,8 +411,7 @@ def test_cache_block_reports_this_runs_hits_and_misses(tmp_path):
 
 
 def test_cache_block_counts_a_payload_failing_verification_as_a_miss(tmp_path):
-    from tautring.algebra import GradedRing
-    from tautring.cache import CacheStore
+    from tautring.cache import CachedRing, CacheStore
     from tautring.xn import xn_presentation
 
     cache_dir = tmp_path / "cache"
@@ -395,7 +419,7 @@ def test_cache_block_counts_a_payload_failing_verification_as_a_miss(tmp_path):
             "xn", "check", "--n", "3"]
     cold = report_of(run_cli(args))["cache"]
     store = CacheStore(cache_dir)
-    key = GradedRing(xn_presentation(3))._basis_cache_key(1)
+    key = CachedRing(xn_presentation(3), store)._basis_cache_key(1)
     payload = store.get(key)
     store.put(key, dict(payload, monomial_count=payload["monomial_count"] + 1))
     warm = report_of(run_cli(args))["cache"]
@@ -404,6 +428,7 @@ def test_cache_block_counts_a_payload_failing_verification_as_a_miss(tmp_path):
 
 def test_cache_runs_leave_the_ring_registry_unchanged(tmp_path):
     from tautring import algebra
+    from tautring.cache import CachedRing
 
     args = ["--format", "json", "--cache-dir", str(tmp_path / "cache"),
             "xn", "check", "--n", "3"]
@@ -411,7 +436,7 @@ def test_cache_runs_leave_the_ring_registry_unchanged(tmp_path):
     for _ in range(5):
         assert run_cli(args).exit_code == 0
     assert len(algebra._RING_REGISTRY) == before
-    assert all(ring.cache is None for ring in algebra._RING_REGISTRY.values())
+    assert not any(isinstance(ring, CachedRing) for ring in algebra._RING_REGISTRY.values())
 
 
 # ----- property: every report is strict, honest and reproducible -------------

@@ -11,7 +11,7 @@ import tautring._kernel
 import tautring.algebra
 from tautring._kernel import SpanReducer
 from tautring.algebra import GradedRing
-from tautring.cache import CacheStore
+from tautring.cache import CachedRing, CacheStore
 from tautring.xn import xn_presentation
 from test_algebra import _fraction_rank
 
@@ -72,8 +72,8 @@ def test_echelon_rows_keep_the_traced_shape(tmp_path):
     # every basis it records; a row of any other shape crashes the traced
     # child, which no tier-1 test runs.
     store = CacheStore(tmp_path)
-    computed = GradedRing(xn_presentation(3), cache=store)
-    cached = GradedRing(xn_presentation(3), cache=store)
+    computed = CachedRing(xn_presentation(3), store)
+    cached = CachedRing(xn_presentation(3), store)
     for d in range(4):
         for ring in (computed, cached):
             rows = ring.basis(d).echelon_rows()

@@ -1,12 +1,13 @@
 """Power-ring combinatorics: rewriting, standard monomials, matchings."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from tautring import xn
-from tautring.algebra import SizeCeilingError, _integer_rank, ring_for
+from tautring.algebra import Poly, SizeCeilingError, _integer_rank, gen_a, gen_b, ring_for
 from tautring.xn import (
     StandardMonomialXn,
     a_poly,
@@ -28,7 +29,7 @@ from tautring.xn import (
     verify_faber_relation,
     xn_presentation,
 )
-from test_algebra import _fraction_kernel
+from test_algebra import _fraction_kernel, monomial_from_factors
 
 FROZEN_HILBERT = {
     1: [1, 1],
@@ -96,28 +97,79 @@ def test_six_point_derivation_gives_minus_the_matching_sum():
     assert derive_six_point() == -six_point_poly(range(1, 7))
 
 
-def test_normal_form_is_confluent_under_random_redex_choices(monkeypatch):
-    # the rewriting takes the first redex it is offered: offer them shuffled
+def _rewrite_in_random_order(q, rng):
+    """Normal form of ``q`` under the quadratic relations, rewriting a redex
+    chosen at random at each step; shares no code with ``xn``."""
+    out = Poly.zero()
+    for m, c in q.terms.items():
+        exps = dict(m.exps)
+        while True:
+            a_points = {g.data[0] for g in exps if g.kind == "a"}
+            b_gens = sorted(g for g in exps if g.kind == "b")
+            redexes = [("zero",) for g, e in exps.items() if g.kind == "a" and e >= 2]
+            redexes += [("zero",) for g in b_gens if a_points & set(g.data)]
+            redexes += [("square", g) for g in b_gens if exps[g] >= 2]
+            redexes += [("shared", g, h) for g, h in itertools.combinations(b_gens, 2)
+                        if set(g.data) & set(h.data)]
+            if not redexes:
+                out = out + Poly.monomial(monomial_from_factors(
+                    g for g, e in exps.items() for _ in range(e)), c)
+                break
+            tag, *pair = rng.choice(redexes)
+            if tag == "zero":
+                break
+            for g in pair:
+                exps[g] -= 2 if tag == "square" else 1
+            if tag == "square":  # b_{i,j}^2 = -4 a_i a_j
+                c *= -4
+                added = [gen_a(i) for i in pair[0].data]
+            else:  # b_{s,j} b_{s,k} = a_s b_{j,k}
+                (s,) = set(pair[0].data) & set(pair[1].data)
+                j, k = (set(pair[0].data) ^ set(pair[1].data))
+                added = [gen_a(s), gen_b(j, k)]
+            for g in added:
+                exps[g] = exps.get(g, 0) + 1
+            exps = {g: e for g, e in exps.items() if e}
+    return out
+
+
+def test_normal_form_is_confluent_under_random_redex_choices():
+    # the rewriting takes the first redex of a fixed scan order; any other
+    # order reaches the same normal form.  Products of b's are the ones the
+    # squares and the shared-index contraction act on; a few a's ride along.
     rng = random.Random(13579)
-    collect = xn._collect_redexes
+    pairs = [gen_b(i, j) for i, j in itertools.combinations(range(1, 6), 2)]
+    nonzero = 0
+    for degree in range(2, 5):
+        for factors in itertools.combinations_with_replacement(pairs, degree):
+            q = Poly.monomial(monomial_from_factors(factors))
+            if rng.random() < 0.2:
+                q = q * a_poly(rng.randrange(1, 6))
+            reference = quadratic_normal_form(q)
+            nonzero += not reference.is_zero
+            for _ in range(3):
+                assert _rewrite_in_random_order(q, rng) == reference
+    assert nonzero > 100
 
-    def shuffled(*args):
-        redexes = collect(*args)
-        rng.shuffle(redexes)
-        return redexes
 
-    gens = [a_poly(i) for i in range(1, 5)] + [
-        b_poly(i, j) for i in range(1, 5) for j in range(i + 1, 5)
-    ]
-    for trial in range(15):
-        q = gens[rng.randrange(len(gens))]
-        for _ in range(3):
-            q = q * gens[rng.randrange(len(gens))]
-        reference = quadratic_normal_form(q)
-        with monkeypatch.context() as patch:
-            patch.setattr(xn, "_collect_redexes", shuffled)
-            for _ in range(5):
-                assert quadratic_normal_form(q) == reference
+def test_quadratic_normal_forms_on_five_points_are_pinned():
+    # every a/b monomial of degree <= 4 on 5 points, with and without the
+    # shared-index contraction: one line "monomial flag normal-form" each,
+    # hashed; the digest and counts were computed with the rewriting that
+    # built every redex on each step and took the first
+    gens = sorted([gen_a(i) for i in range(1, 6)]
+                  + [gen_b(i, j) for i, j in itertools.combinations(range(1, 6), 2)])
+    lines = []
+    for degree in range(5):
+        for factors in itertools.combinations_with_replacement(gens, degree):
+            m = monomial_from_factors(factors)
+            for contract in (True, False):
+                nf = quadratic_normal_form(Poly.monomial(m), contract_shared=contract)
+                lines.append(f"{m} {int(contract)} {nf}")
+    assert len(lines) == 7752
+    assert sum(line.endswith(" 0") for line in lines) == 6185
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "98a900a31c478e2616b827928ce78c18ea71e1857f58aea1f5685a21d2523928")
 
 
 def test_normal_forms_are_standard_monomials():
