@@ -17,7 +17,6 @@ from .algebra import (
     gorenstein_check,
     ring_for,
 )
-from .cache import CachedRing, CacheStore
 from .fm import (
     StandardMonomialFM,
     block_pairing,
@@ -50,8 +49,6 @@ __version__ = "0.1.0"
 KERNEL_BACKEND = "pure"
 
 __all__ = [
-    "CachedRing",
-    "CacheStore",
     "GradedRing",
     "KERNEL_BACKEND",
     "PairingReport",

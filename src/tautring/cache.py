@@ -144,46 +144,22 @@ class CacheStore:
                 pass
             raise
 
-    def entries(self):
-        """[(content hash, size in bytes)] for every entry, sorted."""
-        out = []
+    def usage(self):
+        """``(entry_count, total_bytes)`` over the entries (``*.json``); an
+        in-flight ``*.tmp`` file is not counted, nor is a file that vanishes
+        before it is measured."""
+        sizes = []
         try:
-            names = os.listdir(self.directory)
+            with os.scandir(self.directory) as listing:
+                for entry in listing:
+                    if entry.name.endswith(".json"):
+                        try:
+                            sizes.append(entry.stat().st_size)
+                        except OSError:
+                            pass
         except OSError:
-            return out
-        for name in sorted(names):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                size = os.stat(path).st_size
-            except OSError:
-                continue
-            out.append((name[: -len(".json")], size))
-        return out
-
-    def stats(self):
-        entries = self.entries()
-        return {
-            "directory": self.directory,
-            "entry_count": len(entries),
-            "total_bytes": sum(size for _, size in entries),
-            "entries": [
-                {"content_hash": h, "bytes": size} for h, size in entries
-            ],
-        }
-
-    def clear(self):
-        """Remove every entry; returns the number removed."""
-        removed = 0
-        for content_hash, _ in self.entries():
-            path = os.path.join(self.directory, content_hash + ".json")
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed
+            pass
+        return len(sizes), sum(sizes)
 
 
 def _basis_payload(basis):

@@ -1,4 +1,4 @@
-"""Command-line front end: verifications, reports, cache administration.
+"""Command-line front end: verifications and their reports.
 
 Every subcommand runs a set of named checks and emits one report document
 (JSON or an aligned table) with the shape
@@ -68,7 +68,9 @@ class RunContext:
         return ring
 
     def cache_report(self):
-        """The cache directory's size and this run's hits and misses.
+        """The report's ``cache`` block: None without ``--cache-dir``;
+        otherwise the directory, its entries' count and bytes
+        (:meth:`CacheStore.usage`), and this run's hits and misses.
 
         A CachedRing counts a payload that fails verification as a miss;
         the rings on the store are this run's own, so the sums cover this
@@ -76,12 +78,12 @@ class RunContext:
         """
         if self.cache is None:
             return None
-        stats = self.cache.stats()
+        entry_count, total_bytes = self.cache.usage()
         rings = self.rings.values()
         return {
-            "directory": stats["directory"],
-            "entry_count": stats["entry_count"],
-            "total_bytes": stats["total_bytes"],
+            "directory": self.cache.directory,
+            "entry_count": entry_count,
+            "total_bytes": total_bytes,
             "hits": sum(r.cache_hits for r in rings),
             "misses": sum(r.cache_misses for r in rings),
         }
@@ -389,29 +391,6 @@ def bridge_cmd(run, n, alphas):
          {"lhs": lhs, "rhs": rhs, "constant": hodge_mod.bridge_constant()})
 
 
-# ----- cache admin ------------------------------------------------------------
-
-
-def cache_cmd(run, action):
-    """Inspect or empty the basis cache."""
-    store = run.cache
-    if store is None:
-        raise UsageError(
-            "no cache directory configured (--cache-dir or TAUTRING_CACHE_DIR)"
-        )
-    if action == "stats":
-        stats = store.stats()
-        checks = [check("stats", True, entry_count=stats["entry_count"],
-                        total_bytes=stats["total_bytes"])]
-        emit(run, "cache stats", {"directory": store.directory}, checks,
-             {"entries": stats["entries"]})
-    else:
-        removed = store.clear()
-        checks = [check("cleared", True, removed=removed)]
-        emit(run, "cache clear", {"directory": store.directory}, checks,
-             {"removed": removed})
-
-
 # ----- argument parsing -------------------------------------------------------
 
 
@@ -434,18 +413,14 @@ def _parser(prog):
     """The argument parser.  Each subcommand's defaults name the function
     that runs it (``_command``), its path below the program name, which a
     size-guard report gives as its ``command`` (``_path``), and its own
-    parser (``_parser``), whose usage line a usage error prints.  The cache directory's default
-    is read from TAUTRING_CACHE_DIR now, so it is the one in force for this
-    call; an empty value sets none."""
+    parser (``_parser``), whose usage line a usage error prints."""
     main_parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Exact verification of tautological rings of points on a "
                     "genus-2 curve.")
     main_parser.add_argument("--format", dest="fmt", choices=["json", "table"],
                              default="table", help="Report format.")
-    main_parser.add_argument("--cache-dir",
-                             default=os.environ.get("TAUTRING_CACHE_DIR") or None,
-                             help="Basis cache directory (also via TAUTRING_CACHE_DIR).")
+    main_parser.add_argument("--cache-dir", help="Basis cache directory.")
     main_parser.add_argument("--size-ceiling", type=_at_least(1),
                              default=SIZE_CEILING_DEFAULT,
                              help="Refuse degrees with more columns (monomials outside "
@@ -500,8 +475,6 @@ def _parser(prog):
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--alphas", default=None,
                    help="Comma-separated exponents (default: all ones).")
-    p = command(groups, "cache", cache_cmd)
-    p.add_argument("action", choices=["stats", "clear"])
     return main_parser
 
 

@@ -279,12 +279,16 @@ class StandardMonomialFM:
 
     @classmethod
     def deserialize(cls, n, payload):
-        return cls.make(
-            n,
-            payload.get("A", ()),
-            payload.get("B", ()),
-            [(tuple(s), e) for s, e in payload.get("D", ())],
-        )
+        """The monomial on ``n`` points of a :meth:`serialize` payload.
+        Every index and exponent must be an ``int``: JSON ``true`` and
+        ``3.0`` equal 1 and 3 but raise ValueError."""
+        A = list(payload.get("A", ()))
+        B = [tuple(p) for p in payload.get("B", ())]
+        D = [(tuple(s), e) for s, e in payload.get("D", ())]
+        numbers = A + [i for p in B for i in p] + [x for s, e in D for x in (*s, e)]
+        if any(type(x) is not int for x in numbers):
+            raise ValueError("indices and exponents must be integers")
+        return cls.make(n, A, B, D)
 
     @property
     def sort_key(self):
@@ -313,11 +317,9 @@ def much_less(v, w):
             or subset_key(v.D[-1][0]) > subset_key(w.D[0][0]))
 
 
-def is_standard_fm(v, n=None):
+def is_standard_fm(v):
     """The standardness predicate: laminar D-part within exponent bounds,
     and an a/b-part that is standard inside the section set S."""
-    if n is not None and v.n != n:
-        raise ValueError("ground-set size mismatch")
     try:
         forest = v.forest
     except ValueError:
@@ -333,12 +335,10 @@ def is_standard_fm(v, n=None):
     return support <= S
 
 
-def dual_fm(v, n=None):
+def dual_fm(v):
     """The dual standard monomial: complementary a-part inside S, the same
     b-part, and reflected D-exponents.  An involution on standard monomials
     pairing degrees d and n-d."""
-    if n is not None and v.n != n:
-        raise ValueError("ground-set size mismatch")
     if not is_standard_fm(v):
         raise ValueError(f"not a standard monomial: {v}")
     forest = v.forest

@@ -284,12 +284,12 @@ def dual_xn(v, n, ground=None):
 _PRESENTATION_MEMO = {}
 
 
-def xn_presentation(n, ground=None):
-    """Presentation of the ring for ``n`` points (memoized per ground set)."""
-    ground = default_ground(n) if ground is None else tuple(sorted(ground))
-    hit = _PRESENTATION_MEMO.get(ground)
+def xn_presentation(n):
+    """Presentation of the ring for ``n`` points (memoized per ``n``)."""
+    hit = _PRESENTATION_MEMO.get(n)
     if hit is not None:
         return hit
+    ground = default_ground(n)
     relations = []
     for i in ground:
         relations.append(a_poly(i) * a_poly(i))
@@ -314,7 +314,7 @@ def xn_presentation(n, ground=None):
         socle_degree=len(ground),
         socle_monomial=socle_monomial,
     )
-    _PRESENTATION_MEMO[ground] = pres
+    _PRESENTATION_MEMO[n] = pres
     return pres
 
 
@@ -332,7 +332,7 @@ def six_point_poly(indices):
     return total
 
 
-def six_point_relations(n, degree, ground=None):
+def six_point_relations(n, degree):
     """Degree-``degree`` relation vectors spanned by the matching sums.
 
     Every product (six-index matching sum) x (standard monomial of degree
@@ -341,15 +341,14 @@ def six_point_relations(n, degree, ground=None):
     ``{standard index: coefficient}``; identically-zero products are
     omitted.  Returns ``(vectors, standard_list)``.
     """
-    ground = default_ground(n) if ground is None else tuple(sorted(ground))
-    standard = enumerate_standard_xn(n, degree, ground)
+    standard = enumerate_standard_xn(n, degree)
     index = {v: i for i, v in enumerate(standard)}
     vectors = []
-    if degree < 3 or len(ground) < 6:
+    if degree < 3 or n < 6:
         return vectors, standard
-    for six in itertools.combinations(ground, 6):
+    for six in itertools.combinations(default_ground(n), 6):
         base = six_point_poly(six)
-        for mult in enumerate_standard_xn(n, degree - 3, ground):
+        for mult in enumerate_standard_xn(n, degree - 3):
             nf = quadratic_normal_form(base * mult.to_poly())
             if nf.is_zero:
                 continue

@@ -32,10 +32,17 @@ def test_round_trip_and_stats(tmp_path):
     assert store.get(key) is None
     store.put(key, {"value": [1, 2, 3]})
     assert store.get(key) == {"value": [1, 2, 3]}
-    stats = store.stats()
-    assert stats["entry_count"] == 1
-    assert stats["total_bytes"] > 0
-    assert len(stats["entries"]) == 1
+    assert store.usage() == (1, os.path.getsize(store._path_for(key)))
+
+
+def test_usage_counts_entries_and_not_temp_files(tmp_path):
+    store = CacheStore(tmp_path)
+    assert store.usage() == (0, 0)
+    for i in range(3):
+        store.put({"i": i}, {"v": i})
+    sizes = sum(os.path.getsize(store._path_for({"i": i})) for i in range(3))
+    (tmp_path / "in-flight.tmp").write_text("{}")
+    assert store.usage() == (3, sizes)
 
 
 def test_cold_then_warm_engine_runs(tmp_path):
@@ -54,25 +61,24 @@ def test_cold_then_warm_engine_runs(tmp_path):
 def test_key_separation_between_presentations(tmp_path):
     store = CacheStore(tmp_path)
     CachedRing(xn_presentation(2), store).hilbert(2)
-    before = store.stats()["entry_count"]
+    before, _ = store.usage()
     CachedRing(xn_presentation(3), store).hilbert(3)
-    assert store.stats()["entry_count"] > before
+    assert store.usage()[0] > before
 
 
 def test_corrupted_entry_is_recomputed(tmp_path):
     store = CacheStore(tmp_path)
     ring = CachedRing(xn_presentation(2), store)
     dims = ring.hilbert(2)
-    victim = os.path.join(store.directory, store.entries()[0][0] + ".json")
+    victim = os.path.join(store.directory, sorted(os.listdir(store.directory))[0])
     with open(victim, "w", encoding="utf-8") as handle:
         handle.write('{"schema": "tautring-cache-1", "payload": {}, "digest": "tampered"}')
     fresh = CachedRing(xn_presentation(2), store)
     assert fresh.hilbert(2) == dims
     assert fresh.cache_misses >= 1
     # the corrupt file was discarded, then rewritten with valid content
-    for content_hash, _ in store.entries():
-        path = os.path.join(store.directory, content_hash + ".json")
-        body = json.load(open(path, encoding="utf-8"))
+    for name in os.listdir(store.directory):
+        body = json.load(open(os.path.join(store.directory, name), encoding="utf-8"))
         assert body["digest"] != "tampered"
 
 
@@ -84,15 +90,6 @@ def test_unparseable_entry_is_a_miss(tmp_path):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("not json at all")
     assert store.get(key) is None
-
-
-def test_clear_removes_everything(tmp_path):
-    store = CacheStore(tmp_path)
-    assert store.clear() == 0
-    for i in range(4):
-        store.put({"i": i}, {"v": i})
-    assert store.clear() == 4
-    assert store.stats()["entry_count"] == 0
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -211,7 +208,7 @@ def test_a_planted_gram_rank_does_not_change_the_verdict(tmp_path):
     assert report.verdict == "defective"
     # the cache holds the three bases, next to the planted entry, and nothing else
     assert (ring.cache_hits, ring.cache_misses) == (0, 3)
-    assert store.stats()["entry_count"] == 1 + 3
+    assert store.usage()[0] == 1 + 3
 
 
 @pytest.mark.parametrize("presentation", [xn_presentation(4), fm_presentation(3)],
