@@ -30,6 +30,7 @@ column indices are positions in the enumeration order of
 """
 
 import json
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -350,6 +351,22 @@ def canonical_json(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def sha256(data=b""):
+    """A new SHA-256 object from CPython's own implementation, the one
+    ``hashlib`` falls back to; the only digest in this package.
+
+    ``hashlib`` would load OpenSSL, about 3.6 MB of peak memory per run,
+    for a digest that is the same bit for bit.  The module is imported on
+    first use: a run with no cache that prints no content hash takes no
+    digest.
+    """
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256 as new
+    else:
+        from _sha256 import sha256 as new
+    return new(data)
+
+
 class Presentation:
     """A graded ring presentation: generators, relations, socle data.
 
@@ -399,18 +416,10 @@ class Presentation:
 
     @property
     def content_hash(self):
-        """SHA-256 of the canonical JSON payload, computed once.
-
-        ``hashlib`` is imported here, on first use, not at module top: it
-        loads OpenSSL, which costs every run peak memory and start-up time,
-        and only cache keys and ``fm presentation`` read this hash.
-        """
+        """SHA-256 (:func:`sha256`) of the canonical JSON payload, computed
+        once; only cache keys and ``fm presentation`` read it."""
         if self._hash is None:
-            import hashlib
-
-            self._hash = hashlib.sha256(
-                canonical_json(self.to_payload()).encode()
-            ).hexdigest()
+            self._hash = sha256(canonical_json(self.to_payload()).encode()).hexdigest()
         return self._hash
 
     def __repr__(self):

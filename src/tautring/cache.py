@@ -4,8 +4,10 @@ Entries are keyed by a hash of a canonical-JSON key document (presentation
 content hash, degree, engine version, ...), so any change to a presentation
 or to the engine's column conventions silently misses instead of serving
 stale rows.  Writes go through a temporary file and an atomic rename; reads
-verify an embedded payload digest and treat any mismatch as a miss, deleting
-the corrupt file so the caller recomputes.
+verify the stored key and an embedded payload digest and treat any mismatch
+as a miss, deleting the file so the caller recomputes.  Entry names and
+payload digests are SHA-256 from :func:`~tautring.algebra.sha256`, so cache
+I/O does not load OpenSSL.
 
 This module is the only one that reads or writes a basis payload.
 :class:`CachedRing` is a :class:`~tautring.algebra.GradedRing` that looks
@@ -19,7 +21,8 @@ not depend on the rows the engine skipped to find it, and a warm run
 eliminates and back-substitutes nothing (README gives timings).  Gram ranks
 are not stored: a stored rank could only be checked by computing it.
 
-What is checked, and what is trusted.  An entry is checked for its digest
+What is checked, and what is trusted.  An entry is checked for its key (a
+file renamed or copied onto another entry's name is a miss), for its digest
 (a torn or edited file is a miss) and for its shape
 (:func:`_parse_basis_payload`): the column count it was built over, an
 RREF with strictly increasing leads and no tail column a lead, and one
@@ -37,7 +40,7 @@ import os
 import tempfile
 from operator import lt
 
-from .algebra import SIZE_CEILING_DEFAULT, GradedBasis, GradedRing, canonical_json
+from .algebra import SIZE_CEILING_DEFAULT, GradedBasis, GradedRing, canonical_json, sha256
 
 _SCHEMA = "tautring-cache-1"
 
@@ -46,19 +49,8 @@ _SCHEMA = "tautring-cache-1"
 ENGINE_VERSION = "6"
 
 
-def _sha256(data=b""):
-    """A new SHA-256 object; the one place this module imports ``hashlib``.
-
-    The import is deferred to the first digest because ``hashlib`` loads
-    OpenSSL, and a run without a store never takes one.
-    """
-    import hashlib
-
-    return hashlib.sha256(data)
-
-
 def _digest(text):
-    return _sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -81,7 +73,7 @@ def _payload_pieces(payload):
 
 def _payload_digest(payload):
     """``_digest(canonical_json(payload))`` for a dict ``payload``."""
-    digest = _sha256()
+    digest = sha256()
     for piece in _payload_pieces(payload):
         digest.update(piece.encode("utf-8"))
     return digest.hexdigest()
@@ -98,7 +90,8 @@ class CacheStore:
         return os.path.join(self.directory, _digest(canonical_json(key)) + ".json")
 
     def get(self, key):
-        """The payload stored under ``key``, or None on miss/corruption."""
+        """The payload stored under ``key``, or None on miss/corruption (a
+        file whose schema, key or digest does not match is deleted)."""
         path = self._path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -108,6 +101,7 @@ class CacheStore:
         try:
             ok = (
                 body["schema"] == _SCHEMA
+                and body["key"] == key
                 and body["digest"] == _payload_digest(body["payload"])
             )
         except (KeyError, TypeError, AttributeError):
@@ -127,7 +121,7 @@ class CacheStore:
         piece goes to the digest and to the file, and the digest is written
         last.
         """
-        digest = _sha256()
+        digest = sha256()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:

@@ -346,6 +346,47 @@ def test_presentation_hashes_are_pinned():
     assert {p.label: p.content_hash for p in shipped} == PINNED_HASHES
 
 
+def test_sha256_matches_hashlib():
+    # hashlib (and with it OpenSSL) is imported here only, as the reference
+    import hashlib
+
+    mib = bytes(range(256)) * 4096
+    for data in (b"", "Faber é ψ ∈ R^*(M_{2,n})".encode("utf-8"), mib):
+        assert algebra.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    piecewise = algebra.sha256()
+    for start in range(0, len(mib), 100_000):
+        piecewise.update(mib[start:start + 100_000])
+    assert piecewise.hexdigest() == algebra.sha256(mib).hexdigest()
+    assert piecewise.hexdigest() == hashlib.sha256(mib).hexdigest()
+
+
+def test_sha256_has_one_home():
+    # no module of the package imports hashlib, and only algebra.py imports
+    # CPython's own SHA-256 modules
+    import ast
+    import os
+
+    package = os.path.dirname(algebra.__file__)
+    sha_homes = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            roots = {module.split(".")[0] for module in modules}
+            assert "hashlib" not in roots, name
+            if roots & {"_sha2", "_sha256"}:
+                sha_homes.add(name)
+    assert sha_homes == {"algebra.py"}
+
+
 def test_generator_hash_order_and_validation():
     a1, b12, d123 = gen_a(1), gen_b(2, 1), algebra.gen_D([3, 1, 2])
     assert hash(a1) == hash(("a", (1,)))

@@ -92,6 +92,19 @@ def test_unparseable_entry_is_a_miss(tmp_path):
     assert store.get(key) is None
 
 
+def test_an_entry_under_another_key_is_a_miss_and_is_deleted(tmp_path):
+    # a digest-valid entry copied onto another key's name must not be served
+    store = CacheStore(tmp_path)
+    store.put({"k": 1}, {"x": 1})
+    with open(store._path_for({"k": 1}), "rb") as src:
+        body = src.read()
+    with open(store._path_for({"k": 2}), "wb") as dst:
+        dst.write(body)
+    assert store.get({"k": 2}) is None
+    assert not os.path.exists(store._path_for({"k": 2}))
+    assert store.get({"k": 1}) == {"x": 1}
+
+
 def test_no_temp_files_left_behind(tmp_path):
     store = CacheStore(tmp_path)
     for i in range(5):

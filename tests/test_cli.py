@@ -57,8 +57,8 @@ def _fresh_python(code):
 def test_importing_the_cli_loads_no_heavy_modules():
     # start-up cost: the front end uses argparse, the value classes are
     # hand-written, so neither click nor dataclasses (and with it inspect)
-    # is imported on the way to a report, and hashlib (which loads
-    # OpenSSL's _hashlib) waits for the first digest
+    # is imported on the way to a report, nor hashlib (which loads
+    # OpenSSL's _hashlib)
     code = ("import json, sys; before = set(sys.modules); import tautring.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
     loaded = set(json.loads(_fresh_python(code)))
@@ -66,30 +66,41 @@ def test_importing_the_cli_loads_no_heavy_modules():
     assert not loaded & {"click", "dataclasses", "inspect", "hashlib", "_hashlib"}
 
 
-def test_cache_free_commands_take_no_digest():
-    # a run without a store hashes nothing, so OpenSSL is never loaded;
-    # the first content hash then loads it and still reads the pinned value
+def test_no_command_loads_openssl(tmp_path):
+    # every digest (cache entry names, payload digests, content hashes) is
+    # CPython's own SHA-256, so no command loads OpenSSL, and the digests
+    # still read the pinned values
     from test_algebra import PINNED_HASHES
 
-    code = """if True:
+    cache_dir = str(tmp_path / "cache")
+    code = f"""if True:
         import contextlib, io, json, sys
         from tautring.cli import main
         from tautring.xn import xn_presentation
+        reports = []
         for args in (["bridge", "--n", "2"], ["xn", "check", "--n", "3"],
-                     ["fm", "check", "--n", "3", "--mode", "blocks"]):
+                     ["fm", "check", "--n", "3", "--mode", "blocks"],
+                     ["--cache-dir", {cache_dir!r}, "xn", "check", "--n", "3"],
+                     ["--cache-dir", {cache_dir!r}, "xn", "check", "--n", "3"],
+                     ["fm", "presentation", "--n", "3"]):
+            out = io.StringIO()
             try:
-                with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stdout(out):
                     main(["--format", "json"] + args, prog_name="tautring")
             except SystemExit as exc:
                 assert exc.code == 0, (args, exc.code)
-        hashing = sorted({"hashlib", "_hashlib"} & set(sys.modules))
-        print(json.dumps([hashing, xn_presentation(3).content_hash,
-                          "_hashlib" in sys.modules]))
+            reports.append(json.loads(out.getvalue()))
+        print(json.dumps([sorted({{"hashlib", "_hashlib"}} & set(sys.modules)),
+                          xn_presentation(3).content_hash,
+                          [r["cache"] for r in reports[3:5]],
+                          reports[5]["summary"]["content_hash"]]))
     """
-    hashing, content_hash, loaded_after = json.loads(_fresh_python(code))
+    hashing, content_hash, (cold, warm), fm3_hash = json.loads(_fresh_python(code))
     assert hashing == []
     assert content_hash == PINNED_HASHES["xn:3"]
-    assert loaded_after
+    assert fm3_hash == PINNED_HASHES["fm:3"]
+    assert (cold["hits"], cold["misses"]) == (0, 4)
+    assert (warm["hits"], warm["misses"]) == (4, 0)
 
 
 def test_cache_entries_keep_their_names(tmp_path):
