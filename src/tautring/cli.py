@@ -279,37 +279,39 @@ def fm_check(run, n, mode):
     engine = run.ring(fm_mod.fm_presentation(n)) if cross else None
     checks = []
     rank_sums = {}
-    for d in range(n + 1):
-        reports = fm_mod.block_pairing(n, d, cross_check_engine=engine,
-                                       size_ceiling=run.size_ceiling)
-        ok = all(r.ok for r in reports)
-        rank_sums[d] = sum(r.rank for r in reports)
+    try:
+        for d in range(n + 1):
+            reports = fm_mod.block_pairing(n, d, cross_check_engine=engine,
+                                           size_ceiling=run.size_ceiling)
+            rank_sums[d] = sum(r.rank for r in reports)
+            checks.append(
+                check(
+                    f"blocks-degree-{d}",
+                    all(r.ok for r in reports),
+                    blocks=len(reports),
+                    standard=sum(r.size for r in reports),
+                    rank_sum=rank_sums[d],
+                )
+            )
         checks.append(
             check(
-                f"blocks-degree-{d}",
-                ok,
-                blocks=len(reports),
-                standard=sum(r.size for r in reports),
-                rank_sum=rank_sums[d],
+                "rank-sums-symmetric",
+                all(rank_sums[d] == rank_sums[n - d] for d in range(n + 1)),
+                rank_sums=list(rank_sums.values()),
             )
         )
-    checks.append(
-        check(
-            "rank-sums-symmetric",
-            all(rank_sums[d] == rank_sums[n - d] for d in range(n + 1)),
-            rank_sums=[rank_sums[d] for d in range(n + 1)],
-        )
-    )
-    if cross:
-        pairs = fm_mod.filtration_vanishing_check(n, ring=engine)
-        checks.append(check("filtration-vanishing", True, pairs_checked=pairs))
-        checks.append(check("sign-rule-and-triangularity", True,
-                            note="verified against the full engine"))
-    else:
-        checks.append(check("sign-rule", True,
-                            note="conditional: engine cross-check runs for n <= 4"))
+        if cross:
+            pairs = fm_mod.filtration_vanishing_check(n, ring=engine)
+            checks.append(check("filtration-vanishing", True, pairs_checked=pairs))
+            checks.append(check("sign-rule-and-triangularity", True,
+                                note="verified against the full engine"))
+        else:
+            checks.append(check("sign-rule", True,
+                                note="conditional: engine cross-check runs for n <= 4"))
+    except fm_mod.CrossCheckError as exc:  # the report ends at the refuted statement
+        checks.append(check(exc.check, False, message=str(exc)))
     emit(run, "fm check", {"n": n, "mode": mode}, checks,
-         {"rank_sums": [rank_sums[d] for d in range(n + 1)]})
+         {"rank_sums": list(rank_sums.values())})
 
 
 def fm_standard(run, n, degree):

@@ -9,11 +9,14 @@ I with |I| >= 3, subject to five relation families (see fm_presentation).
 The combinatorial backbone: a nonzero D-monomial has nested-or-disjoint
 index sets, i.e. a forest; *standard* monomials bound each D-exponent by the
 branching data of that forest and confine the a/b-part to a section set S
-(one marker per root plus everything outside the union).  Standard monomials
-carry an explicit involution pairing complementary degrees, a filtration by
-the dimension of the contracted cycle, and a block decomposition of the
-intersection pairing with one block per D-part, equal up to a global sign to
-a pairing inside a smaller power ring X^S.
+(one marker per root plus everything outside the union).  A standard
+monomial is thus a D-part over a standard monomial of the power ring X^S:
+``StandardMonomialFM`` holds its a/b-part as an ``xn.StandardMonomialXn``,
+which owns every a/b rule (validation, support, dual, degree, order).
+Standard monomials carry an explicit involution pairing complementary
+degrees, a filtration by the dimension of the contracted cycle, and a block
+decomposition of the intersection pairing with one block per D-part, equal
+up to a global sign to a pairing inside X^S.
 """
 
 import itertools
@@ -77,6 +80,17 @@ def _dpart_dict(dpart):
     return out
 
 
+def _sorted_dpart(factors):
+    """The (subset, exponent) pairs as a tuple in decreasing subset order."""
+    return tuple(sorted(factors, key=lambda t: subset_key(t[0]), reverse=True))
+
+
+def nested_or_disjoint(s, t):
+    """Whether the index sets ``s`` and ``t`` (sets) are nested or disjoint,
+    that is, whether D_s . D_t can be nonzero."""
+    return s <= t or t <= s or not (s & t)
+
+
 def dpart_key(D):
     """Sort key of the D-part order, for a D-part in the form of
     ``StandardMonomialFM.D`` (sorted subsets, decreasing subset order).
@@ -112,31 +126,23 @@ class Forest:
             raise ValueError("duplicate subsets")
         sets.sort(key=subset_key, reverse=True)
         for s, t in itertools.combinations(sets, 2):
-            ss, ts = set(s), set(t)
-            if not (ss <= ts or ts <= ss or not (ss & ts)):
+            if not nested_or_disjoint(set(s), set(t)):
                 raise ValueError(
                     f"subsets {s} and {t} overlap without nesting "
                     "(the monomial is zero)"
                 )
         self.subsets = tuple(sets)
-        parent = [None] * len(sets)
-        for r, s in enumerate(sets):
-            best = None
-            for q in range(len(sets)):
-                if q == r:
-                    continue
-                other = sets[q]
-                if set(s) < set(other):
-                    if best is None or len(other) < len(sets[best]):
-                        best = q
-            parent[r] = best
-        self.parent = tuple(parent)
-        children = [[] for _ in sets]
-        for r, p in enumerate(parent):
-            if p is not None:
-                children[p].append(r)
-        self.children = tuple(tuple(c) for c in children)
-        self.roots = tuple(r for r, p in enumerate(parent) if p is None)
+        # the strict supersets of a vertex come before it and form a chain,
+        # so its parent is the nearest of them
+        self.parent = tuple(
+            next((q for q in reversed(range(r)) if set(s) < set(sets[q])), None)
+            for r, s in enumerate(sets)
+        )
+        self.children = tuple(
+            tuple(c for c, p in enumerate(self.parent) if p == r)
+            for r in range(len(sets))
+        )
+        self.roots = tuple(r for r, p in enumerate(self.parent) if p is None)
 
     def __len__(self):
         return len(self.subsets)
@@ -187,34 +193,20 @@ class Forest:
 class StandardMonomialFM:
     """A monomial a(A).b(B).prod D_I^{e_I} of the compactified ring.
 
-    An immutable value with fields ``n`` (the ground-set size), ``A`` (a
-    frozenset of indices), ``B`` (a frozenset of increasing pairs) and
+    An immutable value with fields ``n`` (the ground-set size), ``ab`` (the
+    a/b-part a(A).b(B), a :class:`~tautring.xn.StandardMonomialXn`) and
     ``D`` (``((sorted subset tuple, exponent >= 1), ...)`` in decreasing
-    subset order); two monomials are equal when all four are.  The
-    constructor validates shape only (sorted disjoint data); use
-    :func:`is_standard_fm` for the standardness predicate.
+    subset order); two monomials are equal when all three are.  The
+    constructor validates shape only (an a/b-part inside the ground set,
+    sorted D-data); use :func:`is_standard_fm` for the standardness
+    predicate, and :meth:`make` to build one from loose A, B and D.
     """
 
-    def __init__(self, n, A, B, D):
+    def __init__(self, n, ab, D):
         ground = set(range(1, n + 1))
-        seen = set(A)
-        if not seen <= ground:
-            raise ValueError("a-indices outside the ground set")
-        for p in B:
-            i, j = p
-            if not i < j:
-                raise ValueError(f"pair {p} must be increasing")
-            if i in seen or j in seen or not {i, j} <= ground:
-                raise ValueError("b-pairs must be disjoint, inside the ground set")
-            seen.update(p)
-        expect = tuple(
-            sorted(
-                ((tuple(sorted(s)), e) for s, e in D),
-                key=lambda t: subset_key(t[0]),
-                reverse=True,
-            )
-        )
-        if D != expect:
+        if not ab.support <= ground:
+            raise ValueError(f"a/b-part {ab} outside the ground set")
+        if D != _sorted_dpart((tuple(sorted(s)), e) for s, e in D):
             raise ValueError("D-part must be sorted in decreasing subset order")
         for s, e in D:
             if len(s) < 3 or not set(s) <= ground or e < 1:
@@ -222,79 +214,59 @@ class StandardMonomialFM:
         if len({s for s, _ in D}) != len(D):
             raise ValueError("repeated subset in D-part")
         self.n = n
-        self.A = A
-        self.B = B
+        self.ab = ab
         self.D = D
 
     def __eq__(self, other):
         if other.__class__ is not StandardMonomialFM:
             return NotImplemented
-        return (self.n == other.n and self.A == other.A and self.B == other.B
-                and self.D == other.D)
+        return self.n == other.n and self.ab == other.ab and self.D == other.D
 
     def __hash__(self):
-        return hash((self.n, self.A, self.B, self.D))
+        return hash((self.n, self.ab, self.D))
 
     @classmethod
     def make(cls, n, A=(), B=(), D=()):
-        dd = _dpart_dict(D)
-        dtuple = tuple(
-            sorted(dd.items(), key=lambda t: subset_key(t[0]), reverse=True)
-        )
-        return cls(
-            n,
-            frozenset(A),
-            frozenset(tuple(sorted(p)) for p in B),
-            dtuple,
-        )
+        """The monomial a(A).b(B).D on ``n`` points, normalized: any
+        iterables of indices and pairs, and a D-part as for
+        :func:`_dpart_dict`."""
+        D = _sorted_dpart(_dpart_dict(D).items())
+        return cls(n, StandardMonomialXn.make(A, B), D)
 
     @property
     def degree(self):
-        return len(self.A) + len(self.B) + sum(e for _, e in self.D)
-
-    @property
-    def ab_part(self):
-        return StandardMonomialXn(self.A, self.B)
+        return self.ab.degree + sum(e for _, e in self.D)
 
     @cached_property
     def forest(self):
+        """The nesting forest of the D-part; it lists its vertices in the
+        order of ``D``, so vertex r carries the exponent of ``D[r]``."""
         return Forest(s for s, _ in self.D)
 
-    @cached_property
-    def s_set(self):
-        return self.forest.s_set(self.n)
-
     def to_monomial(self):
-        factors = [(gen_a(i), 1) for i in sorted(self.A)]
-        factors += [(gen_b(*p), 1) for p in sorted(self.B)]
-        factors += [(gen_D(s), e) for s, e in reversed(self.D)]
-        return Monomial(tuple(factors))
+        factors = tuple((gen_D(s), e) for s, e in reversed(self.D))
+        return Monomial(self.ab.to_monomial().exps + factors)
 
     def serialize(self):
-        return {
-            "A": sorted(self.A),
-            "B": [list(p) for p in sorted(self.B)],
-            "D": [[list(s), e] for s, e in self.D],
-        }
+        return {**self.ab.serialize(), "D": [[list(s), e] for s, e in self.D]}
 
     @classmethod
     def deserialize(cls, n, payload):
-        """The monomial on ``n`` points of a :meth:`serialize` payload.
-        Every index and exponent must be an ``int``: JSON ``true`` and
-        ``3.0`` equal 1 and 3 but raise ValueError."""
-        A = list(payload.get("A", ()))
-        B = [tuple(p) for p in payload.get("B", ())]
+        """The monomial on ``n`` points of a :meth:`serialize` payload; the
+        a/b-part is read by ``StandardMonomialXn.deserialize``.  Every index
+        and exponent must be an ``int``: JSON ``true`` and ``3.0`` equal 1
+        and 3 but raise ValueError."""
+        ab = StandardMonomialXn.deserialize(payload)
         D = [(tuple(s), e) for s, e in payload.get("D", ())]
-        numbers = A + [i for p in B for i in p] + [x for s, e in D for x in (*s, e)]
-        if any(type(x) is not int for x in numbers):
+        if any(type(x) is not int for s, e in D for x in (*s, e)):
             raise ValueError("indices and exponents must be integers")
-        return cls.make(n, A, B, D)
+        return cls.make(n, ab.A, ab.B, D)
 
     @property
     def sort_key(self):
         """Key of the monomial order: the D-part order (:func:`dpart_key`),
-        then the a/b-part lexicographically."""
-        return (dpart_key(self.D), tuple(sorted(self.A)), tuple(sorted(self.B)))
+        then the a/b-part (``StandardMonomialXn.sort_key``)."""
+        return (dpart_key(self.D), self.ab.sort_key)
 
     def __str__(self):
         return str(self.to_monomial())
@@ -324,32 +296,21 @@ def is_standard_fm(v):
         forest = v.forest
     except ValueError:
         return False
-    exps = dict(v.D)
-    for r, s in enumerate(forest.subsets):
-        if exps[s] > forest.exponent_bound(r):
-            return False
-    S = forest.s_set(v.n)
-    support = set(v.A)
-    for p in v.B:
-        support.update(p)
-    return support <= S
+    return (all(e <= forest.exponent_bound(r) for r, (_, e) in enumerate(v.D))
+            and v.ab.support <= forest.s_set(v.n))
 
 
 def dual_fm(v):
-    """The dual standard monomial: complementary a-part inside S, the same
-    b-part, and reflected D-exponents.  An involution on standard monomials
-    pairing degrees d and n-d."""
+    """The dual standard monomial: the dual of the a/b-part inside the
+    power ring X^S (:func:`~tautring.xn.dual_xn`) and reflected
+    D-exponents.  An involution on standard monomials pairing degrees d and
+    n-d."""
     if not is_standard_fm(v):
         raise ValueError(f"not a standard monomial: {v}")
     forest = v.forest
     S = forest.s_set(v.n)
-    T = S - v.A - {i for p in v.B for i in p}
-    exps = dict(v.D)
-    dual_D = {
-        s: forest.dual_exponent(r, exps[s])
-        for r, s in enumerate(forest.subsets)
-    }
-    return StandardMonomialFM.make(v.n, T, v.B, dual_D)
+    dual_D = tuple((s, forest.dual_exponent(r, e)) for r, (s, e) in enumerate(v.D))
+    return StandardMonomialFM(v.n, dual_xn(v.ab, len(S), ground=S), dual_D)
 
 
 def filtration_p(v):
@@ -357,7 +318,7 @@ def filtration_p(v):
     (sum of root sizes minus the number of roots)."""
     forest = v.forest
     root_weight = sum(len(forest.subsets[r]) for r in forest.roots)
-    return len(v.A) + len(v.B) + root_weight - len(forest.roots)
+    return v.ab.degree + root_weight - len(forest.roots)
 
 
 # ----- enumeration -----------------------------------------------------------
@@ -371,19 +332,11 @@ def _laminar_families(subsets_desc, max_size):
     n_sub = len(subsets_desc)
     sets = [set(s) for s in subsets_desc]
 
-    def compatible(i, chosen):
-        si = sets[i]
-        for j in chosen:
-            sj = sets[j]
-            if not (si <= sj or sj <= si or not (si & sj)):
-                return False
-        return True
-
     def rec(start, chosen):
         if len(chosen) >= max_size:
             return
         for i in range(start, n_sub):
-            if compatible(i, chosen):
+            if all(nested_or_disjoint(sets[i], sets[j]) for j in chosen):
                 nxt = chosen + (i,)
                 out.append(nxt)
                 rec(i + 1, nxt)
@@ -424,9 +377,9 @@ def enumerate_standard_fm(n, degree):
             weight = sum(exps)
             if weight > degree:
                 continue
-            dpart = dict(zip(forest.subsets, exps))
+            dpart = tuple(zip(forest.subsets, exps))
             for ab in enumerate_standard_xn(len(S), degree - weight, ground=S):
-                out.append(StandardMonomialFM.make(n, ab.A, ab.B, dpart))
+                out.append(StandardMonomialFM(n, ab, dpart))
     out.sort(key=attrgetter("sort_key"))
     return out
 
@@ -537,10 +490,8 @@ def fm_presentation(n):
 
     start = len(relations)
     for I, J in itertools.combinations(subsets, 2):
-        si, sj = set(I), set(J)
-        if si <= sj or sj <= si or not (si & sj):
-            continue
-        relations.append(D_poly(I) * D_poly(J))
+        if not nested_or_disjoint(set(I), set(J)):
+            relations.append(D_poly(I) * D_poly(J))
     counts["incompatible-products"] = len(relations) - start
 
     start = len(relations)
@@ -632,6 +583,15 @@ class BlockReport(SimpleNamespace):
     """
 
 
+class CrossCheckError(Exception):
+    """A statement of the block route that the full engine refutes;
+    ``check`` names it as ``fm check`` reports it."""
+
+    def __init__(self, check, message):
+        super().__init__(message)
+        self.check = check
+
+
 def block_pairing(n, degree, cross_check_engine=None, *,
                   size_ceiling=SIZE_CEILING_DEFAULT):
     """Decompose the degree-d pairing into one block per D-part.
@@ -642,8 +602,9 @@ def block_pairing(n, degree, cross_check_engine=None, *,
     degree-matching quotient dimension of X^S, built under
     ``size_ceiling``.  When ``cross_check_engine`` is given (small n),
     every block entry and every cross-block product is verified against
-    the full engine.  The blocks come in the D-part order, each cut from
-    the enumeration, which sorts by D-part first.
+    the full engine, and a failure raises :class:`CrossCheckError`.  The
+    blocks come in the D-part order, each cut from the enumeration, which
+    sorts by D-part first.
     """
     blocks = [list(members) for _, members in
               itertools.groupby(enumerate_standard_fm(n, degree), attrgetter("D"))]
@@ -654,7 +615,7 @@ def block_pairing(n, degree, cross_check_engine=None, *,
         S = sorted(forest.s_set(n))
         eps = forest.sign_exponent()
         sign = -1 if eps % 2 else 1
-        ab_parts = [m.ab_part for m in members]
+        ab_parts = [m.ab for m in members]
         dual_parts = [dual_xn(ab, len(S), ground=S) for ab in ab_parts]
         gram = [
             [sign * standard_socle_coefficient(ab, db, S) for db in dual_parts]
@@ -703,14 +664,16 @@ def _cross_check_blocks(ring, blocks, reports):
         for v, kv, gram_row in zip(members, _keys(ring, members), report.gram):
             row = ring.socle_values([kv + kd for kd in dual_keys[i]])
             if row != gram_row:
-                raise AssertionError(
+                raise CrossCheckError(
+                    "sign-rule-and-triangularity",
                     f"sign rule fails at {v} . dual(block {report.dpart}): "
                     f"engine {row}, block {gram_row}"
                 )
             for later, keys in zip(blocks[i + 1:], dual_keys[i + 1:]):
                 for w, value in zip(later, ring.socle_values([kv + kd for kd in keys])):
                     if value:
-                        raise AssertionError(
+                        raise CrossCheckError(
+                            "sign-rule-and-triangularity",
                             f"triangularity fails: {v} . dual({w}) = {value}"
                         )
 
@@ -722,7 +685,7 @@ def filtration_vanishing_check(n, ring=None):
     at most n) with w << v and p(v) + deg(w) > n, the full-engine product
     must vanish: the key key(v) + key(w) is tested by
     ``GradedRing.is_zero_key``, with no product built.  Returns the number
-    of pairs checked.
+    of pairs checked; a nonzero product raises :class:`CrossCheckError`.
 
     The monomials are bucketed by degree, so for v of degree a only the
     degrees b with n - p(v) < b <= n - a are scanned: the two degree
@@ -744,6 +707,8 @@ def filtration_vanishing_check(n, ring=None):
                     if not much_less(w, v):
                         continue
                     if not ring.is_zero_key(kv + kw, a + b):
-                        raise AssertionError(f"filtration vanishing fails: {v} . {w} != 0")
+                        raise CrossCheckError(
+                            "filtration-vanishing",
+                            f"filtration vanishing fails: {v} . {w} != 0")
                     checked += 1
     return checked

@@ -156,9 +156,10 @@ class StandardMonomialXn:
 
     An immutable value: ``A`` is a frozenset of indices, ``B`` a frozenset
     of increasing pairs, and two monomials are equal when both are.
+    ``support`` is the frozenset of A and the points of B.
     """
 
-    __slots__ = ("A", "B")
+    __slots__ = ("A", "B", "support")
 
     def __init__(self, A, B):
         seen = set(A)
@@ -172,6 +173,7 @@ class StandardMonomialXn:
             seen.add(j)
         self.A = A
         self.B = B
+        self.support = frozenset(seen)
 
     def __eq__(self, other):
         if other.__class__ is not StandardMonomialXn:
@@ -188,13 +190,6 @@ class StandardMonomialXn:
     @property
     def degree(self):
         return len(self.A) + len(self.B)
-
-    @property
-    def support(self):
-        out = set(self.A)
-        for p in self.B:
-            out.update(p)
-        return frozenset(out)
 
     @property
     def sort_key(self):
@@ -216,7 +211,14 @@ class StandardMonomialXn:
 
     @classmethod
     def deserialize(cls, payload):
-        return cls.make(payload.get("A", ()), payload.get("B", ()))
+        """The monomial of a :meth:`serialize` payload.  Every index must be
+        an ``int``: JSON ``true`` and ``3.0`` equal 1 and 3 but raise
+        ValueError."""
+        A = list(payload.get("A", ()))
+        B = [tuple(p) for p in payload.get("B", ())]
+        if any(type(i) is not int for i in A + [i for p in B for i in p]):
+            raise ValueError("indices must be integers")
+        return cls.make(A, B)
 
     def __str__(self):
         return str(self.to_monomial())

@@ -147,7 +147,7 @@ def test_criterion_08_duality_involution_and_twenty_point_case():
     v = StandardMonomialFM.make(20, D={s: 1 for s in subsets.values()})
     assert is_standard_fm(v)
     w = dual_fm(v)
-    assert sorted(w.A) == [1, 9]
+    assert sorted(w.ab.A) == [1, 9]
     exps = dict(w.D)
     assert {r: exps[s] for r, s in subsets.items()} == {
         1: 1, 2: 1, 3: 2, 4: 1, 5: 2, 6: 2, 7: 2,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -321,6 +322,55 @@ def test_fm_check_blocks():
     names = {c["name"] for c in report["checks"]}
     assert "filtration-vanishing" in names
     assert "sign-rule-and-triangularity" in names
+
+
+def _shift_sign_exponent(monkeypatch):
+    from tautring.fm import Forest
+
+    original = Forest.sign_exponent
+    monkeypatch.setattr(Forest, "sign_exponent", lambda self: original(self) + 1)
+
+
+def _no_zero_keys(monkeypatch):
+    from tautring.algebra import GradedRing
+
+    monkeypatch.setattr(GradedRing, "is_zero_key", lambda self, key, d: False)
+
+
+@pytest.mark.parametrize("breaks, name, message", [
+    (_shift_sign_exponent, "sign-rule-and-triangularity", "sign rule fails"),
+    (_no_zero_keys, "filtration-vanishing", "filtration vanishing fails"),
+], ids=["sign-rule", "filtration-vanishing"])
+def test_a_refuted_engine_cross_check_is_a_failed_check(
+        breaks, name, message, monkeypatch, capsys):
+    breaks(monkeypatch)
+    result = run_cli(["--format", "json", "fm", "check", "--n", "3", "--mode", "blocks"])
+    assert result.exit_code == 1
+    assert capsys.readouterr().err == ""  # no traceback
+    report = strict_report_of(result)
+    assert report["summary"]["status"] == "fail"
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == [name]
+    assert failed[0]["message"].startswith(message)
+
+
+def _readme_command_lines():
+    """The command lines of README's ``## Command line`` block, each split
+    into arguments after the program name, comments dropped."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        section = f.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_the_readme_command_lines_pass_with_strict_json_reports():
+    lines = _readme_command_lines()
+    assert lines
+    for line in lines:
+        assert line[0] == "tautring", line
+        result = run_cli(["--format", "json"] + line[1:])
+        assert result.exit_code == 0, line
+        assert strict_report_of(result)["summary"]["status"] == "pass", line
 
 
 def test_fm_check_full():

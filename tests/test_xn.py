@@ -328,6 +328,13 @@ def test_standard_monomial_serialization_round_trip():
     assert StandardMonomialXn.deserialize(payload) == v
 
 
+@pytest.mark.parametrize("payload", [{"A": [True]}, {"A": [3.0]}, {"B": [[2.0, 3]]}])
+def test_deserialization_refuses_indices_that_are_not_integers(payload):
+    # JSON true and 3.0 equal the integers 1 and 3, but are not indices
+    with pytest.raises(ValueError, match="integers"):
+        StandardMonomialXn.deserialize(payload)
+
+
 def test_standard_monomial_equality_hash_and_validation():
     v = StandardMonomialXn.make((2,), ((4, 3),))
     same = StandardMonomialXn(frozenset({2}), frozenset({(3, 4)}))
