@@ -32,16 +32,18 @@ column indices are positions in the enumeration order of
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 from types import SimpleNamespace
 
 from ._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_echelon
 
-#: Default per-degree ceiling on the number of columns (monomials outside
-#: the monomial ideal) the engine will enumerate before refusing (guards
-#: against accidental combinatorial blowup).
-SIZE_CEILING_DEFAULT = 5_000_000
+#: Per-degree ceiling on the number of columns (monomials outside the
+#: monomial ideal) the engine will enumerate before refusing (guards against
+#: accidental combinatorial blowup).  The largest graded piece any command
+#: builds, X[6] in degree 5, has 68,500 columns.
+SIZE_CEILING = 5_000_000
 
 
 class SizeCeilingError(RuntimeError):
@@ -491,9 +493,8 @@ def _complement(sorted_cols, total):
 class GradedRing:
     """Engine wrapper around a Presentation: bases, normal forms, pairings."""
 
-    def __init__(self, presentation, *, size_ceiling=SIZE_CEILING_DEFAULT):
+    def __init__(self, presentation):
         self.presentation = presentation
-        self.size_ceiling = size_ceiling
         gens = presentation.generators
         self._gen_index = {g: i for i, g in enumerate(gens)}
         # Bit width per exponent slot: big enough for any degree we can
@@ -503,7 +504,7 @@ class GradedRing:
         self._mask = (1 << self._bits) - 1
         self._degree_cap = self._mask
         self._columns_memo = {}
-        self._live_memo = {}
+        self._alive_memo = {}
         self._key_to_col_memo = {}
         self._basis_memo = {}
         self._socle_table_memo = None
@@ -601,7 +602,7 @@ class GradedRing:
         The single-entry rows of a raw echelon would be only some of them:
         they leave 9,053 degree-5 columns in X[5], the RREF rule 3,624.
 
-        Refuses (SizeCeilingError) once the count passes the size ceiling,
+        Refuses (SizeCeilingError) once the count passes ``SIZE_CEILING``,
         or when ``d`` exceeds the exponent packing width.
         """
         keys = self._columns_memo.get(d)
@@ -609,7 +610,7 @@ class GradedRing:
             return keys
         if d > self._degree_cap:
             raise SizeCeilingError(
-                self.presentation.label, d, None, self.size_ceiling,
+                self.presentation.label, d, None, SIZE_CEILING,
                 reason=f"exceeds the exponent packing (degrees up to "
                        f"{self._degree_cap} fit)",
             )
@@ -618,7 +619,7 @@ class GradedRing:
         else:
             keys = []
             alive = self._alive(d - 1)
-            gen_keys, bits, ceiling = self._gen_keys, self._bits, self.size_ceiling
+            gen_keys, bits, ceiling = self._gen_keys, self._bits, SIZE_CEILING
             for key in self._columns(d - 1):
                 if key not in alive:
                     continue
@@ -635,13 +636,18 @@ class GradedRing:
         return keys
 
     def _alive(self, d):
-        """The set of degree-``d`` columns that are not dead.  A degree below
-        every multi-term relation has no pivots; its basis is not looked up."""
-        keys = self._columns(d)
-        alive = set(keys)
-        if d >= self._lowest:
-            alive.difference_update(keys[lead] for lead, (cols, _) in
-                                    self.basis(d).rref().items() if len(cols) == 1)
+        """The set of degree-``d`` columns that are not dead (memoized).  A
+        degree below every multi-term relation has no pivots; its basis is
+        not looked up.  The set is stored only once complete, so a failed
+        ``basis(d)`` leaves no set that still holds dead columns."""
+        alive = self._alive_memo.get(d)
+        if alive is None:
+            keys = self._columns(d)
+            alive = set(keys)
+            if d >= self._lowest:
+                alive.difference_update(keys[lead] for lead, (cols, _) in
+                                        self.basis(d).rref().items() if len(cols) == 1)
+            self._alive_memo[d] = alive
         return alive
 
     def _column_products(self, key, gens, alive):
@@ -679,10 +685,7 @@ class GradedRing:
         with its tail in non-pivot columns, so [c] = -tail/lead, which is
         zero exactly when the tail is empty, that is when c is dead.
         """
-        live = self._live_memo.get(d)
-        if live is None:
-            live = self._live_memo[d] = self._alive(d)
-        return key not in live
+        return key not in self._alive(d)
 
     # ----- basis construction ------------------------------------------
 
@@ -1080,51 +1083,23 @@ class PairingReport(SimpleNamespace):
     ``socle_note``, one record per degree in ``records``, and ``verdict``
     ("gorenstein" or "defective")."""
 
-    @property
-    def passed(self):
-        return self.verdict == "gorenstein"
-
-    def to_payload(self):
-        return {
-            "schema": "tautring-pairing-report/1",
-            "label": self.label,
-            "socle_degree": self.socle_degree,
-            "hilbert": list(self.hilbert),
-            "above_socle_dimension": self.above_socle_dimension,
-            "socle_ok": self.socle_ok,
-            "socle_note": self.socle_note,
-            "records": [dict(r) for r in self.records],
-            "verdict": self.verdict,
-        }
-
 
 # ----- module-level convenience API -------------------------------------
 
-_RING_REGISTRY = {}  # the rings used last, least recently used first
-_RING_REGISTRY_SIZE = 8
-
-
-def ring_for(presentation, *, size_ceiling=SIZE_CEILING_DEFAULT):
-    """Shared GradedRing for a presentation (keyed by the presentation
-    object and the size ceiling).
+@lru_cache(maxsize=8)
+def ring_for(presentation):
+    """Shared GradedRing for a presentation, keyed by the presentation object.
 
     Reusing the ring lets separate API calls share memoized bases.  Only
-    the ``_RING_REGISTRY_SIZE`` rings used last are kept, so a long-lived
-    process does not keep every ring it built; one ``fm check --n 6 --mode
-    blocks`` uses five (X^1, X^2, X^3, X^4 and X^6).  The memoized
-    presentations of ``xn_presentation`` and ``fm_presentation`` are the
-    same object on every call, so finding their ring hashes nothing; an
+    the 8 rings used last are kept (``ring_for.cache_info()``), so a
+    long-lived process does not keep every ring it built; one ``fm check
+    --n 6 --mode blocks`` uses five (X^1, X^2, X^3, X^4 and X^6).  The
+    cached presentations of ``xn_presentation`` and ``fm_presentation`` are
+    the same object on every call, so finding their ring hashes nothing; an
     equal presentation built separately gets a ring of its own.
     """
-    key = (presentation, size_ceiling)
-    ring = _RING_REGISTRY.pop(key, None)
-    if ring is None:
-        ring = GradedRing(presentation, size_ceiling=size_ceiling)
-    _RING_REGISTRY[key] = ring
-    if len(_RING_REGISTRY) > _RING_REGISTRY_SIZE:
-        del _RING_REGISTRY[next(iter(_RING_REGISTRY))]
-    return ring
+    return GradedRing(presentation)
 
 
-def gorenstein_check(presentation, **kw):
-    return ring_for(presentation, **kw).gorenstein_check()
+def gorenstein_check(presentation):
+    return ring_for(presentation).gorenstein_check()

@@ -40,7 +40,7 @@ import os
 import tempfile
 from operator import lt
 
-from .algebra import SIZE_CEILING_DEFAULT, GradedBasis, GradedRing, canonical_json, sha256
+from .algebra import GradedBasis, GradedRing, canonical_json, sha256
 
 _SCHEMA = "tautring-cache-1"
 
@@ -227,8 +227,8 @@ class CachedRing(GradedRing):
     ring's lookups; a payload that fails verification counts as a miss.
     """
 
-    def __init__(self, presentation, store, *, size_ceiling=SIZE_CEILING_DEFAULT):
-        super().__init__(presentation, size_ceiling=size_ceiling)
+    def __init__(self, presentation, store):
+        super().__init__(presentation)
         self.store = store
         self.cache_hits = 0
         self.cache_misses = 0

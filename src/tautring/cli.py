@@ -21,7 +21,7 @@ from . import fm as fm_mod
 from . import hodge as hodge_mod
 from . import xn as xn_mod
 from ._kernel import _integer_rank
-from .algebra import SIZE_CEILING_DEFAULT, SizeCeilingError, ring_for
+from .algebra import SizeCeilingError, ring_for
 from .cache import CachedRing, CacheStore
 
 REPORT_SCHEMA = "tautring-report-1"
@@ -47,10 +47,9 @@ def _jsonable(value):
 
 
 class RunContext:
-    def __init__(self, fmt, cache_dir, size_ceiling):
+    def __init__(self, fmt, cache_dir):
         self.format = fmt
         self.cache = CacheStore(cache_dir) if cache_dir else None
-        self.size_ceiling = size_ceiling
         self.started = time.monotonic()
         self.rings = {}  # presentation -> CachedRing on this run's store
 
@@ -60,10 +59,10 @@ class RunContext:
         CachedRing built for this run, once per presentation, and dropped
         with the run."""
         if self.cache is None:
-            return ring_for(presentation, size_ceiling=self.size_ceiling)
+            return ring_for(presentation)
         ring = self.rings.get(presentation)
         if ring is None:
-            ring = CachedRing(presentation, self.cache, size_ceiling=self.size_ceiling)
+            ring = CachedRing(presentation, self.cache)
             self.rings[presentation] = ring
         return ring
 
@@ -281,8 +280,7 @@ def fm_check(run, n, mode):
     rank_sums = {}
     try:
         for d in range(n + 1):
-            reports = fm_mod.block_pairing(n, d, cross_check_engine=engine,
-                                           size_ceiling=run.size_ceiling)
+            reports = fm_mod.block_pairing(n, d, cross_check_engine=engine)
             rank_sums[d] = sum(r.rank for r in reports)
             checks.append(
                 check(
@@ -423,10 +421,6 @@ def _parser(prog):
     main_parser.add_argument("--format", dest="fmt", choices=["json", "table"],
                              default="table", help="Report format.")
     main_parser.add_argument("--cache-dir", help="Basis cache directory.")
-    main_parser.add_argument("--size-ceiling", type=_at_least(1),
-                             default=SIZE_CEILING_DEFAULT,
-                             help="Refuse degrees with more columns (monomials outside "
-                                  "the monomial ideal) than this (default: %(default)s).")
     groups = main_parser.add_subparsers(required=True, metavar="COMMAND")
 
     def command(subparsers, path, fn):
@@ -490,7 +484,7 @@ def main(args=None, prog_name=None, standalone_mode=True):
     main_parser = _parser(prog_name)
     params = vars(main_parser.parse_args(args))
     try:
-        run = RunContext(params.pop("fmt"), params.pop("cache_dir"), params.pop("size_ceiling"))
+        run = RunContext(params.pop("fmt"), params.pop("cache_dir"))
     except OSError as exc:  # the cache directory cannot be made
         main_parser.error(f"argument --cache-dir: {exc}")
     command, path, parser = params.pop("_command"), params.pop("_path"), params.pop("_parser")

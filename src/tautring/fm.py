@@ -20,13 +20,12 @@ up to a global sign to a pairing inside X^S.
 """
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 from types import SimpleNamespace
 
 from ._kernel import _integer_rank
 from .algebra import (
-    SIZE_CEILING_DEFAULT,
     Monomial,
     Poly,
     Presentation,
@@ -386,8 +385,6 @@ def enumerate_standard_fm(n, degree):
 
 # ----- presentation ----------------------------------------------------------
 
-_FM_MEMO = {}
-
 
 def _superset_sum(base, ground):
     """Sum of D_J over all J containing ``base`` (including J = base when
@@ -448,7 +445,7 @@ def _family4_instances(ground):
 
 
 def fm_presentation(n):
-    """Presentation of the compactified ring on ``n`` points (memoized).
+    """Presentation of the compactified ring on ``n`` points (cached).
 
     Generators: the power-ring classes a_i, b_{j,k} plus one exceptional
     divisor D_I per subset I with |I| >= 3.  Relation families:
@@ -465,9 +462,18 @@ def fm_presentation(n):
 
     The socle is a_1 ... a_n in degree n.
     """
-    hit = _FM_MEMO.get(n)
-    if hit is not None:
-        return hit[0]
+    return _fm_build(n)[0]
+
+
+def fm_relation_counts(n):
+    """Per-family relation counts of fm_presentation(n)."""
+    return dict(_fm_build(n)[1])
+
+
+@cache
+def _fm_build(n):
+    """``(presentation, relation counts per family)`` of
+    :func:`fm_presentation`."""
     ground = tuple(range(1, n + 1))
     pairs = list(itertools.combinations(ground, 2))
     subsets = [
@@ -538,14 +544,7 @@ def fm_presentation(n):
         socle_degree=n,
         socle_monomial=Monomial(tuple((gen_a(i), 1) for i in ground)),
     )
-    _FM_MEMO[n] = (pres, counts)
-    return pres
-
-
-def fm_relation_counts(n):
-    """Per-family relation counts of fm_presentation(n)."""
-    fm_presentation(n)
-    return dict(_FM_MEMO[n][1])
+    return pres, counts
 
 
 def psi_pullback(n, i):
@@ -592,17 +591,19 @@ class CrossCheckError(Exception):
         self.check = check
 
 
-def block_pairing(n, degree, cross_check_engine=None, *,
-                  size_ceiling=SIZE_CEILING_DEFAULT):
+def block_pairing(n, degree, cross_check_engine=None):
     """Decompose the degree-d pairing into one block per D-part.
 
     Each block pairs the a/b-parts of its standard monomials against the
     duals inside the power ring on the section set S; entries carry the
     global sign (-1)^epsilon.  A block passes when its rank equals the
-    degree-matching quotient dimension of X^S, built under
-    ``size_ceiling``.  When ``cross_check_engine`` is given (small n),
-    every block entry and every cross-block product is verified against
-    the full engine, and a failure raises :class:`CrossCheckError`.  The
+    degree-matching quotient dimension of X^S, read from the shared
+    ``ring_for`` ring (which refuses past the engine's size ceiling); the
+    a/b-part degree k never exceeds |S|, since a standard a/b-part of
+    degree k covers |A| + 2|B| >= k points of S.  When
+    ``cross_check_engine`` is given (small n), every block entry and every
+    cross-block product is verified against the full engine, and a failure
+    raises :class:`CrossCheckError`.  The
     blocks come in the D-part order, each cut from the enumeration, which
     sorts by D-part first.
     """
@@ -623,8 +624,7 @@ def block_pairing(n, degree, cross_check_engine=None, *,
         ]
         rank = _integer_rank(gram)
         ab_degree = degree - sum(e for _, e in dkey)
-        xs_ring = ring_for(xn_presentation(len(S)), size_ceiling=size_ceiling)
-        xs_dim = xs_ring.basis(ab_degree).dimension if ab_degree <= len(S) else 0
+        xs_dim = ring_for(xn_presentation(len(S))).basis(ab_degree).dimension
         reports.append(
             BlockReport(
                 n=n,

@@ -20,6 +20,7 @@ that combinatorial skeleton.
 """
 
 import itertools
+from functools import cache
 
 from .algebra import (
     Monomial,
@@ -213,11 +214,14 @@ class StandardMonomialXn:
     def deserialize(cls, payload):
         """The monomial of a :meth:`serialize` payload.  Every index must be
         an ``int``: JSON ``true`` and ``3.0`` equal 1 and 3 but raise
-        ValueError."""
+        ValueError.  So does a repeated index or pair, which :meth:`make`
+        would merge: a1*a1 and b12*b12 are not a1 and b12."""
         A = list(payload.get("A", ()))
         B = [tuple(p) for p in payload.get("B", ())]
         if any(type(i) is not int for i in A + [i for p in B for i in p]):
             raise ValueError("indices must be integers")
+        if len(set(A)) < len(A) or len({frozenset(p) for p in B}) < len(B):
+            raise ValueError("repeated index or pair")
         return cls.make(A, B)
 
     def __str__(self):
@@ -283,14 +287,9 @@ def dual_xn(v, n, ground=None):
 
 # ----- presentation ---------------------------------------------------------
 
-_PRESENTATION_MEMO = {}
-
-
+@cache
 def xn_presentation(n):
-    """Presentation of the ring for ``n`` points (memoized per ``n``)."""
-    hit = _PRESENTATION_MEMO.get(n)
-    if hit is not None:
-        return hit
+    """Presentation of the ring for ``n`` points (cached per ``n``)."""
     ground = default_ground(n)
     relations = []
     for i in ground:
@@ -308,7 +307,7 @@ def xn_presentation(n):
     for six in itertools.combinations(ground, 6):
         relations.append(six_point_poly(six))
     socle_monomial = Monomial(tuple((gen_a(i), 1) for i in ground))
-    pres = Presentation(
+    return Presentation(
         label=f"xn:{len(ground)}",
         ground=ground,
         generators=[gen_a(i) for i in ground] + [gen_b(i, j) for i, j in pairs],
@@ -316,8 +315,6 @@ def xn_presentation(n):
         socle_degree=len(ground),
         socle_monomial=socle_monomial,
     )
-    _PRESENTATION_MEMO[n] = pres
-    return pres
 
 
 def six_point_poly(indices):

@@ -5,6 +5,9 @@ import io
 import os
 from types import SimpleNamespace
 
+import pytest
+
+from tautring import algebra
 from tautring.cli import main
 
 
@@ -31,3 +34,18 @@ def run_cli(args, env=None):
             else:
                 os.environ[key] = value
     return SimpleNamespace(exit_code=code, output=out.getvalue())
+
+
+@pytest.fixture
+def lower_ceiling(monkeypatch):
+    """``lower_ceiling(c)`` sets ``algebra.SIZE_CEILING`` to ``c`` for the
+    test and empties ``ring_for``'s cache, so that no ring built under the
+    real ceiling, with bases it already holds, is reused; the cache is
+    emptied again afterwards."""
+
+    def lower(ceiling):
+        monkeypatch.setattr(algebra, "SIZE_CEILING", ceiling)
+        algebra.ring_for.cache_clear()
+
+    yield lower
+    algebra.ring_for.cache_clear()

@@ -1,6 +1,8 @@
 """The graded-quotient engine against an independent brute-force oracle."""
 
+import ast
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -280,11 +282,11 @@ def test_two_point_gram_matrix_in_degree_one():
     ]
 
 
-def test_size_ceiling_refusal():
+def test_size_ceiling_refusal(lower_ceiling):
     # the ceiling counts columns, the monomials outside the grown ideal J':
     # 39 in degree 2 of X^4, 90 in degree 3 and 17 in degree 4
-    presentation = xn_presentation(4)
-    ring = ring_for(presentation, size_ceiling=50)
+    lower_ceiling(50)
+    ring = GradedRing(xn_presentation(4))
     with pytest.raises(SizeCeilingError) as info:
         ring.basis(4)
     assert info.value.degree == 3
@@ -296,8 +298,6 @@ def test_ring_registry_reuses_instances():
     r1 = ring_for(xn_presentation(3))
     r2 = ring_for(xn_presentation(3))
     assert r1 is r2
-    r3 = ring_for(xn_presentation(3), size_ceiling=10**9)
-    assert r3 is not r1
 
 
 def test_ring_registry_finds_a_ring_without_hashing_its_presentation():
@@ -307,16 +307,14 @@ def test_ring_registry_finds_a_ring_without_hashing_its_presentation():
 
 
 def test_ring_registry_evicts_the_least_recently_used_ring():
-    size = algebra._RING_REGISTRY_SIZE
-    presentation = xn_presentation(2)
-    first = ring_for(presentation, size_ceiling=1)
-    for ceiling in range(2, size + 1):
-        ring_for(presentation, size_ceiling=ceiling)
-    assert ring_for(presentation, size_ceiling=1) is first  # now the most recent
-    ring_for(presentation, size_ceiling=size + 1)  # evicts ceiling 2, the oldest
-    assert len(algebra._RING_REGISTRY) <= size
-    assert (presentation, 2) not in algebra._RING_REGISTRY
-    assert ring_for(presentation, size_ceiling=1) is first
+    size = ring_for.cache_info().maxsize
+    presentations = [_higher_degree_ideal_presentation() for _ in range(size + 1)]
+    rings = [ring_for(p) for p in presentations[:size]]
+    assert ring_for(presentations[0]) is rings[0]  # now the most recent
+    ring_for(presentations[size])  # evicts presentations[1], the oldest
+    assert ring_for.cache_info().currsize <= size
+    assert ring_for(presentations[0]) is rings[0]
+    assert ring_for(presentations[1]) is not rings[1]
 
 
 def test_presentation_hash_is_stable_and_distinguishing():
@@ -360,19 +358,20 @@ def test_sha256_matches_hashlib():
     assert piecewise.hexdigest() == hashlib.sha256(mib).hexdigest()
 
 
+def _package_modules():
+    """``(file name, syntax tree)`` of each module of the package."""
+    package = os.path.dirname(algebra.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                yield name, ast.parse(handle.read(), name)
+
+
 def test_sha256_has_one_home():
     # no module of the package imports hashlib, and only algebra.py imports
     # CPython's own SHA-256 modules
-    import ast
-    import os
-
-    package = os.path.dirname(algebra.__file__)
     sha_homes = set()
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), name)
+    for name, tree in _package_modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -385,6 +384,20 @@ def test_sha256_has_one_home():
             if roots & {"_sha2", "_sha256"}:
                 sha_homes.add(name)
     assert sha_homes == {"algebra.py"}
+
+
+def test_size_ceiling_has_one_home():
+    # the column ceiling is the constant algebra.SIZE_CEILING: no other module
+    # names it, and no function takes a size_ceiling to pass along
+    ceiling_homes = set()
+    for name, tree in _package_modules():
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.arg) and node.arg == "size_ceiling"), name
+            if (isinstance(node, ast.Name) and node.id == "SIZE_CEILING"
+                    or isinstance(node, ast.Attribute) and node.attr == "SIZE_CEILING"
+                    or isinstance(node, ast.alias) and node.name == "SIZE_CEILING"):
+                ceiling_homes.add(name)
+    assert ceiling_homes == {"algebra.py"}
 
 
 def test_generator_hash_order_and_validation():

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from conftest import run_cli
@@ -130,13 +131,16 @@ def test_cache_entries_keep_their_names(tmp_path):
     (["xn", "faber-relation"], 1),  # with the relation broken below
     (["xn", "check", "--n", "0"], 2),
     (["bridge", "--n", "2", "--alphas", "1"], 2),
-    (["--size-ceiling", "50", "xn", "check", "--n", "4"], 3),
+    (["xn", "check", "--n", "4"], 3),  # under a ceiling of 50 columns
 ])
-def test_main_exits_with_the_documented_code(args, code, monkeypatch, capsys):
+def test_main_exits_with_the_documented_code(args, code, monkeypatch, capsys,
+                                             lower_ceiling):
     # the call the benchmark's tracer makes: the code comes from SystemExit
     from tautring import cli as cli_module
     from tautring.xn import a_poly
 
+    if code == 3:
+        lower_ceiling(50)
     monkeypatch.setattr(cli_module.xn_mod, "verify_faber_relation", lambda: a_poly(1))
     with pytest.raises(SystemExit) as exc:
         cli_module.main(["--format", "json"] + args, prog_name="tautring",
@@ -173,6 +177,11 @@ def test_a_reader_that_stops_early_gets_exit_one_and_no_traceback():
     (["fm", "dual", "--monomial", '{"n": 4, "B": [[1, 2.0]]}'], 2),
     (["fm", "dual", "--monomial", '{"n": 4, "D": [[[1,2,3], 1.0]]}'], 2),
     (["fm", "dual", "--monomial", '{"n": 4, "D": [[[1,2,3.0], 1]]}'], 2),
+    # a repeated index or pair is not merged: a1*a1 = 0 and b12*b12 = -4 a1 a2
+    (["fm", "dual", "--monomial", '{"n": 3, "A": [1, 1]}'], 2),
+    (["fm", "dual", "--monomial", '{"n": 4, "B": [[1, 2], [2, 1]]}'], 2),
+    # the column ceiling is the constant algebra.SIZE_CEILING, not a flag
+    (["--size-ceiling", "50", "xn", "check", "--n", "2"], 2),
     (["fm", "standard", "--n", "13", "--degree", "1"], 3),
 ], ids=lambda value: value if isinstance(value, int) else " ".join(value))
 def test_bad_input_exits_two_or_three_without_a_traceback(args, code, tmp_path):
@@ -196,10 +205,9 @@ def test_usage_error_exits_two():
     assert result.exit_code == 2
 
 
-def test_size_guard_exits_three():
-    result = run_cli(
-        ["--format", "json", "--size-ceiling", "50", "xn", "check", "--n", "4"],
-    )
+def test_size_guard_exits_three(lower_ceiling):
+    lower_ceiling(50)
+    result = run_cli(["--format", "json", "xn", "check", "--n", "4"])
     assert result.exit_code == 3
     report = strict_report_of(result)
     assert report["summary"]["status"] == "size-guard"
@@ -210,10 +218,10 @@ def test_size_guard_exits_three():
     assert report["checks"][0]["count"] > 50  # degree 3 has 90 columns
 
 
-def test_blocks_mode_honours_the_size_ceiling():
-    # the power rings X^S of the blocks are built under the run's ceiling
-    result = run_cli(["--format", "json", "--size-ceiling", "5",
-                      "fm", "check", "--n", "5", "--mode", "blocks"])
+def test_blocks_mode_honours_the_size_ceiling(lower_ceiling):
+    # the power rings X^S of the blocks are built under the engine's ceiling
+    lower_ceiling(5)
+    result = run_cli(["--format", "json", "fm", "check", "--n", "5", "--mode", "blocks"])
     assert result.exit_code == 3
     report = strict_report_of(result)
     assert report["summary"]["status"] == "size-guard"
@@ -481,15 +489,14 @@ def test_cache_block_counts_a_payload_failing_verification_as_a_miss(tmp_path):
 
 def test_cache_runs_leave_the_ring_registry_unchanged(tmp_path):
     from tautring import algebra
-    from tautring.cache import CachedRing
 
     args = ["--format", "json", "--cache-dir", str(tmp_path / "cache"),
             "xn", "check", "--n", "3"]
-    before = len(algebra._RING_REGISTRY)
+    # equal counts mean no lookup at all, so no CachedRing entered the cache
+    before = algebra.ring_for.cache_info()
     for _ in range(5):
         assert run_cli(args).exit_code == 0
-    assert len(algebra._RING_REGISTRY) == before
-    assert not any(isinstance(ring, CachedRing) for ring in algebra._RING_REGISTRY.values())
+    assert algebra.ring_for.cache_info() == before
 
 
 # ----- property: every report is strict, honest and reproducible -------------
@@ -521,11 +528,16 @@ _EXIT_CODES = {"pass": 0, "fail": 1, "size-guard": 3}
 def test_reports_are_strict_json_with_honest_exit_codes_and_stable_reruns(
     command, ceiling
 ):
-    with tempfile.TemporaryDirectory() as cache_dir:
-        args = ["--format", "json", "--cache-dir", cache_dir]
-        if ceiling is not None:
-            args += ["--size-ceiling", str(ceiling)]
-        args += command
+    # Hypothesis refuses function-scoped fixtures, so the ceiling is patched
+    # per example, on rings built under it
+    from tautring import algebra
+
+    if ceiling is None:
+        ceiling = algebra.SIZE_CEILING
+    with (tempfile.TemporaryDirectory() as cache_dir,
+          mock.patch.object(algebra, "SIZE_CEILING", ceiling)):
+        algebra.ring_for.cache_clear()
+        args = ["--format", "json", "--cache-dir", cache_dir] + command
         bodies = []
         for _ in range(3):  # cold, then two warm reruns
             result = run_cli(args)
