@@ -26,7 +26,9 @@ socle degree the engine proves vanishing instead of building the piece
 Monomials are encoded as packed integers (one bit field per generator
 exponent) so that multiplying two monomials is a single integer addition;
 column indices are positions in the enumeration order of
-:meth:`GradedRing._columns`.
+:meth:`GradedRing._columns`.  The engine reads and returns packed keys
+(:meth:`GradedRing.monomial_key` is the one way in from a :class:`Monomial`)
+and decodes nothing back into a :class:`Poly`.
 """
 
 import json
@@ -34,7 +36,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
 from types import SimpleNamespace
 
 from ._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_echelon
@@ -458,19 +459,12 @@ class GradedBasis:
         self.rank = len(self.pivot_cols)
         self.dimension = self.monomial_count - self.rank
         self.quotient_cols = _complement(self.pivot_cols, self.monomial_count)
-        self._qpos = None
 
     def rref(self):
         """Canonical integer RREF rows, ``{lead: (cols, coeffs)}`` in
         ascending lead order: each row content-free with a positive lead,
         its tail only in non-pivot columns."""
         return self._rref
-
-    def quotient_pos(self, col):
-        """Position of a non-pivot column inside the quotient basis."""
-        if self._qpos is None:
-            self._qpos = {c: i for i, c in enumerate(self.quotient_cols)}
-        return self._qpos[col]
 
     def echelon_rows(self):
         """The RREF rows as ``(lead, cols, coeffs)``, sorted by lead."""
@@ -522,18 +516,6 @@ class GradedRing:
                 raise PresentationError(f"monomial uses unknown generator: {m}")
             key += e << (self._bits * idx)
         return key
-
-    def decode_key(self, key):
-        exps = []
-        gens = self.presentation.generators
-        i = 0
-        while key:
-            e = key & self._mask
-            if e:
-                exps.append((gens[i], e))
-            key >>= self._bits
-            i += 1
-        return Monomial(tuple(exps))
 
     def _exp_vector(self, m):
         vec = [0] * len(self.presentation.generators)
@@ -792,36 +774,16 @@ class GradedRing:
 
     # ----- normal forms ------------------------------------------------
 
-    def normal_form(self, q, degree=None):
-        """Coordinates of ``q``'s class in the quotient basis of its degree.
-
-        ``q`` must be homogeneous (the zero polynomial is allowed when
-        ``degree`` is given explicitly).  Returns a list of Fractions, one
-        per quotient-basis monomial, in column order.  Terms in the
-        monomial ideal J' have no column and contribute zero; a term over a
-        foreign generator raises PresentationError (:meth:`monomial_key`).
-        """
-        qdeg = q.degree()
-        if qdeg is None and degree is None:
-            raise ValueError("degree of the zero polynomial is ambiguous")
-        if degree is None:
-            degree = qdeg
-        elif qdeg is not None and qdeg != degree:
-            raise ValueError(f"polynomial has degree {qdeg}, expected {degree}")
-        key_coeffs = {
-            self.monomial_key(m): c for m, c in q.terms.items()
-        }
-        return self._normal_form_keys(key_coeffs, degree)
-
-    def _normal_form_keys(self, key_coeffs, degree):
-        """:meth:`normal_form` of ``{packed key: coefficient}``.
-
-        A coefficient p/q at a quotient column adds p/q there.  At a pivot
-        column with RREF row ``lead*x + sum(v*x_c)`` (every x_c a quotient
-        column) it adds -p*v/(q*lead) at each x_c, because the row lies in
-        I.  So every contribution is an integer over the denominator q or
-        q*lead of its term: the numerators are summed in integers over the
-        lcm D of those denominators, and each coordinate is one
+    def normal_form(self, key_coeffs, degree):
+        """Coordinates of the class of ``{packed key: coefficient}``, keys of
+        degree ``degree``, in that quotient basis: one Fraction per quotient
+        column.  A key without a column, in J' (:meth:`key_to_col`), adds
+        nothing.  A coefficient p/q at a quotient column adds p/q there.  At
+        a pivot column with RREF row ``lead*x + sum(v*x_c)`` (every x_c a
+        quotient column) it adds -p*v/(q*lead) at each x_c, because the row
+        lies in I.  So every contribution is an integer over the denominator
+        q or q*lead of its term: the numerators are summed in integers over
+        the lcm D of those denominators, and each coordinate is one
         ``Fraction(numerator, D)``, the same value as the sum of the
         Fractions.
         """
@@ -834,35 +796,22 @@ class GradedRing:
         for key, coeff in key_coeffs.items():
             col = key_to_col.get(key)
             if not coeff or col is None:
-                continue  # in J', inside I (the caller checked the degree)
+                continue  # in J', inside I
             row = rref.get(col)
             den = coeff.denominator * (1 if row is None else row[1][0])
             terms.append((coeff.numerator, den, row, col))
         common = lcm(*(den for _, den, _, _ in terms))
         nums = [0] * basis.dimension
-        qpos = basis.quotient_pos
+        qpos = {c: i for i, c in enumerate(basis.quotient_cols)}
         for num, den, row, col in terms:
             scale = num * (common // den)
             if row is None:
-                nums[qpos(col)] += scale
+                nums[qpos[col]] += scale
             else:
                 cols, coeffs = row
                 for c, v in zip(cols[1:], coeffs[1:]):
-                    nums[qpos(c)] -= scale * v
+                    nums[qpos[c]] -= scale * v
         return [Fraction(x, common) for x in nums]
-
-    def nf_poly(self, q, degree=None):
-        """Normal form of ``q`` as a Poly over quotient-basis monomials."""
-        qdeg = q.degree() if degree is None else degree
-        if qdeg is None:
-            return Poly.zero()
-        coords = self.normal_form(q, qdeg)
-        basis = self.basis(qdeg)
-        return Poly(
-            (self.decode_key(basis.keys[c]), v)
-            for c, v in zip(basis.quotient_cols, coords)
-            if v
-        )
 
     # ----- socle and pairings -------------------------------------------
 
@@ -913,19 +862,6 @@ class GradedRing:
         lam = self.socle_table()
         col_of = self.key_to_col(self.presentation.socle_degree).get
         return [0 if (col := col_of(k)) is None else lam[col] for k in keys]
-
-    def socle_eval(self, q):
-        """Evaluate a degree-``socle`` class against the socle monomial.
-
-        Normalized so the socle monomial itself evaluates to 1; terms in
-        the monomial ideal J' evaluate to zero.
-        """
-        n = self.presentation.socle_degree
-        qdeg = q.degree()
-        if qdeg is not None and qdeg != n:
-            raise ValueError(f"socle evaluation needs degree {n}, got {qdeg}")
-        values = self.socle_values([self.monomial_key(m) for m in q.terms])
-        return sum(map(mul, q.terms.values(), values), Fraction(0))
 
     def gram_matrix(self, d):
         """Pairing matrix between the quotient bases of degrees ``d`` and
@@ -1022,7 +958,7 @@ class GradedRing:
         -t/lead, or 0.  So before scaling the table holds the normal-form
         coordinate of every column, and lambda(s) -- zero when s lies in
         J', where it has no column -- is that of s.  Hence
-        normal_form(s)[0] != 0 iff socle_table does not raise.
+        ``normal_form({key(s): 1}, n)[0] != 0`` iff socle_table does not raise.
         """
         n = self.presentation.socle_degree
         hilbert = self.hilbert(n)

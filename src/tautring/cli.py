@@ -152,12 +152,9 @@ def _echo_table(report):
 
 def _parse_alphas(text):
     try:
-        alphas = [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"--alphas must be comma-separated integers, got {text!r}")
-    if not alphas:
-        raise UsageError("--alphas must be nonempty")
-    return alphas
 
 
 # ----- power-ring commands ---------------------------------------------------
@@ -378,7 +375,7 @@ def hodge_cmd(run, action, g, alphas):
 
 def bridge_cmd(run, n, alphas):
     """Compare the closed form against the fiber-side socle evaluation."""
-    exps = _parse_alphas(alphas) if alphas else [1] * n
+    exps = [1] * n if alphas is None else _parse_alphas(alphas)
     if len(exps) != n:
         raise UsageError("--alphas length must equal --n")
     ring = run.ring(fm_mod.fm_presentation(n))
@@ -474,6 +471,21 @@ def _parser(prog):
     return main_parser
 
 
+def _check_leading_options(main_parser, args):
+    """Refuse an unknown option before the command name, which argparse
+    would skip, taking the value after it for an invalid command name."""
+    options = main_parser._option_string_actions
+    rest = iter(args)
+    for arg in rest:
+        if not arg.startswith("-") or arg == "--":
+            return  # the command name
+        action = options.get(arg.split("=", 1)[0])
+        if action is None:
+            main_parser.error(f"unrecognized arguments: {arg}")
+        if action.nargs is None and "=" not in arg:
+            next(rest, None)  # the option's value
+
+
 def main(args=None, prog_name=None, standalone_mode=True):
     """Run one command line (``args``, by default ``sys.argv[1:]``) and
     exit with its code: 0 pass, 1 a check failed, 2 usage error, 3
@@ -482,6 +494,7 @@ def main(args=None, prog_name=None, standalone_mode=True):
     ``standalone_mode`` is accepted for callers that pass it and changes
     nothing."""
     main_parser = _parser(prog_name)
+    _check_leading_options(main_parser, sys.argv[1:] if args is None else args)
     params = vars(main_parser.parse_args(args))
     try:
         run = RunContext(params.pop("fmt"), params.pop("cache_dir"))

@@ -15,6 +15,7 @@ cross-check for every larger instance.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .algebra import ring_for
 from .fm import fm_presentation, psi_pullback
@@ -96,18 +97,28 @@ def hodge_psi_integral(alphas, g=GENUS):
 
 def fiber_socle_of_psi(n, alphas, *, ring=None):
     """Socle evaluation, in the compactified fiber ring on n points, of the
-    product of pulled-back psi classes with the given exponents."""
+    product of pulled-back psi classes with the given exponents: n of them,
+    nonnegative, summing to the socle degree n.  The product is held by
+    packed key and reduced to the quotient basis after each factor."""
     alphas = list(alphas)
-    if len(alphas) != n:
-        raise ValueError("need one exponent per point")
+    if n < 1 or len(alphas) != n or min(alphas) < 0 or sum(alphas) != n:
+        raise ValueError(f"need one nonnegative exponent per point, summing to n = {n} >= 1")
     if ring is None:
         ring = ring_for(fm_presentation(n))
-    product = None
+    factors = []
     for i, a in enumerate(alphas, start=1):
-        psi = psi_pullback(n, i)
-        for _ in range(a):
-            product = psi if product is None else ring.nf_poly(product * psi)
-    return ring.socle_eval(product)
+        psi = {ring.monomial_key(m): c for m, c in psi_pullback(n, i).terms.items()}
+        factors += [psi] * a
+    product = factors[0]
+    for d, psi in enumerate(factors[1:], start=2):
+        raw = {}
+        for k, c in product.items():
+            for k2, c2 in psi.items():
+                raw[k + k2] = raw.get(k + k2, 0) + c * c2
+        basis = ring.basis(d)
+        product = dict(zip([basis.keys[c] for c in basis.quotient_cols],
+                           ring.normal_form(raw, d)))
+    return sum(map(mul, product.values(), ring.socle_values(product)), Fraction(0))
 
 
 @lru_cache(maxsize=1)

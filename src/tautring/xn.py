@@ -365,9 +365,10 @@ def socle_coefficient(q, ground):
     """Socle evaluation via the rewrite system alone.
 
     Rewrites ``q`` to standard form and reads off the coefficient of the
-    product of all point classes over ``ground``.  Matches the generic
-    engine's normalized socle evaluation (the engine cross-checks this), but
-    needs no echelonization, so it scales to the large matching Grams.
+    product of all point classes over ``ground``.  Equals the generic
+    engine's normalized socle value, ``GradedRing.socle_values`` at the keys
+    of ``q``'s terms summed with its coefficients, but needs no
+    echelonization, so it scales to the large matching Grams.
     """
     nf = quadratic_normal_form(q)
     target = Monomial(tuple((gen_a(i), 1) for i in sorted(ground)))

@@ -36,6 +36,18 @@ def run_cli(args, env=None):
     return SimpleNamespace(exit_code=code, output=out.getvalue())
 
 
+def keyed(ring, q):
+    """The Poly ``q`` as the engine reads it: ``{packed key: coefficient}``."""
+    return {ring.monomial_key(m): c for m, c in q.terms.items()}
+
+
+def socle_value(ring, q):
+    """The socle evaluation of a Poly of the socle degree: its coefficients
+    times the values ``GradedRing.socle_values`` reads at its keys."""
+    terms = keyed(ring, q)
+    return sum(c * v for c, v in zip(terms.values(), ring.socle_values(terms)))
+
+
 @pytest.fixture
 def lower_ceiling(monkeypatch):
     """``lower_ceiling(c)`` sets ``algebra.SIZE_CEILING`` to ``c`` for the

@@ -180,6 +180,10 @@ def test_a_reader_that_stops_early_gets_exit_one_and_no_traceback():
     # a repeated index or pair is not merged: a1*a1 = 0 and b12*b12 = -4 a1 a2
     (["fm", "dual", "--monomial", '{"n": 3, "A": [1, 1]}'], 2),
     (["fm", "dual", "--monomial", '{"n": 4, "B": [[1, 2], [2, 1]]}'], 2),
+    # an empty entry is not skipped: "1,,1" does not evaluate [1, 1]
+    (["hodge", "eval", "--alphas", "1,,1"], 2),
+    (["hodge", "eval", "--alphas", "1,1,"], 2),
+    (["bridge", "--n", "2", "--alphas", ""], 2),
     # the column ceiling is the constant algebra.SIZE_CEILING, not a flag
     (["--size-ceiling", "50", "xn", "check", "--n", "2"], 2),
     (["fm", "standard", "--n", "13", "--degree", "1"], 3),
@@ -310,6 +314,16 @@ def test_hodge_eval_rejects_bad_exponents():
         ["hodge", "eval", "--g", "2", "--alphas", "0,2"]
     )
     assert result.exit_code == 2
+
+
+def test_an_unknown_global_option_is_named(capsys):
+    # argparse alone takes the value after an unknown option for the
+    # command and refuses it as the invalid command '50'
+    result = run_cli(["--size-ceiling", "50", "xn", "check", "--n", "2"])
+    assert result.exit_code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --size-ceiling" in err
+    assert "invalid choice" not in err
 
 
 def test_bridge_command():

@@ -34,6 +34,8 @@ from tautring.xn import (
     xn_presentation,
 )
 
+from conftest import socle_value
+
 FROZEN_FM_HILBERT = {
     2: [1, 3, 1],
     3: [1, 7, 7, 1],
@@ -409,7 +411,7 @@ def test_block_example_at_three_points():
     ring = ring_for(fm_presentation(3))
     v = StandardMonomialFM.make(3, D={(1, 2, 3): 1})
     product = Poly.monomial(v.to_monomial()) * Poly.monomial(dual_fm(v).to_monomial())
-    assert ring.socle_eval(product) == -1
+    assert socle_value(ring, product) == -1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -114,3 +114,11 @@ def test_bridge_identity_holds_exactly(n):
     lhs, rhs, ok = bridge_check(n, [1] * n)
     assert ok
     assert lhs == rhs == hodge_psi_integral([1] * n)
+
+
+@pytest.mark.parametrize("n, alphas", [(2, [0, 0]), (2, [2, 1]), (3, [1, 1, 0]), (0, [])])
+def test_fiber_socle_refuses_a_product_off_the_socle_degree(n, alphas):
+    # the exponents must sum to n >= 1: no product, one above the socle,
+    # one below, and no points
+    with pytest.raises(ValueError, match="summing to n"):
+        fiber_socle_of_psi(n, alphas)

@@ -2,7 +2,12 @@
 
 import importlib
 import itertools
+import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +19,7 @@ from tautring.algebra import GradedRing
 from tautring.cache import CachedRing, CacheStore
 from tautring.xn import xn_presentation
 from test_algebra import _fraction_rank
+from test_cli import _checkout_env
 
 
 def _packed_keys(n_gens, bits):
@@ -67,10 +73,43 @@ def test_benchmark_traced_name_resolves(path):
     assert callable(vars(owner).get(attr))
 
 
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
+
+
+@pytest.mark.parametrize("args", [
+    ("xn", "check", "--n", "3"),
+    ("--cache-dir", "{cache}", "xn", "check", "--n", "3"),
+    ("fm", "check", "--n", "3", "--mode", "blocks"),
+    ("bridge", "--n", "3"),
+], ids=" ".join)
+def test_benchmark_tracer_only_observes(args, tmp_path):
+    # the benchmark's traced child, run as the benchmark runs it: it exits 0
+    # with the untraced report and finds every name it wraps, apart from
+    # tautring._kernel.degree_keys.  Both runs start from an empty cache.
+    cache = tmp_path / "cache"
+    argv = ["--format", "json"] + [a.replace("{cache}", str(cache)) for a in args]
+    spans = tmp_path / "spans.json"
+    bodies = []
+    for prefix in ([sys.executable, "-m", "tautring.cli"],
+                   [sys.executable, TRACER, str(spans), "--"]):
+        shutil.rmtree(cache, ignore_errors=True)
+        done = subprocess.run(prefix + argv, env=_checkout_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        del report["timing"]
+        bodies.append(report)
+    assert bodies[0] == bodies[1]
+    trace = json.loads(spans.read_text())
+    assert set(trace["unpatched"]) <= {"tautring._kernel.degree_keys"}
+    assert trace["spans"][0][0] == "cli.main"
+
+
 def test_echelon_rows_keep_the_traced_shape(tmp_path):
     # perfbench/tracer.py unpacks ``_, cols, _`` from each echelon row of
     # every basis it records; a row of any other shape crashes the traced
-    # child, which no tier-1 test runs.
+    # child (test_benchmark_tracer_only_observes runs it).
     store = CacheStore(tmp_path)
     computed = CachedRing(xn_presentation(3), store)
     cached = CachedRing(xn_presentation(3), store)
