@@ -375,7 +375,7 @@ class Presentation:
 
     All generators sit in degree one; relations must be homogeneous of
     degree at least one.  ``ground`` is the tuple of point labels the
-    presentation is built over (used by enumeration code and reports).
+    presentation is built over; only :meth:`to_payload` (the content hash) reads it.
     """
 
     def __init__(self, label, ground, generators, relations, socle_degree, socle_monomial):

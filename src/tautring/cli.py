@@ -330,6 +330,8 @@ def fm_dual(run, payload_text, n):
     if type(size) is not int or size < 1:
         raise UsageError("ground-set size missing or not a positive integer: pass "
                          f"--n or a payload key 'n' (got {size!r})")
+    if n is not None and size != n:
+        raise UsageError(f"--n {n} differs from the payload's \"n\": {size}")
     try:
         v = fm_mod.StandardMonomialFM.deserialize(size, payload)
     except (TypeError, ValueError) as exc:  # a field of the wrong shape or type
@@ -362,7 +364,7 @@ def fm_presentation_cmd(run, n):
 # ----- moduli-side commands ---------------------------------------------------
 
 
-def hodge_cmd(run, action, g, alphas):
+def hodge_cmd(run, g, alphas):
     """Closed-form psi-lambda integral evaluation."""
     exps = _parse_alphas(alphas)
     try:
@@ -460,8 +462,8 @@ def _parser(prog):
     p = command(fm, "fm presentation", fm_presentation_cmd)
     p.add_argument("--n", type=_at_least(1), required=True)
 
-    p = command(groups, "hodge", hodge_cmd)
-    p.add_argument("action", choices=["eval"])
+    hodge = group("hodge", "Moduli-side psi-lambda integrals.")
+    p = command(hodge, "hodge eval", hodge_cmd)
     p.add_argument("--g", type=_at_least(2), default=2, help="(default: %(default)s)")
     p.add_argument("--alphas", required=True, help="Comma-separated exponents.")
     p = command(groups, "bridge", bridge_cmd)

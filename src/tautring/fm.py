@@ -20,7 +20,7 @@ up to a global sign to a pairing inside X^S.
 """
 
 import itertools
-from functools import cache, cached_property
+from functools import cache
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -65,23 +65,18 @@ def subset_key(subset):
 
 
 def _dpart_dict(dpart):
-    """Normalize a D-part (mapping or pair iterable) to {sorted tuple: exp}."""
+    """Normalize a D-part (mapping or pair iterable) to {sorted tuple: exp}:
+    repeated sets merge, zero exponents drop and negative ones raise
+    ValueError.  :class:`Forest` checks the index sets."""
     items = dpart.items() if hasattr(dpart, "items") else dpart
     out = {}
     for subset, exp in items:
-        t = tuple(sorted(subset))
-        if len(t) < 3 or len(set(t)) != len(t):
-            raise ValueError(f"invalid D-index set {subset!r}")
         if exp < 0:
             raise ValueError("negative exponent")
         if exp:
+            t = tuple(sorted(subset))
             out[t] = out.get(t, 0) + exp
     return out
-
-
-def _sorted_dpart(factors):
-    """The (subset, exponent) pairs as a tuple in decreasing subset order."""
-    return tuple(sorted(factors, key=lambda t: subset_key(t[0]), reverse=True))
 
 
 def nested_or_disjoint(s, t):
@@ -111,31 +106,36 @@ def dpart_key(D):
 
 
 class Forest:
-    """The nesting forest of a laminar collection of index sets.
-
-    Vertices are the distinct sets, listed in *decreasing* subset order (the
-    largest set first); edges point from a set to the maximal sets strictly
-    inside it.  Roots are the maximal sets; a vertex is external when it has
-    no children (minimal set), internal otherwise.
+    """The nesting forest of a D-part's index sets, the one place that
+    checks and orders them: a set with under three points or a repeated
+    point, a duplicate set, and two sets that overlap without nesting raise
+    ValueError.  Vertices (``subsets``) are sorted tuples in *decreasing*
+    subset order (the largest set first); edges point from a set to the
+    maximal sets strictly inside it.  Roots are the maximal sets; a vertex
+    is external when it has no children (minimal set), internal otherwise.
     """
 
     def __init__(self, subsets):
-        sets = [tuple(sorted(s)) for s in subsets]
+        sets = sorted((tuple(sorted(s)) for s in subsets), key=subset_key, reverse=True)
+        members = [frozenset(s) for s in sets]
+        for s, m in zip(sets, members):
+            if len(s) < 3 or len(m) != len(s):
+                raise ValueError(f"D-index set {s} needs three or more distinct points")
         if len(set(sets)) != len(sets):
             raise ValueError("duplicate subsets")
-        sets.sort(key=subset_key, reverse=True)
-        for s, t in itertools.combinations(sets, 2):
-            if not nested_or_disjoint(set(s), set(t)):
+        for (s, ms), (t, mt) in itertools.combinations(zip(sets, members), 2):
+            if not nested_or_disjoint(ms, mt):
                 raise ValueError(
                     f"subsets {s} and {t} overlap without nesting "
                     "(the monomial is zero)"
                 )
         self.subsets = tuple(sets)
+        self.union = frozenset().union(*members)
         # the strict supersets of a vertex come before it and form a chain,
         # so its parent is the nearest of them
         self.parent = tuple(
-            next((q for q in reversed(range(r)) if set(s) < set(sets[q])), None)
-            for r, s in enumerate(sets)
+            next((q for q in reversed(range(r)) if m < members[q]), None)
+            for r, m in enumerate(members)
         )
         self.children = tuple(
             tuple(c for c, p in enumerate(self.parent) if p == r)
@@ -166,13 +166,6 @@ class Forest:
         size = len(self.subsets[r])
         return size - self.child_union_size(r) + self.degree(r) - 1 - i_r
 
-    @property
-    def union(self):
-        out = set()
-        for s in self.subsets:
-            out.update(s)
-        return frozenset(out)
-
     def root_minima(self):
         return tuple(min(self.subsets[r]) for r in self.roots)
 
@@ -193,28 +186,27 @@ class StandardMonomialFM:
     """A monomial a(A).b(B).prod D_I^{e_I} of the compactified ring.
 
     An immutable value with fields ``n`` (the ground-set size), ``ab`` (the
-    a/b-part a(A).b(B), a :class:`~tautring.xn.StandardMonomialXn`) and
-    ``D`` (``((sorted subset tuple, exponent >= 1), ...)`` in decreasing
-    subset order); two monomials are equal when all three are.  The
-    constructor validates shape only (an a/b-part inside the ground set,
-    sorted D-data); use :func:`is_standard_fm` for the standardness
-    predicate, and :meth:`make` to build one from loose A, B and D.
+    a/b-part, a :class:`~tautring.xn.StandardMonomialXn`, which checks it),
+    ``forest`` (the :class:`Forest` of the D-part, which checks its sets)
+    and ``D`` (``((subset, exponent >= 1), ...)``, vertex r of the forest
+    with its exponent at ``D[r]``); it equals another when n, ab and D do.
+    The constructor checks only that both parts lie in the ground set and
+    that there is one exponent >= 1 per vertex.  :func:`is_standard_fm` is
+    the standardness predicate; :meth:`make` builds from loose A, B and D.
     """
 
-    def __init__(self, n, ab, D):
+    def __init__(self, n, ab, forest, exps):
         ground = set(range(1, n + 1))
         if not ab.support <= ground:
             raise ValueError(f"a/b-part {ab} outside the ground set")
-        if D != _sorted_dpart((tuple(sorted(s)), e) for s, e in D):
-            raise ValueError("D-part must be sorted in decreasing subset order")
-        for s, e in D:
-            if len(s) < 3 or not set(s) <= ground or e < 1:
-                raise ValueError(f"invalid D-factor {s}^{e}")
-        if len({s for s, _ in D}) != len(D):
-            raise ValueError("repeated subset in D-part")
+        if not forest.union <= ground:
+            raise ValueError(f"D-part {forest.subsets} outside the ground set")
+        if len(exps) != len(forest) or any(e < 1 for e in exps):
+            raise ValueError(f"need one exponent >= 1 per D-index set, got {exps}")
         self.n = n
         self.ab = ab
-        self.D = D
+        self.forest = forest
+        self.D = tuple(zip(forest.subsets, exps))
 
     def __eq__(self, other):
         if other.__class__ is not StandardMonomialFM:
@@ -229,18 +221,14 @@ class StandardMonomialFM:
         """The monomial a(A).b(B).D on ``n`` points, normalized: any
         iterables of indices and pairs, and a D-part as for
         :func:`_dpart_dict`."""
-        D = _sorted_dpart(_dpart_dict(D).items())
-        return cls(n, StandardMonomialXn.make(A, B), D)
+        D = _dpart_dict(D)
+        forest = Forest(D.keys())
+        return cls(n, StandardMonomialXn.make(A, B), forest,
+                   tuple(D[s] for s in forest.subsets))
 
     @property
     def degree(self):
         return self.ab.degree + sum(e for _, e in self.D)
-
-    @cached_property
-    def forest(self):
-        """The nesting forest of the D-part; it lists its vertices in the
-        order of ``D``, so vertex r carries the exponent of ``D[r]``."""
-        return Forest(s for s, _ in self.D)
 
     def to_monomial(self):
         factors = tuple((gen_D(s), e) for s, e in reversed(self.D))
@@ -254,11 +242,18 @@ class StandardMonomialFM:
         """The monomial on ``n`` points of a :meth:`serialize` payload; the
         a/b-part is read by ``StandardMonomialXn.deserialize``.  Every index
         and exponent must be an ``int``: JSON ``true`` and ``3.0`` equal 1
-        and 3 but raise ValueError."""
+        and 3 but raise ValueError.  So do a key other than ``n``, ``A``,
+        ``B`` and ``D`` (a misspelled key is not read as absent) and a
+        D-exponent below 1 (:meth:`make` would drop its set unchecked)."""
+        unknown = sorted(set(payload) - {"n", "A", "B", "D"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}: a payload has only n, A, B and D")
         ab = StandardMonomialXn.deserialize(payload)
         D = [(tuple(s), e) for s, e in payload.get("D", ())]
         if any(type(x) is not int for s, e in D for x in (*s, e)):
             raise ValueError("indices and exponents must be integers")
+        if any(e < 1 for _, e in D):
+            raise ValueError("D-exponents must be at least 1")
         return cls.make(n, ab.A, ab.B, D)
 
     @property
@@ -289,12 +284,11 @@ def much_less(v, w):
 
 
 def is_standard_fm(v):
-    """The standardness predicate: laminar D-part within exponent bounds,
-    and an a/b-part that is standard inside the section set S."""
-    try:
-        forest = v.forest
-    except ValueError:
-        return False
+    """The standardness predicate: D-exponents within the bounds of the
+    forest, and an a/b-part that is standard inside the section set S.  The
+    D-part is laminar by construction, since :class:`Forest` refuses
+    overlapping index sets."""
+    forest = v.forest
     return (all(e <= forest.exponent_bound(r) for r, (_, e) in enumerate(v.D))
             and v.ab.support <= forest.s_set(v.n))
 
@@ -308,8 +302,8 @@ def dual_fm(v):
         raise ValueError(f"not a standard monomial: {v}")
     forest = v.forest
     S = forest.s_set(v.n)
-    dual_D = tuple((s, forest.dual_exponent(r, e)) for r, (s, e) in enumerate(v.D))
-    return StandardMonomialFM(v.n, dual_xn(v.ab, len(S), ground=S), dual_D)
+    dual_exps = tuple(forest.dual_exponent(r, e) for r, (_, e) in enumerate(v.D))
+    return StandardMonomialFM(v.n, dual_xn(v.ab, len(S), ground=S), forest, dual_exps)
 
 
 def filtration_p(v):
@@ -346,7 +340,8 @@ def _laminar_families(subsets_desc, max_size):
 
 def enumerate_standard_fm(n, degree):
     """All standard monomials of the given degree, in the monomial order
-    (``StandardMonomialFM.sort_key``: by D-part, then by a/b-part)."""
+    (``StandardMonomialFM.sort_key``: by D-part, then by a/b-part).  The
+    monomials of one laminar family share its :class:`Forest`."""
     if not 0 <= degree:
         raise ValueError("degree must be nonnegative")
     if n > STANDARD_ENUMERATION_LIMIT:
@@ -376,9 +371,8 @@ def enumerate_standard_fm(n, degree):
             weight = sum(exps)
             if weight > degree:
                 continue
-            dpart = tuple(zip(forest.subsets, exps))
             for ab in enumerate_standard_xn(len(S), degree - weight, ground=S):
-                out.append(StandardMonomialFM(n, ab, dpart))
+                out.append(StandardMonomialFM(n, ab, forest, exps))
     out.sort(key=attrgetter("sort_key"))
     return out
 

@@ -133,20 +133,13 @@ def quadratic_normal_form(q, *, contract_shared=True):
     computation in :func:`verify_faber_relation` needs (the contraction is
     exactly the relation that computation is supposed to exhibit).
     """
-    out = {}
+    pairs = []
     for m, c in q.terms.items():
-        a_exps, b_exps = _split_ab(m)
-        res = _rewrite_monomial(dict(a_exps), dict(b_exps), contract_shared)
-        if res is None:
-            continue
-        factor, a_exps, b_exps = res
-        mono = _join_ab(a_exps, b_exps)
-        v = out.get(mono, 0) + c * factor
-        if v:
-            out[mono] = v
-        elif mono in out:
-            del out[mono]
-    return Poly(out)
+        res = _rewrite_monomial(*_split_ab(m), contract_shared)
+        if res is not None:
+            factor, a_exps, b_exps = res
+            pairs.append((_join_ab(a_exps, b_exps), c * factor))
+    return Poly(pairs)
 
 
 # ----- standard monomials --------------------------------------------------
@@ -520,22 +513,13 @@ def fiber_pushforward(q, n):
     factor (the corrected diagonal pushes to zero); kill terms not involving
     the last point at all (they are pull-backs, one dimension short).
     """
-    nf = quadratic_normal_form(q)
-    out = {}
-    for m, c in nf.terms.items():
+    pairs = []
+    for m, c in quadratic_normal_form(q).terms.items():
         a_exps, b_exps = _split_ab(m)
-        if any(n in p for p in b_exps):
-            continue
-        if n not in a_exps:
-            continue
-        del a_exps[n]
-        mono = _join_ab(a_exps, b_exps)
-        v = out.get(mono, 0) + c
-        if v:
-            out[mono] = v
-        elif mono in out:
-            del out[mono]
-    return Poly(out)
+        if n in a_exps and not any(n in p for p in b_exps):
+            del a_exps[n]
+            pairs.append((_join_ab(a_exps, b_exps), c))
+    return Poly(pairs)
 
 
 def derive_six_point():

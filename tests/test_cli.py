@@ -180,9 +180,16 @@ def test_a_reader_that_stops_early_gets_exit_one_and_no_traceback():
     # a repeated index or pair is not merged: a1*a1 = 0 and b12*b12 = -4 a1 a2
     (["fm", "dual", "--monomial", '{"n": 3, "A": [1, 1]}'], 2),
     (["fm", "dual", "--monomial", '{"n": 4, "B": [[1, 2], [2, 1]]}'], 2),
+    # a misspelled key is not read as absent, and --n does not override "n"
+    (["fm", "dual", "--monomial", '{"n": 3, "a": [1]}'], 2),
+    (["fm", "dual", "--n", "5", "--monomial", '{"n": 3, "D": [[[1,2,3],1]]}'], 2),
+    # a zero exponent does not hide a bad index set
+    (["fm", "dual", "--monomial", '{"n": 4, "D": [[[1,2],0]]}'], 2),
     # an empty entry is not skipped: "1,,1" does not evaluate [1, 1]
     (["hodge", "eval", "--alphas", "1,,1"], 2),
     (["hodge", "eval", "--alphas", "1,1,"], 2),
+    # hodge is a group whose one command is eval
+    (["hodge", "--alphas", "1,1"], 2),
     (["bridge", "--n", "2", "--alphas", ""], 2),
     # the column ceiling is the constant algebra.SIZE_CEILING, not a flag
     (["--size-ceiling", "50", "xn", "check", "--n", "2"], 2),
@@ -418,6 +425,18 @@ def test_fm_standard_and_dual():
     assert report_of(result)["summary"]["dual"] == {
         "A": [1], "B": [], "D": [[[1, 2, 3], 1]],
     }
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--monomial", '{"n": 4, "D": [[[1,2,3],1],[[2,3,4],1]]}'], "overlap without nesting"),
+    (["--monomial", '{"n": 3, "a": [1]}'], "unknown keys ['a']"),
+    (["--n", "5", "--monomial", '{"n": 3, "D": [[[1,2,3],1]]}'],
+     '--n 5 differs from the payload\'s "n": 3'),
+])
+def test_fm_dual_names_what_it_refuses(args, message, capsys):
+    result = run_cli(["fm", "dual"] + args)
+    assert result.exit_code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_fm_dual_requires_a_ground_size():

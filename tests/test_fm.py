@@ -191,7 +191,7 @@ def test_standard_monomial_equality_hash_and_validation():
     mk = StandardMonomialFM.make
     v = mk(4, A=[4], D={(3, 1, 2): 1})
     ab = StandardMonomialXn(frozenset({4}), frozenset())
-    same = StandardMonomialFM(4, ab, (((1, 2, 3), 1),))
+    same = StandardMonomialFM(4, ab, Forest([(3, 2, 1)]), (1,))
     assert v == same and hash(v) == hash(same)
     assert hash(v) == hash((4, ab, (((1, 2, 3), 1),)))
     assert v != mk(5, A=[4], D={(1, 2, 3): 1})
@@ -202,10 +202,32 @@ def test_standard_monomial_equality_hash_and_validation():
                 dict(D={(1, 2, 5): 1})):  # D-index set outside the ground set
         with pytest.raises(ValueError):
             mk(4, **bad)
-    with pytest.raises(ValueError):  # D-part not in decreasing subset order
-        StandardMonomialFM(4, StandardMonomialXn.make(), (((1, 2, 3), 1), ((1, 2, 3, 4), 1)))
+    forest = Forest([(1, 2, 3), (1, 2, 3, 4)])
+    with pytest.raises(ValueError):  # exponent list length differs from the forest
+        StandardMonomialFM(4, StandardMonomialXn.make(), forest, (1,))
     with pytest.raises(ValueError):  # exponent below one
-        StandardMonomialFM(4, StandardMonomialXn.make(), (((1, 2, 3), 0),))
+        StandardMonomialFM(4, StandardMonomialXn.make(), forest, (1, 0))
+
+
+@pytest.mark.parametrize("dpart, message", [
+    ({(1, 2, 3): 1, (2, 3, 4): 1}, "overlap without nesting"),
+    ({(1, 2): 1}, "three or more distinct points"),
+    ([((1, 1, 2, 3), 1)], "three or more distinct points"),
+    ({(1, 2, 5): 1}, "outside the ground set"),
+], ids=["non-laminar", "undersized", "repeated-point", "outside-the-ground-set"])
+def test_make_refuses_a_bad_dpart(dpart, message):
+    # a zero monomial with overlapping sets used to build, and raise only
+    # when its forest was read
+    with pytest.raises(ValueError, match=message):
+        StandardMonomialFM.make(4, D=dpart)
+
+
+def test_one_family_shares_one_forest():
+    for d in range(6):
+        forests = {}
+        for v in enumerate_standard_fm(5, d):
+            assert forests.setdefault(v.forest.subsets, v.forest) is v.forest
+            assert dual_fm(v).forest is v.forest
 
 
 def test_enumeration_counts_for_three_points():
