@@ -11,9 +11,10 @@ piece of the quotient ring R = S/I by explicit exact linear algebra:
   monomials inside J' (see :meth:`GradedRing._columns`);
 * the degree-``d`` slice of I/J' (multi-term relation times a multiplier
   outside J', with the terms that land in J' dropped) is echelonized
-  exactly and back-substituted into its canonical RREF, the one form a
-  :class:`GradedBasis` holds.  The quotient is read off the non-pivot
-  columns, normal forms and the socle functional off the RREF rows.
+  exactly and back-substituted into its canonical RREF.  A
+  :class:`GradedBasis`, the one record of a degree, holds the columns and
+  their index, the RREF and the live columns; the quotient is read off the
+  non-pivot columns, normal forms and the socle functional off the RREF rows.
 
 No Groebner basis is computed -- ranks of explicit integer matrices decide
 everything, which keeps the verification auditable.  A row of the slice is
@@ -433,25 +434,32 @@ class Presentation:
 
 
 class GradedBasis:
-    """One graded piece of a quotient ring: its columns and its RREF.
+    """One graded piece of a quotient ring: its columns, their index, its
+    RREF and its live columns.
 
     The columns are the degree-``degree`` monomials outside the monomial
-    ideal J' (``monomial_count`` counts only those, ``keys`` lists them in
-    column order).  The piece is held in one form, the canonical integer
-    RREF of the slice of the multi-term relations (:meth:`rref`), and
-    everything else is read off it: its leads are the pivot columns, their
-    number is the rank, and the non-pivot columns form the quotient basis.
-    The RREF is a function of the row space alone, so ``dimension ==
-    monomial_count - rank`` always.  ``tags`` runs parallel to the pivots:
-    the index in ``GradedRing._prepped`` of the relation whose row adopted
-    each lead, which :meth:`GradedRing._compute_basis` reads at higher
-    degrees.  Neither depends on the rows ``_compute_basis`` skipped (see
-    its docstring).
+    ideal J' (:meth:`GradedRing._columns`): ``col_of`` maps the packed key
+    of each to its column index, ``keys`` lists them in column order and
+    ``monomial_count`` counts them.  The piece is held in one form, the
+    canonical integer RREF of the slice of the multi-term relations
+    (:meth:`rref`), and everything else is read off it: its leads are the
+    pivot columns, their number is the rank, and the non-pivot columns form
+    the quotient basis.  The RREF is a function of the row space alone, so
+    ``dimension == monomial_count - rank`` always.  ``alive`` is the set of
+    keys that are not dead: all but the pivots whose RREF row has no tail,
+    which lie in I (:meth:`GradedRing.is_zero_key`).  ``tags`` runs
+    parallel to the pivots: the index in ``GradedRing._prepped`` of the
+    relation whose row adopted each lead, which
+    :meth:`GradedRing._compute_basis` reads at higher degrees.  None of
+    these depends on the rows ``_compute_basis`` skipped (see its
+    docstring).  A degree below every multi-term relation is an ordinary
+    piece with no rows, every column alive.
     """
 
-    def __init__(self, degree, keys, rref, tags):
+    def __init__(self, degree, col_of, rref, tags):
         self.degree = degree
-        self.keys = keys
+        self.col_of = col_of
+        self.keys = keys = list(col_of)
         self.monomial_count = len(keys)
         self._rref = rref
         self.tags = tags
@@ -459,6 +467,8 @@ class GradedBasis:
         self.rank = len(self.pivot_cols)
         self.dimension = self.monomial_count - self.rank
         self.quotient_cols = _complement(self.pivot_cols, self.monomial_count)
+        self.alive = col_of.keys() - {
+            keys[lead] for lead, (cols, _) in rref.items() if len(cols) == 1}
 
     def rref(self):
         """Canonical integer RREF rows, ``{lead: (cols, coeffs)}`` in
@@ -497,14 +507,10 @@ class GradedRing:
         self._gen_keys = [1 << (self._bits * i) for i in range(len(gens))]
         self._mask = (1 << self._bits) - 1
         self._degree_cap = self._mask
-        self._columns_memo = {}
-        self._alive_memo = {}
-        self._key_to_col_memo = {}
         self._basis_memo = {}
         self._socle_table_memo = None
         self._gram_rank_memo = {}
         self._ideal, self._prepped = self._prepare_relations()
-        self._lowest = min((rdeg for rdeg, _, _ in self._prepped), default=float("inf"))
 
     # ----- encoding ---------------------------------------------------
 
@@ -559,15 +565,17 @@ class GradedRing:
     # ----- monomial enumeration ----------------------------------------
 
     def _columns(self, d):
-        """Keys of the degree-``d`` monomials outside J', in column order.
+        """``{key: column}`` of the degree-``d`` monomials outside J', keys
+        in column order; :meth:`_compute_basis` hands it to the
+        :class:`GradedBasis` it builds, which owns it from then on.
 
         A degree-``e`` column is *dead* when it is a pivot of ``basis(e)``
         whose canonical RREF row has no tail, so that the monomial itself
         lies in I.  J' at degree ``d`` is the ideal generated by J and the
         dead columns of every lower degree.  Degree ``d`` is built from
-        degree ``d-1``: each column there that is not dead is extended by
-        every generator index at least its largest one, and the product is
-        kept when it passes the divisor test of :meth:`_column_products`.
+        ``basis(d-1)``: each of its ``keys`` that is ``alive`` is extended
+        by every generator index at least its largest one, and the product
+        is kept when it passes the divisor test of :meth:`_column_products`.
         By induction on ``d`` this lists the complement of J', in the order
         of ``itertools.combinations_with_replacement`` on generator indices
         (descending lexicographic order on exponent vectors), and never
@@ -587,9 +595,6 @@ class GradedRing:
         Refuses (SizeCeilingError) once the count passes ``SIZE_CEILING``,
         or when ``d`` exceeds the exponent packing width.
         """
-        keys = self._columns_memo.get(d)
-        if keys is not None:
-            return keys
         if d > self._degree_cap:
             raise SizeCeilingError(
                 self.presentation.label, d, None, SIZE_CEILING,
@@ -597,45 +602,30 @@ class GradedRing:
                        f"{self._degree_cap} fit)",
             )
         if d == 0:
-            keys = [0]
-        else:
-            keys = []
-            alive = self._alive(d - 1)
-            gen_keys, bits, ceiling = self._gen_keys, self._bits, SIZE_CEILING
-            for key in self._columns(d - 1):
-                if key not in alive:
-                    continue
-                last = max(key.bit_length() - 1, 0) // bits
-                keys.extend(key + gen_keys[g] for g in
-                            self._column_products(key, range(last, len(gen_keys)), alive))
-                if len(keys) > ceiling:
-                    raise SizeCeilingError(
-                        self.presentation.label, d, len(keys), ceiling,
-                        reason=f"needs more than {ceiling} columns (monomials "
-                               f"outside the monomial ideal)",
-                    )
-        self._columns_memo[d] = keys
-        return keys
-
-    def _alive(self, d):
-        """The set of degree-``d`` columns that are not dead (memoized).  A
-        degree below every multi-term relation has no pivots; its basis is
-        not looked up.  The set is stored only once complete, so a failed
-        ``basis(d)`` leaves no set that still holds dead columns."""
-        alive = self._alive_memo.get(d)
-        if alive is None:
-            keys = self._columns(d)
-            alive = set(keys)
-            if d >= self._lowest:
-                alive.difference_update(keys[lead] for lead, (cols, _) in
-                                        self.basis(d).rref().items() if len(cols) == 1)
-            self._alive_memo[d] = alive
-        return alive
+            return {0: 0}
+        below = self.basis(d - 1)
+        alive = below.alive
+        keys = []
+        gen_keys, bits, ceiling = self._gen_keys, self._bits, SIZE_CEILING
+        for key in below.keys:
+            if key not in alive:
+                continue
+            last = max(key.bit_length() - 1, 0) // bits
+            keys.extend(key + gen_keys[g] for g in
+                        self._column_products(key, range(last, len(gen_keys)), alive))
+            if len(keys) > ceiling:
+                raise SizeCeilingError(
+                    self.presentation.label, d, len(keys), ceiling,
+                    reason=f"needs more than {ceiling} columns (monomials "
+                           f"outside the monomial ideal)",
+                )
+        return dict(zip(keys, range(len(keys))))
 
     def _column_products(self, key, gens, alive):
         """The divisor test: the indices g in ``gens`` for which ``key * g``
-        is a column, for ``key`` in ``alive`` (:meth:`_alive`): it is not a
-        generator of J, and ``key * g / h`` is alive for each h dividing key."""
+        is a column, for ``key`` in ``alive``, the live keys of its degree
+        (:attr:`GradedBasis.alive`): it is not a generator of J, and
+        ``key * g / h`` is alive for each h dividing key."""
         bits, mask, gen_keys, ideal = self._bits, self._mask, self._gen_keys, self._ideal
         steps = []  # key / h for each generator h dividing key
         rest = key
@@ -647,19 +637,10 @@ class GradedRing:
         return [g for g in gens if key + gen_keys[g] not in ideal
                 and all(q + gen_keys[g] in alive for q in steps)]
 
-    def key_to_col(self, d):
-        """Column index of each degree-``d`` key outside J'; a same-degree
-        key without a column lies in J', inside I, and is zero in the ring."""
-        mapping = self._key_to_col_memo.get(d)
-        if mapping is None:
-            mapping = {k: i for i, k in enumerate(self._columns(d))}
-            self._key_to_col_memo[d] = mapping
-        return mapping
-
     def is_zero_key(self, key, d):
         """Whether the degree-``d`` monomial with packed ``key`` is zero in
-        the ring: exactly when ``key`` is not a live column (:meth:`_alive`),
-        that is, has no column or is a dead pivot.
+        the ring: exactly when ``key`` is not in ``basis(d).alive``, that
+        is, has no column or is a dead pivot.
 
         Proof.  A key without a column lies in J', inside I.  A column c is
         read off the canonical RREF of ``basis(d)``: a non-pivot column is a
@@ -667,12 +648,14 @@ class GradedRing:
         with its tail in non-pivot columns, so [c] = -tail/lead, which is
         zero exactly when the tail is empty, that is when c is dead.
         """
-        return key not in self._alive(d)
+        return key not in self.basis(d).alive
 
     # ----- basis construction ------------------------------------------
 
     def basis(self, d):
-        """The degree-``d`` graded piece (memoized)."""
+        """The degree-``d`` graded piece (memoized).  It is stored only once
+        built, lower degrees first (:meth:`_columns` reads ``basis(d-1)``),
+        so a refused degree leaves no entry behind."""
         if d < 0:
             raise ValueError("degree must be nonnegative")
         basis = self._basis_memo.get(d)
@@ -687,12 +670,12 @@ class GradedRing:
         Write f_0, f_1, ... for the multi-term relations in ``_prepped``
         order, r_i for the degree of f_i, and A_i(d) for the span of the
         rows of f_0..f_i at degree d, the images in S/J' (:meth:`_columns`)
-        of f_j*m for m a column of degree d - r_j.  The relations are
-        inserted in index order, each row tagged with its relation's index,
-        so the tag of an echelon row names the relation whose row adopted
-        its lead.  Two criteria of matrix-F5 (Faugere, ISSAC 2002; Bardet,
-        Faugere and Salvy, J. Symbolic Comput. 70, 2015) skip rows before
-        they are built:
+        of f_j*m for m a column of degree e = d - r_j, one of
+        ``basis(e).keys``.  The relations are inserted in index order, each
+        row tagged with its relation's index, so the tag of an echelon row
+        names the relation whose row adopted its lead.  Two criteria of
+        matrix-F5 (Faugere, ISSAC 2002; Bardet, Faugere and Salvy, J.
+        Symbolic Comput. 70, 2015) skip rows before they are built:
 
         (a) Koszul: skip the row f_i*m when the column of m at degree
             e = d - r_i is a lead of ``basis(e)`` tagged j < i.
@@ -730,17 +713,14 @@ class GradedRing:
         once the RREF is built.
 
         The criteria read ``basis(e)`` and ``basis(r_i)``, both below
-        ``d``, built on demand; a degree below every r_i has no leads and
-        is not built for them.
+        ``d`` and built on demand.
         """
-        keys = self._columns(d)
-        count = len(keys)
-        key_to_col = self.key_to_col(d)
-        prepped = self._prepped
+        col_of = self._columns(d)
+        count = len(col_of)
         reducer = SpanReducer(count)
         adopted = {}  # degree r -> tags of basis(r), for (b)
         owners = {}  # degree e -> tag of each column's lead, for (a)
-        for i, (rdeg, tkeys, tcoeffs) in enumerate(prepped):
+        for i, (rdeg, tkeys, tcoeffs) in enumerate(self._prepped):
             if rdeg > d:
                 continue
             if reducer.rank == count:
@@ -752,16 +732,14 @@ class GradedRing:
                 if i not in tags:
                     continue
             e = d - rdeg
-            mult = self._columns(e)
-            if e >= self._lowest:
-                owner = owners.get(e)
-                if owner is None:
-                    owner = owners[e] = self._lead_owners(e)
-                mult = [mk for mk, j in zip(mult, owner) if j >= i]
-            reducer.insert_products(tkeys, tcoeffs, mult, key_to_col, i)
+            owner = owners.get(e)
+            if owner is None:
+                owner = owners[e] = self._lead_owners(e)
+            mult = [mk for mk, j in zip(self.basis(e).keys, owner) if j >= i]
+            reducer.insert_products(tkeys, tcoeffs, mult, col_of, i)
         rref = _rref_from_echelon(
             {lead: (cols, coeffs) for lead, cols, coeffs in reducer.echelon_rows()})
-        return GradedBasis(d, keys, rref, reducer.echelon_tags())
+        return GradedBasis(d, col_of, rref, reducer.echelon_tags())
 
     def _lead_owners(self, e):
         """Per degree-``e`` column, the tag of its lead in ``basis(e)``, or
@@ -777,24 +755,24 @@ class GradedRing:
     def normal_form(self, key_coeffs, degree):
         """Coordinates of the class of ``{packed key: coefficient}``, keys of
         degree ``degree``, in that quotient basis: one Fraction per quotient
-        column.  A key without a column, in J' (:meth:`key_to_col`), adds
-        nothing.  A coefficient p/q at a quotient column adds p/q there.  At
-        a pivot column with RREF row ``lead*x + sum(v*x_c)`` (every x_c a
-        quotient column) it adds -p*v/(q*lead) at each x_c, because the row
-        lies in I.  So every contribution is an integer over the denominator
-        q or q*lead of its term: the numerators are summed in integers over
-        the lcm D of those denominators, and each coordinate is one
-        ``Fraction(numerator, D)``, the same value as the sum of the
-        Fractions.
+        column.  A key without a column (not in ``basis(degree).col_of``)
+        lies in J', inside I, and adds nothing.  A coefficient p/q at a
+        quotient column adds p/q there.  At a pivot column with RREF row
+        ``lead*x + sum(v*x_c)`` (every x_c a quotient column) it adds
+        -p*v/(q*lead) at each x_c, because the row lies in I.  So every
+        contribution is an integer over the denominator q or q*lead of its
+        term: the numerators are summed in integers over the lcm D of those
+        denominators, and each coordinate is one ``Fraction(numerator, D)``,
+        the same value as the sum of the Fractions.
         """
         basis = self.basis(degree)
         if basis.dimension == 0:
             return []
-        key_to_col = self.key_to_col(degree)
+        col_of = basis.col_of
         rref = basis.rref()
         terms = []  # (numerator, denominator, RREF row or None, column)
         for key, coeff in key_coeffs.items():
-            col = key_to_col.get(key)
+            col = col_of.get(key)
             if not coeff or col is None:
                 continue  # in J', inside I
             row = rref.get(col)
@@ -836,9 +814,7 @@ class GradedRing:
         lam = [Fraction(1)] * basis.monomial_count
         for lead, (cols, coeffs) in basis.rref().items():
             lam[lead] = Fraction(-coeffs[1], coeffs[0]) if len(cols) > 1 else Fraction(0)
-        s_col = self.key_to_col(n).get(
-            self.monomial_key(self.presentation.socle_monomial)
-        )
+        s_col = basis.col_of.get(self.monomial_key(self.presentation.socle_monomial))
         s = 0 if s_col is None else lam[s_col]
         if not s:
             raise SocleError(
@@ -854,13 +830,13 @@ class GradedRing:
         packed keys, as a list; every socle value by key is read here.
 
         A key with a column c evaluates to lambda(c), the entry of
-        :meth:`socle_table`.  A degree-``socle`` key without a column is a
-        monomial in J' (:meth:`key_to_col`), which lies in I, so its class
-        and its value are 0 (an int).  The keys must have the socle degree:
+        :meth:`socle_table`.  A degree-``socle`` key without a column (not
+        in ``basis(socle).col_of``) is a monomial in J', which lies in I, so
+        its class and its value are 0 (an int).  The keys must have the socle degree:
         one of another degree has no column here and would read 0.
         """
         lam = self.socle_table()
-        col_of = self.key_to_col(self.presentation.socle_degree).get
+        col_of = self.basis(self.presentation.socle_degree).col_of.get
         return [0 if (col := col_of(k)) is None else lam[col] for k in keys]
 
     def gram_matrix(self, d):
@@ -917,7 +893,7 @@ class GradedRing:
         else:
             s_key = self.monomial_key(s)  # a column and not dead: lambda(s) = 1
             factors = [self._gen_index[x] for x, _ in s.exps]
-            if self._column_products(s_key, factors, self._alive(n)) != factors:
+            if self._column_products(s_key, factors, self.basis(n).alive) != factors:
                 return 0
         return self.basis(n + 1).dimension
 

@@ -223,8 +223,10 @@ class CachedRing(GradedRing):
     """A GradedRing that reads each basis from ``store`` before computing it.
 
     Only :meth:`_compute_basis` differs, so a basis is still memoized by
-    ``GradedRing.basis``.  ``cache_hits`` and ``cache_misses`` count this
-    ring's lookups; a payload that fails verification counts as a miss.
+    ``GradedRing.basis``, and every degree the ring builds, degree 0
+    included, is looked up and stored.  ``cache_hits`` and
+    ``cache_misses`` count this ring's lookups; a payload that fails
+    verification counts as a miss.
     """
 
     def __init__(self, presentation, store):
@@ -246,12 +248,12 @@ class CachedRing(GradedRing):
         otherwise (a miss) the basis ``GradedRing`` computes, then stored."""
         key = self._basis_cache_key(d)
         payload = self.store.get(key)
-        keys = self._columns(d)
-        parsed = (None if payload is None
-                  else _parse_basis_payload(payload, len(keys), len(self._prepped)))
-        if parsed is not None:
-            self.cache_hits += 1
-            return GradedBasis(d, keys, *parsed)
+        if payload is not None:
+            col_of = self._columns(d)
+            parsed = _parse_basis_payload(payload, len(col_of), len(self._prepped))
+            if parsed is not None:
+                self.cache_hits += 1
+                return GradedBasis(d, col_of, *parsed)
         self.cache_misses += 1
         basis = super()._compute_basis(d)
         self.store.put(key, _basis_payload(basis))

@@ -488,11 +488,12 @@ def _check_leading_options(main_parser, args):
             next(rest, None)  # the option's value
 
 
-def main(args=None, prog_name=None, standalone_mode=True):
+def main(args=None, prog_name="tautring", standalone_mode=True):
     """Run one command line (``args``, by default ``sys.argv[1:]``) and
     exit with its code: 0 pass, 1 a check failed, 2 usage error, 3
     size-guard refusal.  Every outcome, a usage error included, ends in
-    SystemExit.  ``prog_name`` names the program in usage messages;
+    SystemExit.  ``prog_name`` names the program in usage messages, the
+    same under ``python -m tautring.cli`` as for the console script;
     ``standalone_mode`` is accepted for callers that pass it and changes
     nothing."""
     main_parser = _parser(prog_name)

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautring import algebra
 from tautring._kernel import SpanReducer, _rref_from_echelon
@@ -213,7 +215,7 @@ def reference_normal_form(ring, q, d):
     pos = {c: i for i, c in enumerate(basis.quotient_cols)}
     out = [Fraction(0)] * basis.dimension
     for key, coeff in q.items():
-        col = ring.key_to_col(d).get(key)
+        col = basis.col_of.get(key)
         if col is None:
             continue
         row = basis.rref().get(col)
@@ -261,7 +263,7 @@ def test_key_helpers_agree_with_normal_forms(presentation):
         for combo in itertools.combinations_with_replacement(gens, d):
             key = sum(ring._gen_keys[g] for g in combo)
             nf = ring.normal_form({key: 1}, d)
-            no_column += key not in ring.key_to_col(d)
+            no_column += key not in ring.basis(d).col_of
             assert ring.is_zero_key(key, d) == (not any(nf)), (d, key)
             if d == n:
                 (value,) = ring.socle_values([key])
@@ -623,8 +625,9 @@ def test_columns_are_the_monomials_outside_the_ideal_in_reference_order(presenta
             sum(c) for c in itertools.combinations_with_replacement(ring._gen_keys, d)
         ]
         outside = [k for k in everything if not any(divides(j, k) for j in ideal)]
-        assert ring._columns(d) == outside
         basis = ring.basis(d)
+        assert basis.keys == outside
+        assert basis.col_of == {k: c for c, k in enumerate(outside)}
         ideal += [basis.keys[lead] for lead, (cols, _) in basis.rref().items()
                   if len(cols) == 1]
     assert len(ideal) > sum(len(rel.terms) == 1 for rel in presentation.relations)
@@ -646,20 +649,28 @@ def test_every_dead_monomial_lies_in_the_ideal(presentation, top):
     ring = GradedRing(presentation)
     found = 0
     for d in range(presentation.socle_degree + 1):
-        dead = set(ring._columns(d)) - ring._alive(d)
+        basis = ring.basis(d)
+        dead = set(basis.keys) - basis.alive
         if not dead:
             continue
         assert d <= top, f"{len(dead)} dead monomials in degree {d}, beyond the oracle"
         index, rows = _oracle_rows(presentation, d)
-        index = {ring.monomial_key(m): i for m, i in index.items()}
-        units = []
-        for key in dead:
-            unit = [Fraction(0)] * len(index)
-            unit[index[key]] = Fraction(1)
-            units.append(unit)
+        units = _unit_rows(ring, index, dead)
         assert _fraction_rank(rows + units) == _fraction_rank(rows), d
         found += len(dead)
     assert found or presentation.label in ("xn:1", "xn:2")
+
+
+def _unit_rows(ring, index, keys):
+    """The unit rows, over the oracle's column ``index``, of the monomials
+    with these packed keys: they lie in the ideal iff they add no rank."""
+    index = {ring.monomial_key(m): i for m, i in index.items()}
+    units = []
+    for key in keys:
+        unit = [Fraction(0)] * len(index)
+        unit[index[key]] = Fraction(1)
+        units.append(unit)
+    return units
 
 
 def test_higher_degree_ideal_dimensions_match_oracle():
@@ -669,24 +680,103 @@ def test_higher_degree_ideal_dimensions_match_oracle():
         assert ring.basis(d).dimension == oracle_dimension(presentation, d)
 
 
+_COEFFICIENTS = [Fraction(c) * sign for c in (1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+                 for sign in (1, -1)]
+
+
+@st.composite
+def _random_presentations(draw):
+    """2-4 generators a_i and 1-6 relations of degree 2 or 3, each 1-4
+    distinct monomials with coefficients in +-{1, 2, 3, 1/2, 3/2}; a
+    single-term relation is a generator of J.  The socle data is a
+    placeholder: only graded pieces are read."""
+    gens = [gen_a(i) for i in range(1, draw(st.integers(2, 4)) + 1)]
+    relations = []
+    for _ in range(draw(st.integers(1, 6))):
+        monomials = _all_monomials(gens, draw(st.sampled_from([2, 3])))
+        terms = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4,
+                              unique_by=lambda m: m.exps))
+        relations.append(Poly({m: draw(st.sampled_from(_COEFFICIENTS)) for m in terms}))
+    return Presentation("random", range(1, len(gens) + 1), gens, relations,
+                        1, Monomial(((gens[0], 1),)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(presentation=_random_presentations())
+def test_random_presentations_match_the_oracle(presentation):
+    # the dimensions of every degree up to 5, and every dead monomial (one
+    # the next degree drops from its columns) lies in the ideal
+    ring = GradedRing(presentation)
+    for d in range(6):
+        basis = ring.basis(d)
+        index, rows = _oracle_rows(presentation, d)
+        rank = _fraction_rank(rows)
+        assert basis.dimension == len(index) - rank, d
+        units = _unit_rows(ring, index, set(basis.keys) - basis.alive)
+        assert not units or _fraction_rank(rows + units) == rank, d
+
+
+# ----- the per-degree record --------------------------------------------------
+
+
+@pytest.mark.parametrize("presentation", [xn_presentation(3), xn_presentation(4),
+                                          fm_presentation(3)],
+                         ids=lambda p: p.label)
+def test_a_basis_indexes_its_columns_and_holds_its_live_keys(presentation):
+    ring = ring_for(presentation)
+    for d in range(presentation.socle_degree + 1):
+        basis = ring.basis(d)
+        assert len(basis.col_of) == len(basis.keys) == basis.monomial_count
+        assert all(basis.col_of[key] == c for c, key in enumerate(basis.keys))
+        dead = {basis.keys[lead] for lead, (cols, _) in basis.rref().items()
+                if len(cols) == 1}
+        assert basis.alive == set(basis.keys) - dead, d
+
+
+def test_degrees_below_every_relation_are_ordinary_bases():
+    # X^3 has no multi-term relation below degree 2
+    ring = GradedRing(xn_presentation(3))
+    for d in (0, 1):
+        basis = ring.basis(d)
+        assert basis.rank == 0 and basis.dimension == basis.monomial_count
+        assert basis.alive == set(basis.keys)
+
+
+def test_a_refused_degree_leaves_no_record(lower_ceiling):
+    # degree 3 of X^4 has 90 columns: under a ceiling of 50 it is refused
+    # after degrees 0..2 are built, and recorded once the ceiling allows it
+    ceiling = algebra.SIZE_CEILING
+    lower_ceiling(50)
+    ring = GradedRing(xn_presentation(4))
+    with pytest.raises(SizeCeilingError):
+        ring.basis(3)
+    assert sorted(ring._basis_memo) == [0, 1, 2]
+    lower_ceiling(ceiling)
+    again, fresh = ring.basis(3), GradedRing(xn_presentation(4)).basis(3)
+    assert again.rref() == fresh.rref() and again.tags == fresh.tags
+    assert again.col_of == fresh.col_of and again.alive == fresh.alive
+
+
 # ----- rows skipped by the F5 criteria ----------------------------------------
 
 
-def _slice_row(ring, d, tkeys, tcoeffs, mk):
-    """The row of a relation times ``mk`` at degree ``d``, terms in J dropped."""
-    key_to_col = ring.key_to_col(d)
-    row = [(key_to_col[k + mk], c) for k, c in zip(tkeys, tcoeffs) if k + mk in key_to_col]
+def _slice_row(col_of, tkeys, tcoeffs, mk):
+    """The row of a relation times ``mk`` over the column index ``col_of``
+    of its degree, terms in J' dropped."""
+    row = [(col_of[k + mk], c) for k, c in zip(tkeys, tcoeffs) if k + mk in col_of]
     return [col for col, _ in row], [c for _, c in row]
 
 
-def _full_slice(ring, d):
-    """The echelon of every row of the degree-``d`` slice: each multi-term
-    relation times every multiplier, nothing skipped, in relation order and
-    tagged with the relation's index."""
-    full = SpanReducer(len(ring.key_to_col(d)))
+def _full_slice(ring, d, col_of):
+    """The echelon of every row of the degree-``d`` slice over its column
+    index ``col_of``: each multi-term relation times every multiplier,
+    nothing skipped, in relation order and tagged with the relation's
+    index.  It reads only lower degrees, so it runs while ``basis(d)`` is
+    being built."""
+    full = SpanReducer(len(col_of))
     for i, (rdeg, tkeys, tcoeffs) in enumerate(ring._prepped):
-        for mk in ring._columns(d - rdeg) if rdeg <= d else ():
-            cols, coeffs = _slice_row(ring, d, tkeys, tcoeffs, mk)
+        for mk in ring.basis(d - rdeg).keys if rdeg <= d else ():
+            cols, coeffs = _slice_row(col_of, tkeys, tcoeffs, mk)
             if cols:
                 full.insert(cols, coeffs, i)
     return full
@@ -713,15 +803,15 @@ def test_every_skipped_row_reduces_to_zero_against_the_full_slice(presentation, 
     skipped = 0
     for d in range(presentation.socle_degree + 2):
         basis = ring.basis(d)
-        full = _full_slice(ring, d)
+        full = _full_slice(ring, d, basis.col_of)
         assert basis.pivot_cols == tuple(lead for lead, _, _ in full.echelon_rows())
-        column_map = id(ring.key_to_col(d))
+        column_map = id(basis.col_of)
         for i, (rdeg, tkeys, tcoeffs) in enumerate(ring._prepped):
             kept = handed.get((column_map, i), set())
-            for mk in ring._columns(d - rdeg) if rdeg <= d else ():
+            for mk in ring.basis(d - rdeg).keys if rdeg <= d else ():
                 if mk in kept:
                     continue
-                cols, coeffs = _slice_row(ring, d, tkeys, tcoeffs, mk)
+                cols, coeffs = _slice_row(basis.col_of, tkeys, tcoeffs, mk)
                 skipped += 1
                 assert not cols or full.insert(cols, coeffs) == -1, (d, i, mk)
     assert skipped or presentation.label in ("xn:1", "xn:2")
@@ -746,10 +836,11 @@ def test_a_basis_payload_is_the_same_however_the_basis_was_found(
     assert (warm.cache_hits, warm.cache_misses) == (len(degrees), 0)
 
     def every_row(ring, d):
-        echelon = _full_slice(ring, d)
+        col_of = ring._columns(d)
+        echelon = _full_slice(ring, d, col_of)
         rref = _rref_from_echelon(
             {lead: (cols, coeffs) for lead, cols, coeffs in echelon.echelon_rows()})
-        return GradedBasis(d, ring._columns(d), rref, echelon.echelon_tags())
+        return GradedBasis(d, col_of, rref, echelon.echelon_tags())
 
     monkeypatch.setattr(GradedRing, "_compute_basis", every_row)
     full = GradedRing(presentation)
