@@ -3,7 +3,7 @@
 Every rank the engine reports -- graded pieces, and through
 :func:`_integer_rank` Gram pairings and block pairings -- comes from
 fraction-free elimination in :class:`SpanReducer`, and every canonical row
-form from :func:`_rref_from_echelon`.  Rows are
+form from its back-substitution, :meth:`SpanReducer.rref`.  Rows are
 ``(cols, coeffs)`` pairs: strictly increasing column indices and nonzero
 integers (:func:`_integral_coeffs` makes exact rationals such integers, and
 :func:`_normalize` is the one place content is stripped from a finished
@@ -106,57 +106,44 @@ class SpanReducer:
                 coeffs = list(term_coeffs)
             self.insert(cols, coeffs, tag)
 
-    def echelon_rows(self):
-        """Echelon rows as ``(lead, cols, coeffs)``, sorted by lead column.
+    def rref(self):
+        """``(rref, tags)``: the canonical integer RREF of the span, each
+        pivot column mapped to ``(cols, coeffs)`` in ascending pivot order,
+        and the tag of each of its rows, in the same order.
 
-        The returned lists are the reducer's own; callers must not mutate
-        them.
+        The pivot rows are back-substituted in descending pivot order, so
+        every pivot column in a tail refers to an already-reduced row.  Each
+        result row is content-free with a positive lead and zero in every
+        other pivot column, a unique normal form of the row space.  The
+        reducer is only read, so rows may still be inserted afterwards.
         """
-        return [
-            (lead, row[0], row[1]) for lead, row in sorted(self._pivots.items())
-        ]
-
-    def echelon_tags(self):
-        """The tag of each echelon row, in the order of :meth:`echelon_rows`."""
         pivots = self._pivots
-        return [pivots[lead][2] for lead in sorted(pivots)]
-
-
-def _rref_from_echelon(pivot_rows):
-    """Back-substitute raw echelon rows into canonical integer RREF.
-
-    ``pivot_rows`` maps pivot column -> (cols, coeffs) with the pivot first.
-    Rows are processed in descending pivot order so that every pivot column
-    appearing in a tail refers to an already-reduced row.  Each result row
-    is content-free with a positive lead and zero in every other pivot
-    column, which makes it a unique normal form of the row space.  The
-    result maps pivot column -> (cols, coeffs), in ascending pivot order.
-    """
-    reduced = {}
-    for lead in sorted(pivot_rows, reverse=True):
-        cols, coeffs = pivot_rows[lead]
-        row = dict(zip(cols, coeffs))
-        for col in sorted(c for c in cols if c != lead and c in pivot_rows):
-            factor = row.pop(col, 0)
-            if not factor:
-                continue
-            other_cols, other_coeffs = reduced[col]
-            other_lead = other_coeffs[0]
-            g = gcd(factor, other_lead)
-            scale = other_lead // g
-            sub = factor // g
-            if scale != 1:
-                for k in row:
-                    row[k] *= scale
-            for oc, ov in zip(other_cols[1:], other_coeffs[1:]):
-                row[oc] = row.get(oc, 0) - sub * ov
-                if row[oc] == 0:
-                    del row[oc]
-        cols_out = sorted(row)
-        coeffs_out = [row[c] for c in cols_out]
-        _normalize(coeffs_out)
-        reduced[lead] = (cols_out, coeffs_out)
-    return dict(reversed(reduced.items()))
+        reduced = {}
+        for lead in sorted(pivots, reverse=True):
+            cols, coeffs, _ = pivots[lead]
+            row = dict(zip(cols, coeffs))
+            for col in sorted(c for c in cols if c != lead and c in pivots):
+                factor = row.pop(col, 0)
+                if not factor:
+                    continue
+                other_cols, other_coeffs = reduced[col]
+                other_lead = other_coeffs[0]
+                g = gcd(factor, other_lead)
+                scale = other_lead // g
+                sub = factor // g
+                if scale != 1:
+                    for k in row:
+                        row[k] *= scale
+                for oc, ov in zip(other_cols[1:], other_coeffs[1:]):
+                    row[oc] = row.get(oc, 0) - sub * ov
+                    if row[oc] == 0:
+                        del row[oc]
+            cols_out = sorted(row)
+            coeffs_out = [row[c] for c in cols_out]
+            _normalize(coeffs_out)
+            reduced[lead] = (cols_out, coeffs_out)
+        rref = dict(reversed(reduced.items()))
+        return rref, [pivots[lead][2] for lead in rref]
 
 
 def _integer_rank(rows):

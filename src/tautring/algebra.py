@@ -36,10 +36,10 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from types import SimpleNamespace
 
-from ._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_echelon
+from ._kernel import SpanReducer, _integer_rank, _integral_coeffs
 
 #: Per-degree ceiling on the number of columns (monomials outside the
 #: monomial ideal) the engine will enumerate before refusing (guards against
@@ -51,10 +51,11 @@ SIZE_CEILING = 5_000_000
 class SizeCeilingError(RuntimeError):
     """Raised when a graded piece is too big to build.
 
-    ``count`` is finite, or None when the refusal is not about a count (a
-    degree beyond the exponent packing); ``reason`` says which.  The engine
-    stops enumerating columns as soon as the ceiling is passed, so its
-    ``count`` is a lower bound (ceiling + 1).
+    ``count`` is finite and above ``ceiling``, in the same unit, or None
+    when the refusal is not about a count (a degree beyond the exponent
+    packing); ``reason`` says which.  The engine stops enumerating columns
+    after the products of the key that passes the ceiling, so its ``count``
+    is a lower bound, above the ceiling by at most the number of generators.
     """
 
     def __init__(self, label, degree, count, ceiling, reason=None):
@@ -449,8 +450,10 @@ class GradedBasis:
     keys that are not dead: all but the pivots whose RREF row has no tail,
     which lie in I (:meth:`GradedRing.is_zero_key`).  ``tags`` runs
     parallel to the pivots: the index in ``GradedRing._prepped`` of the
-    relation whose row adopted each lead, which
-    :meth:`GradedRing._compute_basis` reads at higher degrees.  None of
+    relation whose row adopted each lead.  ``owner`` holds the same per
+    column: the tag of the column's lead, or ``inf`` for a non-pivot
+    column.  :meth:`GradedRing._compute_basis` reads both at higher
+    degrees, ``tags`` for criterion (b) and ``owner`` for (a).  None of
     these depends on the rows ``_compute_basis`` skipped (see its
     docstring).  A degree below every multi-term relation is an ordinary
     piece with no rows, every column alive.
@@ -467,6 +470,9 @@ class GradedBasis:
         self.rank = len(self.pivot_cols)
         self.dimension = self.monomial_count - self.rank
         self.quotient_cols = _complement(self.pivot_cols, self.monomial_count)
+        self.owner = owner = [inf] * self.monomial_count
+        for lead, tag in zip(self.pivot_cols, tags):
+            owner[lead] = tag
         self.alive = col_of.keys() - {
             keys[lead] for lead, (cols, _) in rref.items() if len(cols) == 1}
 
@@ -677,10 +683,10 @@ class GradedRing:
         matrix-F5 (Faugere, ISSAC 2002; Bardet, Faugere and Salvy, J.
         Symbolic Comput. 70, 2015) skip rows before they are built:
 
-        (a) Koszul: skip the row f_i*m when the column of m at degree
-            e = d - r_i is a lead of ``basis(e)`` tagged j < i.
+        (a) Koszul: skip the row f_i*m when m's column at degree e = d - r_i
+            is a lead of ``basis(e)`` tagged j < i (its ``owner`` is j).
         (b) Redundant relation: at every degree d > r_i, skip all rows of
-            f_i when no lead of ``basis(r_i)`` is tagged i.
+            f_i when no lead of ``basis(r_i)`` is tagged i (in ``tags``).
 
         Both rest on one fact: J' is an ideal that only grows with the
         degree.  For a monomial t, the image of t*f_j is zero when t lies
@@ -710,7 +716,7 @@ class GradedRing:
         came.  So the leads of ``basis(d)``, its quotient columns, RREF and
         socle table, and every rank and report, are those of the full
         slice; only the raw echelon rows may differ, and they are dropped
-        once the RREF is built.
+        once ``reducer.rref()`` has built the RREF and its tags.
 
         The criteria read ``basis(e)`` and ``basis(r_i)``, both below
         ``d`` and built on demand.
@@ -718,37 +724,17 @@ class GradedRing:
         col_of = self._columns(d)
         count = len(col_of)
         reducer = SpanReducer(count)
-        adopted = {}  # degree r -> tags of basis(r), for (b)
-        owners = {}  # degree e -> tag of each column's lead, for (a)
         for i, (rdeg, tkeys, tcoeffs) in enumerate(self._prepped):
             if rdeg > d:
                 continue
             if reducer.rank == count:
                 break
-            if rdeg < d:
-                tags = adopted.get(rdeg)
-                if tags is None:
-                    tags = adopted[rdeg] = set(self.basis(rdeg).tags)
-                if i not in tags:
-                    continue
-            e = d - rdeg
-            owner = owners.get(e)
-            if owner is None:
-                owner = owners[e] = self._lead_owners(e)
-            mult = [mk for mk, j in zip(self.basis(e).keys, owner) if j >= i]
+            if rdeg < d and i not in self.basis(rdeg).tags:
+                continue
+            below = self.basis(d - rdeg)
+            mult = [mk for mk, j in zip(below.keys, below.owner) if j >= i]
             reducer.insert_products(tkeys, tcoeffs, mult, col_of, i)
-        rref = _rref_from_echelon(
-            {lead: (cols, coeffs) for lead, cols, coeffs in reducer.echelon_rows()})
-        return GradedBasis(d, col_of, rref, reducer.echelon_tags())
-
-    def _lead_owners(self, e):
-        """Per degree-``e`` column, the tag of its lead in ``basis(e)``, or
-        ``len(_prepped)`` (after every relation) for a non-pivot column."""
-        basis = self.basis(e)
-        owner = [len(self._prepped)] * basis.monomial_count
-        for lead, tag in zip(basis.pivot_cols, basis.tags):
-            owner[lead] = tag
-        return owner
+        return GradedBasis(d, col_of, *reducer.rref())
 
     # ----- normal forms ------------------------------------------------
 

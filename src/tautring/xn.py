@@ -21,6 +21,7 @@ that combinatorial skeleton.
 
 import itertools
 from functools import cache
+from math import prod
 
 from .algebra import (
     Monomial,
@@ -451,19 +452,19 @@ def matching_gram(m):
 
     Row/column order is ``perfect_matchings(range(1, 2m+1))``.  Entries are
     socle evaluations of products of the corresponding standard monomials,
-    computed through the rewrite system.  Refuses for ``m > 5`` (the matrix
-    side is the double factorial (2m-1)!!).
+    computed through the rewrite system.  Refuses for ``m > 5``: the matrix
+    side is the double factorial (2m-1)!!, and the refusal counts entries,
+    against the (9!!)^2 = 893,025 entries of m = 5.
     """
     if m < 1:
         raise ValueError("need at least one pair")
     if m > MATCHING_GRAM_LIMIT:
-        count = 1
-        for k in range(3, 2 * m, 2):
-            count *= k
+        count = prod(range(1, 2 * m, 2)) ** 2
+        ceiling = prod(range(1, 2 * MATCHING_GRAM_LIMIT, 2)) ** 2
         raise SizeCeilingError(
-            "matching-gram", m, count * count, MATCHING_GRAM_LIMIT,
-            reason=f"needs {count * count} Gram entries, above the limit "
-                   f"m <= {MATCHING_GRAM_LIMIT}",
+            "matching-gram", m, count, ceiling,
+            reason=f"needs {count} Gram entries, above the ceiling of {ceiling} "
+                   f"(m <= {MATCHING_GRAM_LIMIT})",
         )
     ground = default_ground(2 * m)
     matchings = perfect_matchings(ground)

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautring import algebra
-from tautring._kernel import SpanReducer, _rref_from_echelon
+from tautring._kernel import SpanReducer
 from tautring.algebra import (
     GradedBasis,
     GradedRing,
@@ -733,6 +734,20 @@ def test_a_basis_indexes_its_columns_and_holds_its_live_keys(presentation):
         assert basis.alive == set(basis.keys) - dead, d
 
 
+@pytest.mark.parametrize("presentation", [xn_presentation(3), xn_presentation(4),
+                                          fm_presentation(3)],
+                         ids=lambda p: p.label)
+def test_owner_holds_the_tag_of_each_lead(presentation):
+    # criterion (a) reads owner per column: the tag of the relation whose
+    # row adopted the column's lead, or inf for a quotient column
+    ring = GradedRing(presentation)
+    for d in range(presentation.socle_degree + 1):
+        basis = ring.basis(d)
+        tag_of = dict(zip(basis.pivot_cols, basis.tags))
+        assert basis.owner == [tag_of.get(c, math.inf)
+                               for c in range(basis.monomial_count)], d
+
+
 def test_degrees_below_every_relation_are_ordinary_bases():
     # X^3 has no multi-term relation below degree 2
     ring = GradedRing(xn_presentation(3))
@@ -804,7 +819,7 @@ def test_every_skipped_row_reduces_to_zero_against_the_full_slice(presentation, 
     for d in range(presentation.socle_degree + 2):
         basis = ring.basis(d)
         full = _full_slice(ring, d, basis.col_of)
-        assert basis.pivot_cols == tuple(lead for lead, _, _ in full.echelon_rows())
+        assert basis.pivot_cols == tuple(full.rref()[0])
         column_map = id(basis.col_of)
         for i, (rdeg, tkeys, tcoeffs) in enumerate(ring._prepped):
             kept = handed.get((column_map, i), set())
@@ -837,10 +852,7 @@ def test_a_basis_payload_is_the_same_however_the_basis_was_found(
 
     def every_row(ring, d):
         col_of = ring._columns(d)
-        echelon = _full_slice(ring, d, col_of)
-        rref = _rref_from_echelon(
-            {lead: (cols, coeffs) for lead, cols, coeffs in echelon.echelon_rows()})
-        return GradedBasis(d, col_of, rref, echelon.echelon_tags())
+        return GradedBasis(d, col_of, *_full_slice(ring, d, col_of).rref())
 
     monkeypatch.setattr(GradedRing, "_compute_basis", every_row)
     full = GradedRing(presentation)

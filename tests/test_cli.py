@@ -242,6 +242,29 @@ def test_blocks_mode_honours_the_size_ceiling(lower_ceiling):
     assert guard["label"].startswith("xn:")
 
 
+@pytest.mark.parametrize("args, lowered, accepted", [
+    # the engine's column ceiling, lowered: degree 2 of X^4 (39 columns) is
+    # built, degree 3 (90) refused
+    (["xn", "check", "--n", "4"], 50, 39),
+    # a bound on the ground set, with no count: n = 12 is enumerated
+    (["fm", "standard", "--n", "13", "--degree", "1"], None, 12),
+    # Gram entries: the 945 x 945 Gram of m = 5 is computed
+    (["xn", "matching-gram", "--m", "6"], None, 945 ** 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_a_size_guard_counts_in_the_unit_of_its_ceiling(args, lowered, accepted,
+                                                        lower_ceiling):
+    # a refused count exceeds the ceiling and the largest request served
+    # does not (the matching Gram once reported entries against a bound on m)
+    if lowered is not None:
+        lower_ceiling(lowered)
+    result = run_cli(["--format", "json"] + args)
+    assert result.exit_code == 3
+    (guard,) = strict_report_of(result)["checks"]
+    assert guard["name"] == "size-guard"
+    assert guard["count"] is None or guard["count"] > guard["ceiling"], guard
+    assert accepted <= guard["ceiling"], guard
+
+
 def test_hilbert_far_above_the_socle_is_zeros():
     result = run_cli(
         ["--format", "json", "xn", "hilbert", "--n", "1", "--max-degree", "70"]

@@ -182,7 +182,7 @@ def test_insert_products_drops_terms_without_a_column():
                    if k + mk in key_to_col]
             if row:
                 by_hand.insert([col for col, _ in row], [c for _, c in row])
-        assert batched.echelon_rows() == by_hand.echelon_rows()
+        assert batched._pivots == by_hand._pivots
 
 
 def test_insert_products_skips_rows_left_empty():
@@ -197,3 +197,28 @@ def test_reducer_rejects_inconsistent_row():
     reducer = SpanReducer(3)
     assert reducer.insert([0, 2], [1, 1]) == 0
     assert reducer.insert([0, 2], [2, 2]) == -1  # dependent row
+
+
+def test_rref_only_reads_the_reducer():
+    # rref() hands the engine the RREF and the tags in one result and
+    # changes nothing: the rank, the raw echelon and a second call agree,
+    # and rows inserted afterwards land as in a reducer never read
+    rng = random.Random(2203)
+    for _ in range(30):
+        ncols = rng.randrange(2, 20)
+        stream = _random_stream(rng, ncols, rng.randrange(1, 30))
+        reducer, unread = SpanReducer(ncols), SpanReducer(ncols)
+        half = len(stream) // 2
+        for tag, (cols, coeffs) in enumerate(stream[:half]):
+            reducer.insert(list(cols), list(coeffs), tag)
+            unread.insert(list(cols), list(coeffs), tag)
+        rank, pivots = reducer.rank, repr(reducer._pivots)
+        rref, tags = reducer.rref()
+        assert (reducer.rank, repr(reducer._pivots)) == (rank, pivots)
+        assert reducer.rref() == (rref, tags)
+        assert list(rref) == sorted(reducer._pivots)
+        assert tags == [reducer._pivots[lead][2] for lead in rref]
+        for tag, (cols, coeffs) in enumerate(stream[half:], half):
+            reducer.insert(list(cols), list(coeffs), tag)
+            unread.insert(list(cols), list(coeffs), tag)
+        assert reducer._pivots == unread._pivots

@@ -1,7 +1,7 @@
 """Exact linear algebra in ``tautring._kernel``: ranks and the canonical RREF.
 
 Every rank and every canonical form here comes from the engine's one
-kernel (``SpanReducer``, ``_rref_from_echelon``, ``_integral_coeffs`` and
+kernel (``SpanReducer`` and its ``rref()``, ``_integral_coeffs`` and
 ``_integer_rank``) and is checked against Fraction Gauss-Jordan
 references from ``test_algebra`` that share no code with it.
 """
@@ -9,7 +9,7 @@ references from ``test_algebra`` that share no code with it.
 import random
 from fractions import Fraction
 
-from tautring._kernel import SpanReducer, _integer_rank, _integral_coeffs, _rref_from_echelon
+from tautring._kernel import SpanReducer, _integer_rank, _integral_coeffs
 from test_algebra import _fraction_kernel, _fraction_rank, _fraction_rref
 
 
@@ -21,9 +21,7 @@ def kernel_rref(rows):
         cols = [j for j, v in enumerate(row) if v]
         if cols:
             reducer.insert(cols, _integral_coeffs([row[j] for j in cols]))
-    return _rref_from_echelon(
-        {lead: (cols, coeffs) for lead, cols, coeffs in reducer.echelon_rows()}
-    )
+    return reducer.rref()[0]
 
 
 def dense(rref, ncols):
