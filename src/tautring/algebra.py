@@ -69,6 +69,18 @@ class SizeCeilingError(RuntimeError):
         self.reason = reason
 
 
+def check_size(label, degree, count, unit):
+    """Refuse (SizeCeilingError) a piece of ``count`` ``unit`` once the
+    count passes ``SIZE_CEILING``, read at call time; for a count known
+    before anything is built (the engine checks its columns as it
+    enumerates them)."""
+    if count > SIZE_CEILING:
+        raise SizeCeilingError(
+            label, degree, count, SIZE_CEILING,
+            reason=f"needs {count} {unit}, above the ceiling of {SIZE_CEILING}",
+        )
+
+
 class PresentationError(ValueError):
     """A presentation failed validation or behaves inconsistently."""
 

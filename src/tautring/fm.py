@@ -41,6 +41,7 @@ from .xn import (
     d_poly,
     dual_xn,
     enumerate_standard_xn,
+    standard_dimension,
     standard_socle_coefficient,
     xn_presentation,
 )
@@ -571,8 +572,10 @@ class BlockReport(SimpleNamespace):
     """Pairing data for one D-part block of degree-d standard monomials:
     ``n``, ``degree``, ``dpart`` (the D-part), ``s_set``,
     ``sign_exponent``, ``size``, ``gram`` (signed block entries, rows
-    indexed ``gram[i][j]``), ``rank``, ``xs_dimension``, ``ok``, and
-    ``conditional`` (True when the sign rule is assumed, not engine-checked).
+    indexed ``gram[i][j]``), ``rank``, ``xs_dimension`` (the dimension of
+    X^S in the a/b-part degree, from :func:`xn.standard_dimension`; no X^S
+    ring is built), ``ok``, and ``conditional`` (True when the sign rule is
+    assumed, not engine-checked).
     """
 
 
@@ -591,15 +594,16 @@ def block_pairing(n, degree, cross_check_engine=None):
     Each block pairs the a/b-parts of its standard monomials against the
     duals inside the power ring on the section set S; entries carry the
     global sign (-1)^epsilon.  A block passes when its rank equals the
-    degree-matching quotient dimension of X^S, read from the shared
-    ``ring_for`` ring (which refuses past the engine's size ceiling); the
-    a/b-part degree k never exceeds |S|, since a standard a/b-part of
-    degree k covers |A| + 2|B| >= k points of S.  When
-    ``cross_check_engine`` is given (small n), every block entry and every
-    cross-block product is verified against the full engine, and a failure
-    raises :class:`CrossCheckError`.  The
-    blocks come in the D-part order, each cut from the enumeration, which
-    sorts by D-part first.
+    dimension of X^S in the block's a/b-part degree k.  X^S is X^{|S|}
+    relabelled, so that dimension is ``standard_dimension(|S|, k)``, the
+    standard monomials minus the rank of the six-point relations: no X^S
+    ring or engine is built (it refuses past the engine's size ceiling).
+    The degree k never exceeds |S|, since a standard a/b-part of degree k
+    covers |A| + 2|B| >= k points of S.  When ``cross_check_engine`` is
+    given (small n), every block entry and every cross-block product is
+    verified against the full engine, and a failure raises
+    :class:`CrossCheckError`.  The blocks come in the D-part order, each
+    cut from the enumeration, which sorts by D-part first.
     """
     blocks = [list(members) for _, members in
               itertools.groupby(enumerate_standard_fm(n, degree), attrgetter("D"))]
@@ -618,7 +622,7 @@ def block_pairing(n, degree, cross_check_engine=None):
         ]
         rank = _integer_rank(gram)
         ab_degree = degree - sum(e for _, e in dkey)
-        xs_dim = ring_for(xn_presentation(len(S))).basis(ab_degree).dimension
+        xs_dim = standard_dimension(len(S), ab_degree)
         reports.append(
             BlockReport(
                 n=n,

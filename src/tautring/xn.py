@@ -21,13 +21,15 @@ that combinatorial skeleton.
 
 import itertools
 from functools import cache
-from math import prod
+from math import comb, prod
 
+from ._kernel import SpanReducer
 from .algebra import (
     Monomial,
     Poly,
     Presentation,
     SizeCeilingError,
+    check_size,
     gen_a,
     gen_b,
 )
@@ -350,6 +352,51 @@ def six_point_relations(n, degree):
                 vec[index[standard_from_monomial(m)]] = c
             vectors.append(vec)
     return vectors, standard
+
+
+@cache
+def standard_dimension(n, degree):
+    """Dimension of the degree-``degree`` piece of the ring on ``n`` points,
+    without the generic engine: the number of standard monomials minus the
+    rank of :func:`six_point_relations`, whose vectors are inserted into a
+    :class:`SpanReducer` as sparse integer rows (memoized per ``(n,
+    degree)``).
+
+    Proof.  Write the ring as P/(Q + M), with P the polynomial ring in the
+    a's and b's, Q the ideal of the quadratic relations and M that of the
+    matching sums.  The quadratic rewrite system terminates and is
+    confluent, so every class of P/Q has one normal form and the standard
+    monomials (the monomials no rule rewrites) are a basis of P/Q.  In
+    degree d, M is spanned by the products f m of a matching sum f and a
+    monomial m of degree d - 3; modulo Q, m is a combination of standard
+    monomials of degree d - 3, so the image of M in P/Q is spanned by the
+    normal forms of the products f s with s standard, which are exactly
+    the vectors of :func:`six_point_relations` (a product with normal form
+    zero adds nothing).  The dimension is therefore the standard count
+    minus their rank.  With fewer than six points or below degree three
+    there are no vectors and the standard monomials are a basis.
+
+    Refuses (SizeCeilingError, labelled as the presentation of ``n``
+    points) when the number of standard monomials, the columns of the
+    vectors, passes ``algebra.SIZE_CEILING`` (:func:`algebra.check_size`);
+    the count is a closed form, so nothing is enumerated before the
+    refusal.
+    """
+    # choose the a-indices, then the points of the b-pairs, then a perfect
+    # matching of those points
+    count = sum(
+        comb(n, degree - pairs) * comb(n - degree + pairs, 2 * pairs)
+        * prod(range(1, 2 * pairs, 2))
+        for pairs in range(degree + 1)
+        if degree + pairs <= n
+    )
+    check_size(f"xn:{n}", degree, count, "standard monomials")
+    vectors, standard = six_point_relations(n, degree)
+    reducer = SpanReducer(len(standard))
+    for vec in vectors:
+        cols = sorted(vec)
+        reducer.insert(cols, [vec[c] for c in cols])
+    return len(standard) - reducer.rank
 
 
 # ----- socle evaluation without the generic engine -------------------------

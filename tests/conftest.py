@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tautring import algebra
+from tautring import algebra, xn
 from tautring.cli import main
 
 
@@ -51,13 +51,18 @@ def socle_value(ring, q):
 @pytest.fixture
 def lower_ceiling(monkeypatch):
     """``lower_ceiling(c)`` sets ``algebra.SIZE_CEILING`` to ``c`` for the
-    test and empties ``ring_for``'s cache, so that no ring built under the
-    real ceiling, with bases it already holds, is reused; the cache is
-    emptied again afterwards."""
+    test and empties the caches of ``ring_for`` and
+    ``xn.standard_dimension``, so that no ring built under the real ceiling,
+    with bases it already holds, and no dimension computed under it is
+    reused; the caches are emptied again afterwards."""
+
+    def clear():
+        algebra.ring_for.cache_clear()
+        xn.standard_dimension.cache_clear()
 
     def lower(ceiling):
         monkeypatch.setattr(algebra, "SIZE_CEILING", ceiling)
-        algebra.ring_for.cache_clear()
+        clear()
 
     yield lower
-    algebra.ring_for.cache_clear()
+    clear()

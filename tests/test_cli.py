@@ -230,7 +230,8 @@ def test_size_guard_exits_three(lower_ceiling):
 
 
 def test_blocks_mode_honours_the_size_ceiling(lower_ceiling):
-    # the power rings X^S of the blocks are built under the engine's ceiling
+    # the dimensions of the power rings X^S of the blocks are computed under
+    # the engine's ceiling, which bounds their standard monomials
     lower_ceiling(5)
     result = run_cli(["--format", "json", "fm", "check", "--n", "5", "--mode", "blocks"])
     assert result.exit_code == 3

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +27,15 @@ from tautring.xn import (
     six_point_relations,
     socle_coefficient,
     standard_from_monomial,
+    standard_dimension,
     standard_socle_coefficient,
     verify_faber_relation,
     xn_presentation,
 )
 from conftest import socle_value
 from test_algebra import _fraction_kernel, monomial_from_factors
+
+GOLDEN = Path(__file__).parent / "golden"
 
 FROZEN_HILBERT = {
     1: [1, 1],
@@ -47,25 +52,37 @@ def test_power_ring_hilbert_functions(n):
     assert ring.hilbert(n) == FROZEN_HILBERT[n]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_standard_monomials_are_a_basis_without_six_subsets(n):
-    # below six points there are no matching-sum relations, so the standard
-    # monomials must count the dimensions exactly
-    ring = ring_for(xn_presentation(n))
-    for d in range(n + 1):
-        assert len(enumerate_standard_xn(n, d)) == ring.basis(d).dimension
+@pytest.mark.parametrize("n", range(1, 8))
+def test_standard_dimension_is_the_engine_dimension(n):
+    # an independent Hilbert derivation, degree by degree: the standard
+    # monomial count minus the rank of the matching-sum relation vectors
+    # (below six points there are none, so the count alone is exact);
+    # X^7 is compared with the engine's Hilbert function in its golden report
+    if n <= 6:
+        ring = ring_for(xn_presentation(n))
+        hilbert = [ring.basis(d).dimension for d in range(n + 1)]
+    else:
+        golden = json.loads((GOLDEN / f"xn-check-n-{n}.json").read_text())
+        hilbert = golden["report"]["summary"]["hilbert"]
+    assert [standard_dimension(n, d) for d in range(n + 1)] == hilbert
+    if n < 6:
+        assert hilbert == [len(enumerate_standard_xn(n, d)) for d in range(n + 1)]
 
 
-def test_six_point_relations_complete_the_presentation():
-    # independent Hilbert derivation at n=6: standard-monomial count minus
-    # the rank of the matching-sum relation vectors, degree by degree
-    ring = ring_for(xn_presentation(6))
-    for d in range(7):
-        vectors, standard = six_point_relations(6, d)
-        rank = _integer_rank(
-            [[vec.get(j, 0) for j in range(len(standard))] for vec in vectors]
-        )
-        assert ring.basis(d).dimension == len(standard) - rank
+def test_standard_dimension_refuses_past_the_size_ceiling(lower_ceiling):
+    # the refusal counts the standard monomials, by a closed form checked
+    # here against the enumeration, and a dimension memoized under the real
+    # ceiling does not get past a lowered one
+    assert standard_dimension(5, 1) == 15
+    for n in range(1, 9):
+        for d in range(n + 1):
+            count = len(enumerate_standard_xn(n, d))
+            lower_ceiling(count - 1)
+            with pytest.raises(SizeCeilingError) as info:
+                standard_dimension(n, d)
+            refused = info.value
+            assert (refused.label, refused.degree, refused.count, refused.ceiling) == (
+                f"xn:{n}", d, count, count - 1)
 
 
 def test_six_point_relation_count_at_degree_three():
