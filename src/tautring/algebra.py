@@ -51,21 +51,26 @@ SIZE_CEILING = 5_000_000
 class SizeCeilingError(RuntimeError):
     """Raised when a graded piece is too big to build.
 
-    ``count`` is finite and above ``ceiling``, in the same unit, or None
-    when the refusal is not about a count (a degree beyond the exponent
-    packing); ``reason`` says which.  The engine stops enumerating columns
-    after the products of the key that passes the ceiling, so its ``count``
-    is a lower bound, above the ceiling by at most the number of generators.
+    ``count`` is finite and above ``ceiling``, both in ``unit``
+    (``columns``, ``standard monomials``, ``Gram entries`` or ``points``),
+    or both ``count`` and ``unit`` are None when the refusal is not about a
+    count (a degree beyond the exponent packing); ``reason`` says which.
+    ``degree`` is None when the request has no degree.  The engine stops
+    enumerating columns after the products of the key that passes the
+    ceiling, so its ``count`` is a lower bound, above the ceiling by at
+    most the number of generators.
     """
 
-    def __init__(self, label, degree, count, ceiling, reason=None):
+    def __init__(self, label, degree, count, ceiling, unit, reason=None):
         if reason is None:
-            reason = f"needs {count} columns, above the ceiling of {ceiling}"
-        super().__init__(f"degree {degree} of {label!r} {reason}")
+            reason = f"needs {count} {unit}, above the ceiling of {ceiling}"
+        where = repr(label) if degree is None else f"degree {degree} of {label!r}"
+        super().__init__(f"{where} {reason}")
         self.label = label
         self.degree = degree
         self.count = count
         self.ceiling = ceiling
+        self.unit = unit
         self.reason = reason
 
 
@@ -75,10 +80,7 @@ def check_size(label, degree, count, unit):
     before anything is built (the engine checks its columns as it
     enumerates them)."""
     if count > SIZE_CEILING:
-        raise SizeCeilingError(
-            label, degree, count, SIZE_CEILING,
-            reason=f"needs {count} {unit}, above the ceiling of {SIZE_CEILING}",
-        )
+        raise SizeCeilingError(label, degree, count, SIZE_CEILING, unit)
 
 
 class PresentationError(ValueError):
@@ -481,7 +483,7 @@ class GradedBasis:
         self.pivot_cols = tuple(rref)
         self.rank = len(self.pivot_cols)
         self.dimension = self.monomial_count - self.rank
-        self.quotient_cols = _complement(self.pivot_cols, self.monomial_count)
+        self.quotient_cols = tuple(c for c in range(self.monomial_count) if c not in rref)
         self.owner = owner = [inf] * self.monomial_count
         for lead, tag in zip(self.pivot_cols, tags):
             owner[lead] = tag
@@ -497,19 +499,6 @@ class GradedBasis:
     def echelon_rows(self):
         """The RREF rows as ``(lead, cols, coeffs)``, sorted by lead."""
         return [(lead, cols, coeffs) for lead, (cols, coeffs) in self._rref.items()]
-
-
-def _complement(sorted_cols, total):
-    """Ascending tuple of the columns not in ``sorted_cols``."""
-    out = []
-    it = iter(sorted_cols)
-    nxt = next(it, None)
-    for c in range(total):
-        if c == nxt:
-            nxt = next(it, None)
-        else:
-            out.append(c)
-    return tuple(out)
 
 
 class GradedRing:
@@ -615,7 +604,7 @@ class GradedRing:
         """
         if d > self._degree_cap:
             raise SizeCeilingError(
-                self.presentation.label, d, None, SIZE_CEILING,
+                self.presentation.label, d, None, SIZE_CEILING, None,
                 reason=f"exceeds the exponent packing (degrees up to "
                        f"{self._degree_cap} fit)",
             )
@@ -633,7 +622,7 @@ class GradedRing:
                         self._column_products(key, range(last, len(gen_keys)), alive))
             if len(keys) > ceiling:
                 raise SizeCeilingError(
-                    self.presentation.label, d, len(keys), ceiling,
+                    self.presentation.label, d, len(keys), ceiling, "columns",
                     reason=f"needs more than {ceiling} columns (monomials "
                            f"outside the monomial ideal)",
                 )
@@ -1002,10 +991,11 @@ def ring_for(presentation):
 
     Reusing the ring lets separate API calls share memoized bases.  Only
     the 8 rings used last are kept (``ring_for.cache_info()``), so a
-    long-lived process does not keep every ring it built; one ``fm check
-    --n 6 --mode blocks`` uses five (X^1, X^2, X^3, X^4 and X^6).  The
-    cached presentations of ``xn_presentation`` and ``fm_presentation`` are
-    the same object on every call, so finding their ring hashes nothing; an
+    long-lived process does not keep every ring it built; ``bridge`` uses
+    two (X[n], and X[1] for the calibration), and ``fm check --mode
+    blocks`` at most one (X[n], for the engine cross-checks).  The cached
+    presentations of ``xn_presentation`` and ``fm_presentation`` are the
+    same object on every call, so finding their ring hashes nothing; an
     equal presentation built separately gets a ring of its own.
     """
     return GradedRing(presentation)

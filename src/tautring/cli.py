@@ -271,42 +271,31 @@ def fm_check(run, n, mode):
         emit(run, "fm check", {"n": n, "mode": mode}, checks,
              {"verdict": report.verdict, "hilbert": report.hilbert})
         return
-    cross = n <= CROSS_CHECK_LIMIT
-    engine = run.ring(fm_mod.fm_presentation(n)) if cross else None
-    checks = []
-    rank_sums = {}
-    try:
-        for d in range(n + 1):
-            reports = fm_mod.block_pairing(n, d, cross_check_engine=engine)
-            rank_sums[d] = sum(r.rank for r in reports)
-            checks.append(
-                check(
-                    f"blocks-degree-{d}",
-                    all(r.ok for r in reports),
-                    blocks=len(reports),
-                    standard=sum(r.size for r in reports),
-                    rank_sum=rank_sums[d],
-                )
-            )
-        checks.append(
-            check(
-                "rank-sums-symmetric",
-                all(rank_sums[d] == rank_sums[n - d] for d in range(n + 1)),
-                rank_sums=list(rank_sums.values()),
-            )
-        )
-        if cross:
+    by_degree = [fm_mod.block_pairing(n, d) for d in range(n + 1)]
+    rank_sums = [sum(r.rank for r in reports) for reports in by_degree]
+    checks = [
+        check(f"blocks-degree-{d}", all(r.ok for r in reports), blocks=len(reports),
+              standard=sum(r.size for r in reports), rank_sum=rank_sums[d])
+        for d, reports in enumerate(by_degree)
+    ]
+    checks.append(check("rank-sums-symmetric", rank_sums == rank_sums[::-1],
+                        rank_sums=rank_sums))
+    if n > CROSS_CHECK_LIMIT:
+        checks.append(check("sign-rule", True, note="conditional: engine cross-check "
+                                                    f"runs for n <= {CROSS_CHECK_LIMIT}"))
+    else:
+        engine = run.ring(fm_mod.fm_presentation(n))
+        try:
+            for reports in by_degree:
+                fm_mod.cross_check_blocks(engine, reports)
             pairs = fm_mod.filtration_vanishing_check(n, ring=engine)
+        except fm_mod.CrossCheckError as exc:  # the last check: the refuted statement
+            checks.append(check(exc.check, False, message=str(exc)))
+        else:
             checks.append(check("filtration-vanishing", True, pairs_checked=pairs))
             checks.append(check("sign-rule-and-triangularity", True,
                                 note="verified against the full engine"))
-        else:
-            checks.append(check("sign-rule", True,
-                                note="conditional: engine cross-check runs for n <= 4"))
-    except fm_mod.CrossCheckError as exc:  # the report ends at the refuted statement
-        checks.append(check(exc.check, False, message=str(exc)))
-    emit(run, "fm check", {"n": n, "mode": mode}, checks,
-         {"rank_sums": list(rank_sums.values())})
+    emit(run, "fm check", {"n": n, "mode": mode}, checks, {"rank_sums": rank_sums})
 
 
 def fm_standard(run, n, degree):
@@ -521,6 +510,7 @@ def main(args=None, prog_name="tautring", standalone_mode=True):
                     degree=exc.degree,
                     count=exc.count,
                     ceiling=exc.ceiling,
+                    unit=exc.unit,
                     reason=exc.reason,
                 )
             ],

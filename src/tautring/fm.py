@@ -17,6 +17,13 @@ Standard monomials carry an explicit involution pairing complementary
 degrees, a filtration by the dimension of the contracted cycle, and a block
 decomposition of the intersection pairing with one block per D-part, equal
 up to a global sign to a pairing inside X^S.
+
+The block route runs in three steps: :func:`block_pairing` pairs the blocks
+of each degree and needs no engine; the block ranks and their symmetry are
+the verdict; then, for small n, :func:`cross_check_blocks` and
+:func:`filtration_vanishing_check` test the sign rule, triangularity and
+filtration vanishing against the full engine, and a refutation raises
+:class:`CrossCheckError` after every block verdict is in.
 """
 
 import itertools
@@ -78,6 +85,34 @@ def _dpart_dict(dpart):
             t = tuple(sorted(subset))
             out[t] = out.get(t, 0) + exp
     return out
+
+
+@cache
+def _subsets(n):
+    """Every D-index set of ``n`` points (a sorted tuple of three or more
+    points), in increasing subset order: by size, then lexicographically,
+    which is the order ``itertools.combinations`` yields them in."""
+    ground = range(1, n + 1)
+    return tuple(c for size in range(3, n + 1) for c in itertools.combinations(ground, size))
+
+
+def _families(subsets, compatible, max_size=None):
+    """Every family of pairwise ``compatible`` members of ``subsets`` with
+    at most ``max_size`` members (no bound when None), each a tuple in the
+    order of ``subsets``.  ``compatible`` is called on two members as
+    frozensets.  The order is depth first: the empty family first, and each
+    family followed at once by its extensions by later members."""
+    sets = [frozenset(s) for s in subsets]
+    limit = len(sets) if max_size is None else max_size
+
+    def extend(chosen, start):
+        yield tuple(subsets[i] for i in chosen)
+        if len(chosen) < limit:
+            for i in range(start, len(sets)):
+                if all(compatible(sets[i], sets[j]) for j in chosen):
+                    yield from extend(chosen + (i,), i + 1)
+
+    return extend((), 0)
 
 
 def nested_or_disjoint(s, t):
@@ -318,50 +353,23 @@ def filtration_p(v):
 # ----- enumeration -----------------------------------------------------------
 
 
-def _laminar_families(subsets_desc, max_size):
-    """All laminar subfamilies (as index tuples into subsets_desc) of size
-    at most max_size.  subsets_desc is sorted in decreasing subset order, so
-    every family comes out in the canonical vertex order."""
-    out = [()]
-    n_sub = len(subsets_desc)
-    sets = [set(s) for s in subsets_desc]
-
-    def rec(start, chosen):
-        if len(chosen) >= max_size:
-            return
-        for i in range(start, n_sub):
-            if all(nested_or_disjoint(sets[i], sets[j]) for j in chosen):
-                nxt = chosen + (i,)
-                out.append(nxt)
-                rec(i + 1, nxt)
-
-    rec(0, ())
-    return out
-
-
 def enumerate_standard_fm(n, degree):
     """All standard monomials of the given degree, in the monomial order
     (``StandardMonomialFM.sort_key``: by D-part, then by a/b-part).  The
-    monomials of one laminar family share its :class:`Forest`."""
+    laminar families of at most ``degree`` index sets come in decreasing
+    subset order, and the monomials of one family share its
+    :class:`Forest`."""
     if not 0 <= degree:
         raise ValueError("degree must be nonnegative")
     if n > STANDARD_ENUMERATION_LIMIT:
         raise SizeCeilingError(
-            f"fm:{n}", degree, None, STANDARD_ENUMERATION_LIMIT,
+            f"fm:{n}", degree, n, STANDARD_ENUMERATION_LIMIT, "points",
             reason=f"needs a ground set of {n} points, above the limit "
                    f"n <= {STANDARD_ENUMERATION_LIMIT}",
         )
-    ground = tuple(range(1, n + 1))
-    all_subsets = [
-        tuple(c)
-        for size in range(3, n + 1)
-        for c in itertools.combinations(ground, size)
-    ]
-    all_subsets.sort(key=subset_key, reverse=True)
     out = []
-    for family in _laminar_families(all_subsets, degree):
-        subsets = [all_subsets[i] for i in family]
-        forest = Forest(subsets)
+    for family in _families(_subsets(n)[::-1], nested_or_disjoint, degree):
+        forest = Forest(family)
         bounds = [forest.exponent_bound(r) for r in range(len(forest))]
         if any(b < 1 for b in bounds):
             continue
@@ -381,62 +389,15 @@ def enumerate_standard_fm(n, degree):
 # ----- presentation ----------------------------------------------------------
 
 
-def _superset_sum(base, ground):
-    """Sum of D_J over all J containing ``base`` (including J = base when
-    |base| >= 3)."""
-    base = tuple(sorted(base))
-    rest = [x for x in ground if x not in base]
+def _superset_sum(base, n):
+    """Sum of D_J over the D-index sets J of ``n`` points that contain
+    ``base``."""
+    base = set(base)
     total = Poly.zero()
-    for k in range(0, len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            J = tuple(sorted(base + extra))
-            if len(J) >= 3:
-                total = total + D_poly(J)
+    for J in _subsets(n):
+        if base.issubset(J):
+            total = total + D_poly(J)
     return total
-
-
-def _family4_instances(ground):
-    """Instances of the chain-compatibility family.
-
-    Each instance: a set J0, disjoint blocks J_1..J_k inside it (|J_j| >= 3,
-    k >= 1) with nonempty leftover F, a base element u in F, and one marked
-    element w_j per block.  The relation multiplies the Chern polynomial of
-    the free part, evaluated at minus the sum of D_J over J containing J0,
-    by the blocks' divisor classes.
-    """
-    n = len(ground)
-    instances = []
-
-    def blocks_of(pool):
-        # all sets of disjoint >=3-subsets of pool (nonempty), canonical order
-        found = []
-
-        def rec(remaining, chosen, min_key):
-            for size in range(3, len(remaining) + 1):
-                for blk in itertools.combinations(remaining, size):
-                    key = subset_key(blk)
-                    if key <= min_key:
-                        continue
-                    rest = tuple(x for x in remaining if x not in blk)
-                    found.append(chosen + (blk,))
-                    rec(rest, chosen + (blk,), key)
-
-        rec(tuple(pool), (), (0, ()))
-        return found
-
-    for size0 in range(4, n + 1):
-        for J0 in itertools.combinations(ground, size0):
-            for blocks in blocks_of(J0):
-                used = set()
-                for blk in blocks:
-                    used.update(blk)
-                free = tuple(x for x in J0 if x not in used)
-                if not free:
-                    continue
-                for u in free:
-                    for marks in itertools.product(*(blk for blk in blocks)):
-                        instances.append((J0, blocks, free, u, marks))
-    return instances
 
 
 def fm_presentation(n):
@@ -471,12 +432,7 @@ def _fm_build(n):
     :func:`fm_presentation`."""
     ground = tuple(range(1, n + 1))
     pairs = list(itertools.combinations(ground, 2))
-    subsets = [
-        tuple(c)
-        for size in range(3, n + 1)
-        for c in itertools.combinations(ground, size)
-    ]
-    subsets.sort(key=subset_key)
+    subsets = _subsets(n)
     generators = (
         [gen_a(i) for i in ground]
         + [gen_b(i, j) for i, j in pairs]
@@ -506,23 +462,35 @@ def _fm_build(n):
                 relations.append((d_poly(i, j) - d_poly(i, k)) * DI)
     counts["restriction-kernel"] = len(relations) - start
 
+    # one instance per set J0, nonempty family of disjoint blocks inside it
+    # with a nonempty free part F, base point u in F and marked point w_j
+    # per block: the Chern polynomial of F at t = minus the superset sum of
+    # J0, times the blocks' divisor classes
     start = len(relations)
-    for J0, blocks, free, u, marks in _family4_instances(ground):
-        t_value = -_superset_sum(J0, ground)
-        rel = Poly.constant(1)
-        for x in free:
-            if x != u:
-                rel = rel * (t_value + d_poly(u, x))
-        for blk, w in zip(blocks, marks):
-            rel = rel * (t_value + d_poly(u, w))
-        for blk in blocks:
-            rel = rel * D_poly(blk)
-        relations.append(rel)
+    for J0 in subsets:
+        t_value = -_superset_sum(J0, n)
+        inside = [s for s in subsets if set(s) <= set(J0)]
+        for blocks in _families(inside, frozenset.isdisjoint):
+            used = set().union(*blocks)
+            free = [x for x in J0 if x not in used]
+            if not blocks or not free:
+                continue
+            for u in free:
+                for marks in itertools.product(*blocks):
+                    rel = Poly.constant(1)
+                    for x in free:
+                        if x != u:
+                            rel = rel * (t_value + d_poly(u, x))
+                    for w in marks:
+                        rel = rel * (t_value + d_poly(u, w))
+                    for blk in blocks:
+                        rel = rel * D_poly(blk)
+                    relations.append(rel)
     counts["chain-compatibility"] = len(relations) - start
 
     start = len(relations)
     for I in subsets:
-        correction = _superset_sum(I, ground)
+        correction = _superset_sum(I, n)
         for i in I:
             rel = Poly.constant(1)
             for j in I:
@@ -552,16 +520,10 @@ def psi_pullback(n, i):
     """
     if not 1 <= i <= n:
         raise ValueError("point index out of range")
-    ground = tuple(range(1, n + 1))
-    total = a_poly(i).scale(2)
-    for j in ground:
-        if j == i:
-            continue
-        total = total + d_poly(i, j) - _superset_sum((i, j), ground)
-    for size in range(3, n + 1):
-        for I in itertools.combinations(ground, size):
-            if i in I:
-                total = total + D_poly(I)
+    total = a_poly(i).scale(2) + _superset_sum((i,), n)
+    for j in range(1, n + 1):
+        if j != i:
+            total = total + d_poly(i, j) - _superset_sum((i, j), n)
     return total
 
 
@@ -570,12 +532,12 @@ def psi_pullback(n, i):
 
 class BlockReport(SimpleNamespace):
     """Pairing data for one D-part block of degree-d standard monomials:
-    ``n``, ``degree``, ``dpart`` (the D-part), ``s_set``,
+    ``n``, ``degree``, ``dpart`` (the D-part), ``members`` (the block's
+    standard monomials, in the monomial order), ``s_set``,
     ``sign_exponent``, ``size``, ``gram`` (signed block entries, rows
-    indexed ``gram[i][j]``), ``rank``, ``xs_dimension`` (the dimension of
-    X^S in the a/b-part degree, from :func:`xn.standard_dimension`; no X^S
-    ring is built), ``ok``, and ``conditional`` (True when the sign rule is
-    assumed, not engine-checked).
+    indexed ``gram[i][j]`` by members), ``rank``, ``xs_dimension`` (the
+    dimension of X^S in the a/b-part degree, from
+    :func:`xn.standard_dimension`; no X^S ring is built) and ``ok``.
     """
 
 
@@ -588,7 +550,7 @@ class CrossCheckError(Exception):
         self.check = check
 
 
-def block_pairing(n, degree, cross_check_engine=None):
+def block_pairing(n, degree):
     """Decompose the degree-d pairing into one block per D-part.
 
     Each block pairs the a/b-parts of its standard monomials against the
@@ -599,16 +561,13 @@ def block_pairing(n, degree, cross_check_engine=None):
     standard monomials minus the rank of the six-point relations: no X^S
     ring or engine is built (it refuses past the engine's size ceiling).
     The degree k never exceeds |S|, since a standard a/b-part of degree k
-    covers |A| + 2|B| >= k points of S.  When ``cross_check_engine`` is
-    given (small n), every block entry and every cross-block product is
-    verified against the full engine, and a failure raises
-    :class:`CrossCheckError`.  The blocks come in the D-part order, each
-    cut from the enumeration, which sorts by D-part first.
+    covers |A| + 2|B| >= k points of S.  The blocks come in the D-part
+    order, each cut from the enumeration, which sorts by D-part first;
+    :func:`cross_check_blocks` tests them against the full engine.
     """
-    blocks = [list(members) for _, members in
-              itertools.groupby(enumerate_standard_fm(n, degree), attrgetter("D"))]
     reports = []
-    for members in blocks:
+    for _, group in itertools.groupby(enumerate_standard_fm(n, degree), attrgetter("D")):
+        members = list(group)
         dkey = members[0].D
         forest = members[0].forest
         S = sorted(forest.s_set(n))
@@ -628,6 +587,7 @@ def block_pairing(n, degree, cross_check_engine=None):
                 n=n,
                 degree=degree,
                 dpart=dkey,
+                members=members,
                 s_set=tuple(S),
                 sign_exponent=eps,
                 size=len(members),
@@ -635,11 +595,8 @@ def block_pairing(n, degree, cross_check_engine=None):
                 rank=rank,
                 xs_dimension=xs_dim,
                 ok=rank == xs_dim,
-                conditional=cross_check_engine is None,
             )
         )
-    if cross_check_engine is not None:
-        _cross_check_blocks(cross_check_engine, blocks, reports)
     return reports
 
 
@@ -648,8 +605,10 @@ def _keys(ring, monomials):
     return [ring.monomial_key(v.to_monomial()) for v in monomials]
 
 
-def _cross_check_blocks(ring, blocks, reports):
-    """Verify the sign rule and triangularity against the full engine.
+def cross_check_blocks(ring, reports):
+    """Verify the sign rule and triangularity of one degree's blocks
+    (:func:`block_pairing`) against the full engine ``ring``; a failure
+    raises :class:`CrossCheckError`.
 
     The engine value of v . dual(w) is read from the socle table at the key
     key(v) + key(dual(w)) (``GradedRing.socle_values``); no product is
@@ -657,9 +616,9 @@ def _cross_check_blocks(ring, blocks, reports):
     signed Gram entries.  Triangularity: for v in an earlier block than w,
     that is with a smaller D-part, the engine value is 0.
     """
-    dual_keys = [_keys(ring, map(dual_fm, members)) for members in blocks]
-    for i, (members, report) in enumerate(zip(blocks, reports)):
-        for v, kv, gram_row in zip(members, _keys(ring, members), report.gram):
+    dual_keys = [_keys(ring, map(dual_fm, r.members)) for r in reports]
+    for i, report in enumerate(reports):
+        for v, kv, gram_row in zip(report.members, _keys(ring, report.members), report.gram):
             row = ring.socle_values([kv + kd for kd in dual_keys[i]])
             if row != gram_row:
                 raise CrossCheckError(
@@ -667,8 +626,9 @@ def _cross_check_blocks(ring, blocks, reports):
                     f"sign rule fails at {v} . dual(block {report.dpart}): "
                     f"engine {row}, block {gram_row}"
                 )
-            for later, keys in zip(blocks[i + 1:], dual_keys[i + 1:]):
-                for w, value in zip(later, ring.socle_values([kv + kd for kd in keys])):
+            for later, keys in zip(reports[i + 1:], dual_keys[i + 1:]):
+                for w, value in zip(later.members,
+                                    ring.socle_values([kv + kd for kd in keys])):
                     if value:
                         raise CrossCheckError(
                             "sign-rule-and-triangularity",

@@ -509,7 +509,7 @@ def matching_gram(m):
         count = prod(range(1, 2 * m, 2)) ** 2
         ceiling = prod(range(1, 2 * MATCHING_GRAM_LIMIT, 2)) ** 2
         raise SizeCeilingError(
-            "matching-gram", m, count, ceiling,
+            "matching-gram", None, count, ceiling, "Gram entries",
             reason=f"needs {count} Gram entries, above the ceiling of {ceiling} "
                    f"(m <= {MATCHING_GRAM_LIMIT})",
         )

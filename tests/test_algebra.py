@@ -341,12 +341,13 @@ PINNED_HASHES = {
     "fm:2": "70775d99aa1c540124b1431c5ecc24b76e41d522f9d14ecb266efed1c468cacd",
     "fm:3": "06779d7c4d385fae1c62ba0b14d96b02c8e8d1630139817424fafbbb8c7c41d6",
     "fm:4": "ced70be956266fb63f9a171d110cc782c98291413012f35b389a3ccd475008ef",
+    "fm:5": "841a380b5262c9505de6fa193b6765643fde46dc3c95641b2e9262a772da4ec9",
 }
 
 
 def test_presentation_hashes_are_pinned():
     shipped = [xn_presentation(n) for n in range(1, 6)]
-    shipped += [fm_presentation(n) for n in range(1, 5)]
+    shipped += [fm_presentation(n) for n in range(1, 6)]
     assert {p.label: p.content_hash for p in shipped} == PINNED_HASHES
 
 

@@ -240,14 +240,22 @@ def test_blocks_mode_honours_the_size_ceiling(lower_ceiling):
     assert report["inputs"] == {"n": 5, "mode": "blocks"}
     guard = report["checks"][0]
     assert guard["name"] == "size-guard" and guard["ceiling"] == 5
-    assert guard["label"].startswith("xn:")
+    assert guard["label"].startswith("xn:") and guard["unit"] == "standard monomials"
+
+
+# the unit of the count and ceiling of each command's refusal
+GUARD_UNITS = {"xn check": "columns", "fm check": "standard monomials",
+               "fm standard": "points", "xn matching-gram": "Gram entries"}
 
 
 @pytest.mark.parametrize("args, lowered, accepted", [
     # the engine's column ceiling, lowered: degree 2 of X^4 (39 columns) is
     # built, degree 3 (90) refused
     (["xn", "check", "--n", "4"], 50, 39),
-    # a bound on the ground set, with no count: n = 12 is enumerated
+    # the standard monomials of the blocks' X^S, under the lowered ceiling:
+    # degree 1 of X^5 (15) is served, degree 2 (55) refused
+    (["fm", "check", "--n", "5", "--mode", "blocks"], 15, 15),
+    # a bound on the ground set: n = 12 is enumerated
     (["fm", "standard", "--n", "13", "--degree", "1"], None, 12),
     # Gram entries: the 945 x 945 Gram of m = 5 is computed
     (["xn", "matching-gram", "--m", "6"], None, 945 ** 2),
@@ -260,9 +268,11 @@ def test_a_size_guard_counts_in_the_unit_of_its_ceiling(args, lowered, accepted,
         lower_ceiling(lowered)
     result = run_cli(["--format", "json"] + args)
     assert result.exit_code == 3
-    (guard,) = strict_report_of(result)["checks"]
-    assert guard["name"] == "size-guard"
-    assert guard["count"] is None or guard["count"] > guard["ceiling"], guard
+    report = strict_report_of(result)
+    (guard,) = report["checks"]
+    assert guard["name"] == "size-guard", guard
+    assert guard["unit"] == GUARD_UNITS[report["command"]], guard
+    assert guard["count"] > guard["ceiling"], guard
     assert accepted <= guard["ceiling"], guard
 
 
@@ -293,7 +303,7 @@ def test_packing_refusal_report_is_strict_json(monkeypatch):
     report = strict_report_of(result)
     assert report["command"] == "xn hilbert"
     guard = report["checks"][0]
-    assert guard["count"] is None
+    assert guard["count"] is None and guard["unit"] is None
     assert "packing" in guard["reason"]
 
 
@@ -405,6 +415,10 @@ def test_a_refuted_engine_cross_check_is_a_failed_check(
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == [name]
     assert failed[0]["message"].startswith(message)
+    # the refutation comes last, after every block verdict
+    names = [c["name"] for c in report["checks"]]
+    assert names == [f"blocks-degree-{d}" for d in range(4)] + ["rank-sums-symmetric", name]
+    assert report["summary"]["rank_sums"] == [1, 7, 7, 1]
 
 
 def _readme_command_lines():

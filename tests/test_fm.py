@@ -9,9 +9,10 @@ from tautring.fm import (
     CrossCheckError,
     Forest,
     StandardMonomialFM,
-    _cross_check_blocks,
     _dpart_dict,
+    _families,
     block_pairing,
+    cross_check_blocks,
     dpart_key,
     dual_fm,
     enumerate_standard_fm,
@@ -21,6 +22,7 @@ from tautring.fm import (
     fm_relation_counts,
     is_standard_fm,
     much_less,
+    nested_or_disjoint,
     psi_pullback,
     subset_key,
 )
@@ -166,6 +168,18 @@ def test_forest_shape_of_the_twenty_point_case():
     externals = {forest.subsets[r] for r in range(7) if not forest.children[r]}
     assert externals == {(1, 2, 3), (4, 5, 6, 7), (9, 10, 11, 12), (13, 14, 15, 16)}
     assert sorted(forest.s_set(20)) == [1, 9]
+
+
+def test_families_come_depth_first_from_the_empty_family():
+    a, b, c, d = (1, 2, 3), (4, 5, 6), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6)
+    # c meets b without nesting; every other pair is nested or disjoint
+    laminar = list(_families([a, b, c, d], nested_or_disjoint))
+    assert laminar == [(), (a,), (a, b), (a, b, d), (a, c), (a, c, d), (a, d),
+                       (b,), (b, d), (c,), (c, d), (d,)]
+    assert list(_families([a, b, c, d], nested_or_disjoint, max_size=1)) == [
+        (), (a,), (b,), (c,), (d,)]
+    assert list(_families([a, b, c, d], nested_or_disjoint, max_size=0)) == [()]
+    assert list(_families([a, b, c], frozenset.isdisjoint)) == [(), (a,), (a, b), (b,), (c,)]
 
 
 # ----- standardness -----------------------------------------------------------
@@ -440,7 +454,8 @@ def test_block_example_at_three_points():
 def test_blocks_cross_checked_against_engine(n):
     engine = ring_for(fm_presentation(n))
     for d in range(n + 1):
-        reports = block_pairing(n, d, cross_check_engine=engine)
+        reports = block_pairing(n, d)
+        cross_check_blocks(engine, reports)
         assert all(r.ok for r in reports)
         assert sum(r.rank for r in reports) == engine.basis(d).dimension
 
@@ -450,10 +465,9 @@ def test_triangularity_check_catches_blocks_out_of_order():
     # ones, and X[4] has a nonzero such product in degree 2
     engine = ring_for(fm_presentation(4))
     reports = block_pairing(4, 2)
-    blocks = [[v for v in enumerate_standard_fm(4, 2) if v.D == r.dpart] for r in reports]
-    _cross_check_blocks(engine, blocks, reports)
+    cross_check_blocks(engine, reports)
     with pytest.raises(CrossCheckError, match="triangularity fails"):
-        _cross_check_blocks(engine, blocks[::-1], reports[::-1])
+        cross_check_blocks(engine, reports[::-1])
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -462,7 +476,6 @@ def test_blocks_pass_conditionally_at_larger_sizes(n):
     for d in range(n + 1):
         reports = block_pairing(n, d)
         assert all(r.ok for r in reports)
-        assert all(r.conditional for r in reports)
         rank_sums[d] = sum(r.rank for r in reports)
     assert all(rank_sums[d] == rank_sums[n - d] for d in range(n + 1))
 
