@@ -14,7 +14,9 @@ piece of the quotient ring R = S/I by explicit exact linear algebra:
   exactly and back-substituted into its canonical RREF.  A
   :class:`GradedBasis`, the one record of a degree, holds the columns and
   their index, the RREF and the live columns; the quotient is read off the
-  non-pivot columns, normal forms and the socle functional off the RREF rows.
+  non-pivot columns, and the socle functional off the RREF rows of the
+  socle degree.  The engine hands out packed keys, live sets and the socle
+  functional; it reduces no element to the quotient basis.
 
 No Groebner basis is computed -- ranks of explicit integer matrices decide
 everything, which keeps the verification auditable.  A row of the slice is
@@ -36,7 +38,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, lcm
+from math import inf
 from types import SimpleNamespace
 
 from ._kernel import SpanReducer, _integer_rank, _integral_coeffs
@@ -502,7 +504,7 @@ class GradedBasis:
 
 
 class GradedRing:
-    """Engine wrapper around a Presentation: bases, normal forms, pairings."""
+    """Engine wrapper around a Presentation: bases, socle table, pairings."""
 
     def __init__(self, presentation):
         self.presentation = presentation
@@ -737,47 +739,6 @@ class GradedRing:
             reducer.insert_products(tkeys, tcoeffs, mult, col_of, i)
         return GradedBasis(d, col_of, *reducer.rref())
 
-    # ----- normal forms ------------------------------------------------
-
-    def normal_form(self, key_coeffs, degree):
-        """Coordinates of the class of ``{packed key: coefficient}``, keys of
-        degree ``degree``, in that quotient basis: one Fraction per quotient
-        column.  A key without a column (not in ``basis(degree).col_of``)
-        lies in J', inside I, and adds nothing.  A coefficient p/q at a
-        quotient column adds p/q there.  At a pivot column with RREF row
-        ``lead*x + sum(v*x_c)`` (every x_c a quotient column) it adds
-        -p*v/(q*lead) at each x_c, because the row lies in I.  So every
-        contribution is an integer over the denominator q or q*lead of its
-        term: the numerators are summed in integers over the lcm D of those
-        denominators, and each coordinate is one ``Fraction(numerator, D)``,
-        the same value as the sum of the Fractions.
-        """
-        basis = self.basis(degree)
-        if basis.dimension == 0:
-            return []
-        col_of = basis.col_of
-        rref = basis.rref()
-        terms = []  # (numerator, denominator, RREF row or None, column)
-        for key, coeff in key_coeffs.items():
-            col = col_of.get(key)
-            if not coeff or col is None:
-                continue  # in J', inside I
-            row = rref.get(col)
-            den = coeff.denominator * (1 if row is None else row[1][0])
-            terms.append((coeff.numerator, den, row, col))
-        common = lcm(*(den for _, den, _, _ in terms))
-        nums = [0] * basis.dimension
-        qpos = {c: i for i, c in enumerate(basis.quotient_cols)}
-        for num, den, row, col in terms:
-            scale = num * (common // den)
-            if row is None:
-                nums[qpos[col]] += scale
-            else:
-                cols, coeffs = row
-                for c, v in zip(cols[1:], coeffs[1:]):
-                    nums[qpos[c]] -= scale * v
-        return [Fraction(x, common) for x in nums]
-
     # ----- socle and pairings -------------------------------------------
 
     def socle_table(self):
@@ -914,14 +875,14 @@ class GradedRing:
 
         The socle is checked once, by :meth:`socle_table`: it raises
         SocleError exactly when R_n is not one-dimensional or the socle
-        monomial s has normal-form coordinate zero.  Proof of the second
-        half: let R_n = Q*[q0], q0 the one non-pivot column.  A tail of the
-        RREF lies in the non-pivot columns, so the row of a pivot c is
-        lead*c + t*q0 or lead*c, and [c] = lambda(c)*[q0] with lambda(c) =
-        -t/lead, or 0.  So before scaling the table holds the normal-form
-        coordinate of every column, and lambda(s) -- zero when s lies in
-        J', where it has no column -- is that of s.  Hence
-        ``normal_form({key(s): 1}, n)[0] != 0`` iff socle_table does not raise.
+        monomial s is zero in R.  Proof of the second half: let R_n =
+        Q*[q0], q0 the one non-pivot column.  A tail of the RREF lies in
+        the non-pivot columns, so the row of a pivot c is lead*c + t*q0 or
+        lead*c, and [c] = lambda(c)*[q0] with lambda(c) = -t/lead, or 0.
+        So before scaling the table holds the coordinate on [q0] of every
+        column, and [s] = lambda(s)*[q0], with lambda(s) = 0 when s lies
+        in J', where it has no column.  Hence [s] != 0 iff the unscaled
+        table reads lambda(s) != 0, that is iff socle_table does not raise.
         """
         n = self.presentation.socle_degree
         hilbert = self.hilbert(n)

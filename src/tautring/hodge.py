@@ -98,8 +98,18 @@ def hodge_psi_integral(alphas, g=GENUS):
 def fiber_socle_of_psi(n, alphas, *, ring=None):
     """Socle evaluation, in the compactified fiber ring on n points, of the
     product of pulled-back psi classes with the given exponents: n of them,
-    nonnegative, summing to the socle degree n.  The product is held by
-    packed key and reduced to the quotient basis after each factor."""
+    nonnegative, summing to the socle degree n.
+
+    The product is held by packed key.  After each factor, of degree d, it
+    keeps only its nonzero terms at keys in ``ring.basis(d).alive``; at
+    degree n the socle functional lambda is read off ``socle_values``.
+
+    Proof that this is lambda of the full product.  A dropped key either
+    has no column, so lies in J', or is dead; either way the monomial lies
+    in I (:meth:`GradedRing.is_zero_key`).  I is an ideal, so every later
+    factor multiplies the dropped part into I, and at degree n it lies in
+    I_n, where lambda vanishes.  So lambda(product) is unchanged.
+    """
     alphas = list(alphas)
     if n < 1 or len(alphas) != n or min(alphas) < 0 or sum(alphas) != n:
         raise ValueError(f"need one nonnegative exponent per point, summing to n = {n} >= 1")
@@ -109,15 +119,14 @@ def fiber_socle_of_psi(n, alphas, *, ring=None):
     for i, a in enumerate(alphas, start=1):
         psi = {ring.monomial_key(m): c for m, c in psi_pullback(n, i).terms.items()}
         factors += [psi] * a
-    product = factors[0]
-    for d, psi in enumerate(factors[1:], start=2):
+    product = {0: 1}
+    for d, psi in enumerate(factors, start=1):
         raw = {}
         for k, c in product.items():
             for k2, c2 in psi.items():
                 raw[k + k2] = raw.get(k + k2, 0) + c * c2
-        basis = ring.basis(d)
-        product = dict(zip([basis.keys[c] for c in basis.quotient_cols],
-                           ring.normal_form(raw, d)))
+        alive = ring.basis(d).alive
+        product = {k: c for k, c in raw.items() if c and k in alive}
     return sum(map(mul, product.values(), ring.socle_values(product)), Fraction(0))
 
 

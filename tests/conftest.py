@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -46,6 +47,29 @@ def socle_value(ring, q):
     times the values ``GradedRing.socle_values`` reads at its keys."""
     terms = keyed(ring, q)
     return sum(c * v for c, v in zip(terms.values(), ring.socle_values(terms)))
+
+
+def reference_normal_form(ring, q, d):
+    """The coordinates of ``{key: coefficient}``, keys of degree ``d``, in
+    the quotient basis of ``ring.basis(d)``, summed in Fractions one term
+    and tail entry at a time: a key without a column lies in J' and adds
+    nothing, and a pivot column's RREF row lead*x + sum(v*x_c) gives
+    x = -sum(v/lead * x_c)."""
+    basis = ring.basis(d)
+    pos = {c: i for i, c in enumerate(basis.quotient_cols)}
+    out = [Fraction(0)] * basis.dimension
+    for key, coeff in q.items():
+        col = basis.col_of.get(key)
+        if col is None:
+            continue
+        row = basis.rref().get(col)
+        if row is None:
+            out[pos[col]] += coeff
+        else:
+            cols, coeffs = row
+            for c, v in zip(cols[1:], coeffs[1:]):
+                out[pos[c]] -= Fraction(coeff) * v / coeffs[0]
+    return out
 
 
 @pytest.fixture

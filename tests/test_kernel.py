@@ -40,8 +40,10 @@ def test_benchmark_resolves_the_one_kernel():
 
 # Every function and method perfbench/tracer.py wraps, by the name it looks
 # up, apart from ``tautring._kernel.degree_keys`` (gone since the engine
-# enumerates columns itself).  The tracer skips a name it cannot find, so a
-# rename here would silently zero a per-layer benchmark metric.
+# enumerates columns itself) and ``tautring.algebra.GradedRing.normal_form``
+# (gone since the bridge reads only the socle).  The tracer skips a name it
+# cannot find, so a rename here would silently zero a per-layer benchmark
+# metric.
 TRACED_NAMES = [
     ("tautring._kernel", "SpanReducer", "insert_products"),
     ("tautring._kernel", "SpanReducer", "insert"),
@@ -50,7 +52,6 @@ TRACED_NAMES = [
     ("tautring.algebra", "GradedBasis", "rref"),
     ("tautring.algebra", "GradedRing", "socle_table"),
     ("tautring.algebra", "GradedRing", "gram_rank"),
-    ("tautring.algebra", "GradedRing", "normal_form"),
     ("tautring.algebra", "_integer_rank"),
     ("tautring.cache", "CacheStore", "get"),
     ("tautring.cache", "CacheStore", "put"),
@@ -86,7 +87,8 @@ TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 def test_benchmark_tracer_only_observes(args, tmp_path):
     # the benchmark's traced child, run as the benchmark runs it: it exits 0
     # with the untraced report and finds every name it wraps, apart from
-    # tautring._kernel.degree_keys.  Both runs start from an empty cache.
+    # the two that are gone (see TRACED_NAMES).  Both runs start from an
+    # empty cache.
     cache = tmp_path / "cache"
     argv = ["--format", "json"] + [a.replace("{cache}", str(cache)) for a in args]
     spans = tmp_path / "spans.json"
@@ -102,7 +104,8 @@ def test_benchmark_tracer_only_observes(args, tmp_path):
         bodies.append(report)
     assert bodies[0] == bodies[1]
     trace = json.loads(spans.read_text())
-    assert set(trace["unpatched"]) <= {"tautring._kernel.degree_keys"}
+    assert set(trace["unpatched"]) <= {"tautring._kernel.degree_keys",
+                                       "tautring.algebra.GradedRing.normal_form"}
     assert trace["spans"][0][0] == "cli.main"
 
 
