@@ -18,11 +18,12 @@ degrees, a filtration by the dimension of the contracted cycle, and a block
 decomposition of the intersection pairing with one block per D-part, equal
 up to a global sign to a pairing inside X^S.
 
-The block route runs in three steps: :func:`block_pairing` pairs the blocks
-of each degree and needs no engine; the block ranks and their symmetry are
-the verdict; then, for small n, :func:`cross_check_blocks` and
-:func:`filtration_vanishing_check` test the sign rule, triangularity and
-filtration vanishing against the full engine, and a refutation raises
+The block route runs in three steps: :func:`block_pairing` reads each block
+of each degree from the record of its X^S shape and builds nothing; the
+block ranks and their symmetry are the verdict; then, for small n,
+:func:`cross_check_blocks` builds the blocks' members and Gram matrices and,
+with :func:`filtration_vanishing_check`, tests the sign rule, triangularity
+and filtration vanishing against the full engine; a refutation raises
 :class:`CrossCheckError` after every block verdict is in.
 """
 
@@ -31,7 +32,6 @@ from functools import cache
 from operator import attrgetter
 from types import SimpleNamespace
 
-from ._kernel import _integer_rank
 from .algebra import (
     Monomial,
     Poly,
@@ -48,12 +48,12 @@ from .xn import (
     d_poly,
     dual_xn,
     enumerate_standard_xn,
-    standard_dimension,
+    standard_pairing,
     standard_socle_coefficient,
     xn_presentation,
 )
 
-#: Largest ground set :func:`enumerate_standard_fm` enumerates.
+#: Largest ground set whose D-parts :func:`_dparts` enumerates.
 STANDARD_ENUMERATION_LIMIT = 12
 
 
@@ -353,12 +353,10 @@ def filtration_p(v):
 # ----- enumeration -----------------------------------------------------------
 
 
-def enumerate_standard_fm(n, degree):
-    """All standard monomials of the given degree, in the monomial order
-    (``StandardMonomialFM.sort_key``: by D-part, then by a/b-part).  The
-    laminar families of at most ``degree`` index sets come in decreasing
-    subset order, and the monomials of one family share its
-    :class:`Forest`."""
+def _dparts(n, degree):
+    """Every D-part ``(forest, exps)`` of the standard monomials of the
+    given degree: the laminar families of at most ``degree`` index sets, in
+    decreasing subset order, with their exponents of weight <= degree."""
     if not 0 <= degree:
         raise ValueError("degree must be nonnegative")
     if n > STANDARD_ENUMERATION_LIMIT:
@@ -367,21 +365,25 @@ def enumerate_standard_fm(n, degree):
             reason=f"needs a ground set of {n} points, above the limit "
                    f"n <= {STANDARD_ENUMERATION_LIMIT}",
         )
-    out = []
     for family in _families(_subsets(n)[::-1], nested_or_disjoint, degree):
         forest = Forest(family)
         bounds = [forest.exponent_bound(r) for r in range(len(forest))]
         if any(b < 1 for b in bounds):
             continue
+        for exps in itertools.product(*(range(1, min(b, degree) + 1) for b in bounds)):
+            if sum(exps) <= degree:
+                yield forest, exps
+
+
+def enumerate_standard_fm(n, degree):
+    """All standard monomials of the given degree, in the monomial order
+    (``StandardMonomialFM.sort_key``: by D-part, then by a/b-part): each
+    D-part of :func:`_dparts` over the standard monomials of X^S."""
+    out = []
+    for forest, exps in _dparts(n, degree):
         S = sorted(forest.s_set(n))
-        for exps in itertools.product(
-            *(range(1, min(b, degree) + 1) for b in bounds)
-        ):
-            weight = sum(exps)
-            if weight > degree:
-                continue
-            for ab in enumerate_standard_xn(len(S), degree - weight, ground=S):
-                out.append(StandardMonomialFM(n, ab, forest, exps))
+        for ab in enumerate_standard_xn(len(S), degree - sum(exps), ground=S):
+            out.append(StandardMonomialFM(n, ab, forest, exps))
     out.sort(key=attrgetter("sort_key"))
     return out
 
@@ -531,13 +533,11 @@ def psi_pullback(n, i):
 
 
 class BlockReport(SimpleNamespace):
-    """Pairing data for one D-part block of degree-d standard monomials:
-    ``n``, ``degree``, ``dpart`` (the D-part), ``members`` (the block's
-    standard monomials, in the monomial order), ``s_set``,
-    ``sign_exponent``, ``size``, ``gram`` (signed block entries, rows
-    indexed ``gram[i][j]`` by members), ``rank``, ``xs_dimension`` (the
-    dimension of X^S in the a/b-part degree, from
-    :func:`xn.standard_dimension`; no X^S ring is built) and ``ok``.
+    """One D-part block of degree-d standard monomials: ``n``, ``degree``,
+    ``dpart``, ``s_set``, and from the record of its shape
+    (:func:`xn.standard_pairing`) ``size``, ``rank`` and ``xs_dimension``
+    (the dimension of X^S in the a/b-part degree), with ``ok``.  Its members
+    and Gram matrix are built only by :func:`block_gram`.
     """
 
 
@@ -553,51 +553,45 @@ class CrossCheckError(Exception):
 def block_pairing(n, degree):
     """Decompose the degree-d pairing into one block per D-part.
 
-    Each block pairs the a/b-parts of its standard monomials against the
-    duals inside the power ring on the section set S; entries carry the
-    global sign (-1)^epsilon.  A block passes when its rank equals the
-    dimension of X^S in the block's a/b-part degree k.  X^S is X^{|S|}
-    relabelled, so that dimension is ``standard_dimension(|S|, k)``, the
-    standard monomials minus the rank of the six-point relations: no X^S
-    ring or engine is built (it refuses past the engine's size ceiling).
-    The degree k never exceeds |S|, since a standard a/b-part of degree k
-    covers |A| + 2|B| >= k points of S.  The blocks come in the D-part
-    order, each cut from the enumeration, which sorts by D-part first;
-    :func:`cross_check_blocks` tests them against the full engine.
+    A block's members are its D-part over the degree k = d - weight
+    standard monomials of X^S; it pairs their a/b-parts against the duals
+    in X^S, with the global sign (-1)^epsilon (:func:`block_gram`).  It
+    passes when its rank is dim X^S_k.  Size, rank and dimension are read
+    from the shape's record ``standard_pairing(|S|, k)``, so nothing is
+    built here; a D-part whose record counts 0 is not a block.  Blocks
+    come in the D-part order; :func:`cross_check_blocks` tests them against
+    the full engine.
+
+    Proof.  The order-preserving map S -> {1..|S|} keeps standard
+    monomials, duals, the cycle counts of B + B', the covering of S and
+    the a/b order (it sorts tuples).  So the block's Gram matrix is
+    (-1)^epsilon times the record's, entry by entry, and X^S is X^{|S|}
+    relabelled, of the record's dimension.
     """
     reports = []
-    for _, group in itertools.groupby(enumerate_standard_fm(n, degree), attrgetter("D")):
-        members = list(group)
-        dkey = members[0].D
-        forest = members[0].forest
-        S = sorted(forest.s_set(n))
-        eps = forest.sign_exponent()
-        sign = -1 if eps % 2 else 1
-        ab_parts = [m.ab for m in members]
-        dual_parts = [dual_xn(ab, len(S), ground=S) for ab in ab_parts]
-        gram = [
-            [sign * standard_socle_coefficient(ab, db, S) for db in dual_parts]
-            for ab in ab_parts
-        ]
-        rank = _integer_rank(gram)
-        ab_degree = degree - sum(e for _, e in dkey)
-        xs_dim = standard_dimension(len(S), ab_degree)
-        reports.append(
-            BlockReport(
-                n=n,
-                degree=degree,
-                dpart=dkey,
-                members=members,
-                s_set=tuple(S),
-                sign_exponent=eps,
-                size=len(members),
-                gram=gram,
-                rank=rank,
-                xs_dimension=xs_dim,
-                ok=rank == xs_dim,
-            )
-        )
+    for forest, exps in _dparts(n, degree):
+        S = tuple(sorted(forest.s_set(n)))
+        count, rank, dimension = standard_pairing(len(S), degree - sum(exps))
+        if count:
+            reports.append(BlockReport(
+                n=n, degree=degree, dpart=tuple(zip(forest.subsets, exps)), s_set=S,
+                size=count, rank=rank, xs_dimension=dimension, ok=rank == dimension))
+    reports.sort(key=lambda r: dpart_key(r.dpart))
     return reports
+
+
+def block_gram(report):
+    """``(members, gram)`` of a :class:`BlockReport`: its standard monomials
+    in the monomial order, and ``gram[i][j]``, (-1)^epsilon times the X^S
+    socle coefficient of the a/b-parts of member i and dual(member j)."""
+    forest = Forest(s for s, _ in report.dpart)
+    exps = tuple(e for _, e in report.dpart)
+    S = report.s_set
+    parts = enumerate_standard_xn(len(S), report.degree - sum(exps), ground=S)
+    sign = -1 if forest.sign_exponent() % 2 else 1
+    duals = [dual_xn(ab, len(S), ground=S) for ab in parts]
+    gram = [[sign * standard_socle_coefficient(ab, db, S) for db in duals] for ab in parts]
+    return [StandardMonomialFM(report.n, ab, forest, exps) for ab in parts], gram
 
 
 def _keys(ring, monomials):
@@ -610,15 +604,17 @@ def cross_check_blocks(ring, reports):
     (:func:`block_pairing`) against the full engine ``ring``; a failure
     raises :class:`CrossCheckError`.
 
-    The engine value of v . dual(w) is read from the socle table at the key
-    key(v) + key(dual(w)) (``GradedRing.socle_values``); no product is
-    built.  Sign rule: inside a block the engine values are the block's
-    signed Gram entries.  Triangularity: for v in an earlier block than w,
-    that is with a smaller D-part, the engine value is 0.
+    Members and Gram entries come from :func:`block_gram`, not from the
+    shape records.  The engine value of v . dual(w) is read from the socle
+    table at the key key(v) + key(dual(w)) (``GradedRing.socle_values``);
+    no product is built.  Sign rule: inside a block the engine values are
+    the block's signed Gram entries.  Triangularity: for v in an earlier
+    block than w, that is with a smaller D-part, the engine value is 0.
     """
-    dual_keys = [_keys(ring, map(dual_fm, r.members)) for r in reports]
-    for i, report in enumerate(reports):
-        for v, kv, gram_row in zip(report.members, _keys(ring, report.members), report.gram):
+    blocks = [block_gram(r) for r in reports]
+    dual_keys = [_keys(ring, map(dual_fm, members)) for members, _ in blocks]
+    for i, (report, (members, gram)) in enumerate(zip(reports, blocks)):
+        for v, kv, gram_row in zip(members, _keys(ring, members), gram):
             row = ring.socle_values([kv + kd for kd in dual_keys[i]])
             if row != gram_row:
                 raise CrossCheckError(
@@ -626,8 +622,8 @@ def cross_check_blocks(ring, reports):
                     f"sign rule fails at {v} . dual(block {report.dpart}): "
                     f"engine {row}, block {gram_row}"
                 )
-            for later, keys in zip(reports[i + 1:], dual_keys[i + 1:]):
-                for w, value in zip(later.members,
+            for (later, _), keys in zip(blocks[i + 1:], dual_keys[i + 1:]):
+                for w, value in zip(later,
                                     ring.socle_values([kv + kd for kd in keys])):
                     if value:
                         raise CrossCheckError(

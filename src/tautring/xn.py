@@ -23,7 +23,7 @@ import itertools
 from functools import cache
 from math import comb, prod
 
-from ._kernel import SpanReducer
+from ._kernel import SpanReducer, _integer_rank
 from .algebra import (
     Monomial,
     Poly,
@@ -335,7 +335,20 @@ def six_point_relations(n, degree):
     over ``enumerate_standard_xn(n, degree)``.  Vectors are sparse dicts
     ``{standard index: coefficient}``; identically-zero products are
     omitted.  Returns ``(vectors, standard_list)``.
+
+    Refuses (SizeCeilingError, labelled ``xn:n``) when the number of
+    standard monomials, a closed form, passes ``algebra.SIZE_CEILING``
+    (:func:`algebra.check_size`), before anything is enumerated.
     """
+    # choose the a-indices, then the points of the b-pairs, then a perfect
+    # matching of those points
+    count = sum(
+        comb(n, degree - pairs) * comb(n - degree + pairs, 2 * pairs)
+        * prod(range(1, 2 * pairs, 2))
+        for pairs in range(degree + 1)
+        if degree + pairs <= n
+    )
+    check_size(f"xn:{n}", degree, count, "standard monomials")
     standard = enumerate_standard_xn(n, degree)
     index = {v: i for i, v in enumerate(standard)}
     vectors = []
@@ -355,48 +368,38 @@ def six_point_relations(n, degree):
 
 
 @cache
-def standard_dimension(n, degree):
-    """Dimension of the degree-``degree`` piece of the ring on ``n`` points,
-    without the generic engine: the number of standard monomials minus the
-    rank of :func:`six_point_relations`, whose vectors are inserted into a
-    :class:`SpanReducer` as sparse integer rows (memoized per ``(n,
-    degree)``).
+def standard_pairing(n, degree):
+    """``(count, rank, dimension)`` in degree ``degree`` of the ring on ``n``
+    points, without the generic engine (memoized): the number of standard
+    monomials, the rank of their Gram matrix against their duals
+    (:func:`standard_socle_coefficient`), and the dimension, the count
+    minus the rank of :func:`six_point_relations` (which refuses past the
+    size ceiling).
 
-    Proof.  Write the ring as P/(Q + M), with P the polynomial ring in the
-    a's and b's, Q the ideal of the quadratic relations and M that of the
-    matching sums.  The quadratic rewrite system terminates and is
-    confluent, so every class of P/Q has one normal form and the standard
-    monomials (the monomials no rule rewrites) are a basis of P/Q.  In
-    degree d, M is spanned by the products f m of a matching sum f and a
-    monomial m of degree d - 3; modulo Q, m is a combination of standard
-    monomials of degree d - 3, so the image of M in P/Q is spanned by the
-    normal forms of the products f s with s standard, which are exactly
-    the vectors of :func:`six_point_relations` (a product with normal form
-    zero adds nothing).  The dimension is therefore the standard count
-    minus their rank.  With fewer than six points or below degree three
-    there are no vectors and the standard monomials are a basis.
-
-    Refuses (SizeCeilingError, labelled as the presentation of ``n``
-    points) when the number of standard monomials, the columns of the
-    vectors, passes ``algebra.SIZE_CEILING`` (:func:`algebra.check_size`);
-    the count is a closed form, so nothing is enumerated before the
-    refusal.
+    Proof of the dimension.  Write the ring as P/(Q + M), with P the
+    polynomial ring in the a's and b's, Q the ideal of the quadratic
+    relations and M that of the matching sums.  The quadratic rewrite
+    system terminates and is confluent, so every class of P/Q has one
+    normal form and the standard monomials (the monomials no rule
+    rewrites) are a basis of P/Q.  In degree d, M is spanned by the
+    products f m of a matching sum f and a monomial m of degree d - 3;
+    modulo Q, m is a combination of standard monomials of degree d - 3, so
+    the image of M in P/Q is spanned by the normal forms of the products
+    f s with s standard, which are exactly the vectors of
+    :func:`six_point_relations` (a product with normal form zero adds
+    nothing).  The dimension is therefore the standard count minus their
+    rank.  With fewer than six points or below degree three there are no
+    vectors and the standard monomials are a basis.
     """
-    # choose the a-indices, then the points of the b-pairs, then a perfect
-    # matching of those points
-    count = sum(
-        comb(n, degree - pairs) * comb(n - degree + pairs, 2 * pairs)
-        * prod(range(1, 2 * pairs, 2))
-        for pairs in range(degree + 1)
-        if degree + pairs <= n
-    )
-    check_size(f"xn:{n}", degree, count, "standard monomials")
     vectors, standard = six_point_relations(n, degree)
     reducer = SpanReducer(len(standard))
     for vec in vectors:
         cols = sorted(vec)
         reducer.insert(cols, [vec[c] for c in cols])
-    return len(standard) - reducer.rank
+    ground = default_ground(n)
+    duals = [dual_xn(w, n) for w in standard]
+    gram = [[standard_socle_coefficient(v, w, ground) for w in duals] for v in standard]
+    return len(standard), _integer_rank(gram), len(standard) - reducer.rank
 
 
 # ----- socle evaluation without the generic engine -------------------------

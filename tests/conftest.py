@@ -76,13 +76,13 @@ def reference_normal_form(ring, q, d):
 def lower_ceiling(monkeypatch):
     """``lower_ceiling(c)`` sets ``algebra.SIZE_CEILING`` to ``c`` for the
     test and empties the caches of ``ring_for`` and
-    ``xn.standard_dimension``, so that no ring built under the real ceiling,
-    with bases it already holds, and no dimension computed under it is
+    ``xn.standard_pairing``, so that no ring built under the real ceiling,
+    with bases it already holds, and no shape record computed under it is
     reused; the caches are emptied again afterwards."""
 
     def clear():
         algebra.ring_for.cache_clear()
-        xn.standard_dimension.cache_clear()
+        xn.standard_pairing.cache_clear()
 
     def lower(ceiling):
         monkeypatch.setattr(algebra, "SIZE_CEILING", ceiling)

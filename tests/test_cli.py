@@ -245,7 +245,8 @@ def test_blocks_mode_honours_the_size_ceiling(lower_ceiling):
 
 # the unit of the count and ceiling of each command's refusal
 GUARD_UNITS = {"xn check": "columns", "fm check": "standard monomials",
-               "fm standard": "points", "xn matching-gram": "Gram entries"}
+               "fm standard": "points", "xn matching-gram": "Gram entries",
+               "xn six-point": "standard monomials"}
 
 
 @pytest.mark.parametrize("args, lowered, accepted", [
@@ -259,6 +260,9 @@ GUARD_UNITS = {"xn check": "columns", "fm check": "standard monomials",
     (["fm", "standard", "--n", "13", "--degree", "1"], None, 12),
     # Gram entries: the 945 x 945 Gram of m = 5 is computed
     (["xn", "matching-gram", "--m", "6"], None, 945 ** 2),
+    # the columns of the six-point vectors: degree 3 of X^6 (215 standard
+    # monomials) is refused under 200, degree 2 (120) would be served
+    (["xn", "six-point", "--n", "6", "--degree", "3"], 200, 120),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
 def test_a_size_guard_counts_in_the_unit_of_its_ceiling(args, lowered, accepted,
                                                         lower_ceiling):

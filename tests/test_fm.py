@@ -4,13 +4,14 @@ from functools import cmp_to_key
 
 import pytest
 
-from tautring.algebra import GradedRing, Poly, ring_for
+from tautring.algebra import GradedRing, Poly, _integer_rank, ring_for
 from tautring.fm import (
     CrossCheckError,
     Forest,
     StandardMonomialFM,
     _dpart_dict,
     _families,
+    block_gram,
     block_pairing,
     cross_check_blocks,
     dpart_key,
@@ -440,9 +441,10 @@ def test_psi_pullback_rejects_bad_index():
 def test_block_example_at_three_points():
     reports = block_pairing(3, 1)
     d_block = next(r for r in reports if r.dpart)
-    assert d_block.sign_exponent == 3
-    assert d_block.size == 1
-    assert d_block.gram[0][0] == -1  # (-1)^3 times the X^1 value 1
+    members, gram = block_gram(d_block)
+    assert members[0].forest.sign_exponent() == 3
+    assert d_block.size == len(members) == 1
+    assert gram[0][0] == -1  # (-1)^3 times the X^1 value 1
     assert d_block.rank == 1 and d_block.xs_dimension == 1
     ring = ring_for(fm_presentation(3))
     v = StandardMonomialFM.make(3, D={(1, 2, 3): 1})
@@ -491,7 +493,8 @@ def test_block_grams_match_the_rewrite_path_at_five_points():
         assert len(reports) == len(groups)
         assert {r.dpart for r in reports} == set(groups)
         for report in reports:
-            members = groups[report.dpart]
+            members, gram = block_gram(report)
+            assert members == groups[report.dpart]
             forest = members[0].forest
             S = tuple(sorted(forest.s_set(n)))
             sign = (-1) ** forest.sign_exponent()
@@ -501,7 +504,7 @@ def test_block_grams_match_the_rewrite_path_at_five_points():
                     expected = sign * socle_coefficient(
                         v.ab.to_poly() * dual.to_poly(), S
                     )
-                    assert report.gram[ii][jj] == expected, (d, v, w)
+                    assert gram[ii][jj] == expected, (d, v, w)
                     checked += 1
     assert checked == 7378
 
@@ -509,9 +512,22 @@ def test_block_grams_match_the_rewrite_path_at_five_points():
 def test_empty_dpart_block_is_the_power_ring_pairing():
     reports = block_pairing(3, 1)
     top = next(r for r in reports if not r.dpart)
-    assert top.sign_exponent == 0
+    members, gram = block_gram(top)
+    assert members[0].forest.sign_exponent() == 0
     assert top.s_set == (1, 2, 3)
-    assert top.size == 6 and top.rank == 6 and top.xs_dimension == 6
+    assert top.size == len(members) == 6 and top.rank == 6 and top.xs_dimension == 6
+    assert _integer_rank(gram) == 6
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_block_gram_has_the_size_and_rank_of_its_shape_record(n):
+    # block_pairing reads size and rank from the record of (|S|, k); each
+    # block's own signed Gram on S, built directly, must agree with it
+    for d in range(n + 1):
+        for report in block_pairing(n, d):
+            members, gram = block_gram(report)
+            assert (report.size, report.rank) == (len(members), _integer_rank(gram)), (
+                d, report.dpart)
 
 
 def test_forest_of_validates_laminarity():

@@ -27,7 +27,7 @@ from tautring.xn import (
     six_point_relations,
     socle_coefficient,
     standard_from_monomial,
-    standard_dimension,
+    standard_pairing,
     standard_socle_coefficient,
     verify_faber_relation,
     xn_presentation,
@@ -56,30 +56,34 @@ def test_power_ring_hilbert_functions(n):
 def test_standard_dimension_is_the_engine_dimension(n):
     # an independent Hilbert derivation, degree by degree: the standard
     # monomial count minus the rank of the matching-sum relation vectors
-    # (below six points there are none, so the count alone is exact);
-    # X^7 is compared with the engine's Hilbert function in its golden report
+    # (below six points there are none, so the count alone is exact), and
+    # the Gram rank of the standard monomials against their duals, which the
+    # perfect pairing makes the dimension too; X^7 is compared with the
+    # engine's Hilbert function in its golden report
     if n <= 6:
         ring = ring_for(xn_presentation(n))
         hilbert = [ring.basis(d).dimension for d in range(n + 1)]
     else:
         golden = json.loads((GOLDEN / f"xn-check-n-{n}.json").read_text())
         hilbert = golden["report"]["summary"]["hilbert"]
-    assert [standard_dimension(n, d) for d in range(n + 1)] == hilbert
+    records = [standard_pairing(n, d) for d in range(n + 1)]
+    assert [dimension for _, _, dimension in records] == hilbert
+    assert [rank for _, rank, _ in records] == hilbert
     if n < 6:
         assert hilbert == [len(enumerate_standard_xn(n, d)) for d in range(n + 1)]
 
 
 def test_standard_dimension_refuses_past_the_size_ceiling(lower_ceiling):
     # the refusal counts the standard monomials, by a closed form checked
-    # here against the enumeration, and a dimension memoized under the real
+    # here against the enumeration, and a record memoized under the real
     # ceiling does not get past a lowered one
-    assert standard_dimension(5, 1) == 15
+    assert standard_pairing(5, 1) == (15, 15, 15)
     for n in range(1, 9):
         for d in range(n + 1):
             count = len(enumerate_standard_xn(n, d))
             lower_ceiling(count - 1)
             with pytest.raises(SizeCeilingError) as info:
-                standard_dimension(n, d)
+                standard_pairing(n, d)
             refused = info.value
             assert (refused.label, refused.degree, refused.count, refused.ceiling) == (
                 f"xn:{n}", d, count, count - 1)
