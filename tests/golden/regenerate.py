@@ -15,8 +15,8 @@ Usage, from the checkout (the script imports ``tautring`` from ``src``):
 ``--check`` prints each command that differs from its file and exits 1 if
 any does.  The quick set (``QUICK``, a few seconds) runs in tier-1 as
 ``tests/test_golden.py``; the long set (``LONG``: ``xn check --n 7``,
-``fm check --n 6 --mode full`` and ``fm check --n 7 --mode blocks``, over
-a minute) runs only here, in CI as
+``fm check --n 6 --mode full``, ``fm check --n 7 --mode blocks`` and
+``fm check --n 8 --mode blocks``, a few minutes) runs only here, in CI as
 the ``long-golden`` job of ``.github/workflows/tests.yml``.  The script
 uses the standard library alone, so any supported interpreter can rerun
 the set without pytest.
@@ -65,6 +65,7 @@ LONG = dict([
     _named("xn", "check", "--n", "7"),
     _named("fm", "check", "--n", "6", "--mode", "full"),
     _named("fm", "check", "--n", "7", "--mode", "blocks"),
+    _named("fm", "check", "--n", "8", "--mode", "blocks"),
 ])
 
 
