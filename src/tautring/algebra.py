@@ -54,7 +54,8 @@ class SizeCeilingError(RuntimeError):
     """Raised when a graded piece is too big to build.
 
     ``count`` is finite and above ``ceiling``, both in ``unit``
-    (``columns``, ``standard monomials``, ``Gram entries`` or ``points``),
+    (``columns``, ``standard monomials``, ``Gram entries``, ``Bernoulli
+    terms`` or ``points``),
     or both ``count`` and ``unit`` are None when the refusal is not about a
     count (a degree beyond the exponent packing); ``reason`` says which.
     ``degree`` is None when the request has no degree.  The engine stops

@@ -271,12 +271,16 @@ def fm_check(run, n, mode):
         emit(run, "fm check", {"n": n, "mode": mode}, checks,
              {"verdict": report.verdict, "hilbert": report.hilbert})
         return
-    by_degree = [fm_mod.block_pairing(n, d) for d in range(n + 1)]
-    rank_sums = [sum(r.rank for r in reports) for reports in by_degree]
+    table = fm_mod.block_pairing(n)
+    rank_sums = [sum(blocks * rank for _, _, blocks, (_, rank, _) in shapes)
+                 for shapes in table]
     checks = [
-        check(f"blocks-degree-{d}", all(r.ok for r in reports), blocks=len(reports),
-              standard=sum(r.size for r in reports), rank_sum=rank_sums[d])
-        for d, reports in enumerate(by_degree)
+        check(f"blocks-degree-{d}",
+              all(rank == dimension for *_, (_, rank, dimension) in shapes),
+              blocks=sum(blocks for _, _, blocks, _ in shapes),
+              standard=sum(blocks * count for _, _, blocks, (count, _, _) in shapes),
+              rank_sum=rank_sums[d])
+        for d, shapes in enumerate(table)
     ]
     checks.append(check("rank-sums-symmetric", rank_sums == rank_sums[::-1],
                         rank_sums=rank_sums))
@@ -284,11 +288,8 @@ def fm_check(run, n, mode):
         checks.append(check("sign-rule", True, note="conditional: engine cross-check "
                                                     f"runs for n <= {CROSS_CHECK_LIMIT}"))
     else:
-        engine = run.ring(fm_mod.fm_presentation(n))
         try:
-            for reports in by_degree:
-                fm_mod.cross_check_blocks(engine, reports)
-            pairs = fm_mod.filtration_vanishing_check(n, ring=engine)
+            pairs = fm_mod.engine_cross_check(run.ring(fm_mod.fm_presentation(n)))
         except fm_mod.CrossCheckError as exc:  # the last check: the refuted statement
             checks.append(check(exc.check, False, message=str(exc)))
         else:

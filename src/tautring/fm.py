@@ -18,19 +18,19 @@ degrees, a filtration by the dimension of the contracted cycle, and a block
 decomposition of the intersection pairing with one block per D-part, equal
 up to a global sign to a pairing inside X^S.
 
-The block route runs in three steps: :func:`block_pairing` reads each block
-of each degree from the record of its X^S shape and builds nothing; the
-block ranks and their symmetry are the verdict; then, for small n,
-:func:`cross_check_blocks` builds the blocks' members and Gram matrices and,
-with :func:`filtration_vanishing_check`, tests the sign rule, triangularity
-and filtration vanishing against the full engine; a refutation raises
-:class:`CrossCheckError` after every block verdict is in.
+The block route is one table of X^S shapes: :func:`block_pairing` walks the
+D-parts once, tallies them by shape, and reads every block of every degree
+from its shape's record, building nothing; the block ranks and their
+symmetry are the verdict.  For small n, :func:`engine_cross_check` then
+enumerates each degree's standard monomials once and tests the sign rule,
+triangularity and filtration vanishing against the full engine; a
+refutation raises :class:`CrossCheckError` after every block verdict is in.
 """
 
 import itertools
+from collections import Counter
 from functools import cache
 from operator import attrgetter
-from types import SimpleNamespace
 
 from .algebra import (
     Monomial,
@@ -40,7 +40,6 @@ from .algebra import (
     gen_a,
     gen_b,
     gen_D,
-    ring_for,
 )
 from .xn import (
     StandardMonomialXn,
@@ -356,12 +355,14 @@ def filtration_p(v):
 def _dparts(n, degree):
     """Every D-part ``(forest, exps)`` of the standard monomials of the
     given degree: the laminar families of at most ``degree`` index sets, in
-    decreasing subset order, with their exponents of weight <= degree."""
+    decreasing subset order, with their exponents of weight <= degree.  A
+    ground set of more than ``STANDARD_ENUMERATION_LIMIT`` points is
+    refused with no degree, since the limit bounds points."""
     if not 0 <= degree:
         raise ValueError("degree must be nonnegative")
     if n > STANDARD_ENUMERATION_LIMIT:
         raise SizeCeilingError(
-            f"fm:{n}", degree, n, STANDARD_ENUMERATION_LIMIT, "points",
+            f"fm:{n}", None, n, STANDARD_ENUMERATION_LIMIT, "points",
             reason=f"needs a ground set of {n} points, above the limit "
                    f"n <= {STANDARD_ENUMERATION_LIMIT}",
         )
@@ -532,15 +533,6 @@ def psi_pullback(n, i):
 # ----- block pairing ---------------------------------------------------------
 
 
-class BlockReport(SimpleNamespace):
-    """One D-part block of degree-d standard monomials: ``n``, ``degree``,
-    ``dpart``, ``s_set``, and from the record of its shape
-    (:func:`xn.standard_pairing`) ``size``, ``rank`` and ``xs_dimension``
-    (the dimension of X^S in the a/b-part degree), with ``ok``.  Its members
-    and Gram matrix are built only by :func:`block_gram`.
-    """
-
-
 class CrossCheckError(Exception):
     """A statement of the block route that the full engine refutes;
     ``check`` names it as ``fm check`` reports it."""
@@ -550,17 +542,20 @@ class CrossCheckError(Exception):
         self.check = check
 
 
-def block_pairing(n, degree):
-    """Decompose the degree-d pairing into one block per D-part.
+def block_pairing(n):
+    """The blocks of the pairing of X[n] as one table of shapes per degree.
 
-    A block's members are its D-part over the degree k = d - weight
+    A block of degree d is a D-part of weight w over the degree k = d - w
     standard monomials of X^S; it pairs their a/b-parts against the duals
-    in X^S, with the global sign (-1)^epsilon (:func:`block_gram`).  It
-    passes when its rank is dim X^S_k.  Size, rank and dimension are read
-    from the shape's record ``standard_pairing(|S|, k)``, so nothing is
-    built here; a D-part whose record counts 0 is not a block.  Blocks
-    come in the D-part order; :func:`cross_check_blocks` tests them against
-    the full engine.
+    in X^S, with the global sign (-1)^epsilon (:func:`block_gram`), and
+    passes when its rank is dim X^S_k.  Every block of one shape (|S|, k)
+    has the record ``standard_pairing(|S|, k)``, ``(count, rank,
+    dimension)``, so one walk of the D-parts tallies them by (|S|, w) and
+    nothing is built.  Entry d of the returned list lists the shapes of
+    degree d, in increasing (|S|, w), as ``(|S|, k, blocks, record)``;
+    they are the tallied (|S|, w) with 0 <= k <= |S|, the degrees in which
+    X^S has a standard monomial (a(A) for any k points A of S), so a
+    D-part of a shape outside that range is not a block.
 
     Proof.  The order-preserving map S -> {1..|S|} keeps standard
     monomials, duals, the cycle counts of B + B', the covering of S and
@@ -568,30 +563,24 @@ def block_pairing(n, degree):
     (-1)^epsilon times the record's, entry by entry, and X^S is X^{|S|}
     relabelled, of the record's dimension.
     """
-    reports = []
-    for forest, exps in _dparts(n, degree):
-        S = tuple(sorted(forest.s_set(n)))
-        count, rank, dimension = standard_pairing(len(S), degree - sum(exps))
-        if count:
-            reports.append(BlockReport(
-                n=n, degree=degree, dpart=tuple(zip(forest.subsets, exps)), s_set=S,
-                size=count, rank=rank, xs_dimension=dimension, ok=rank == dimension))
-    reports.sort(key=lambda r: dpart_key(r.dpart))
-    return reports
+    tally = Counter((len(forest.s_set(n)), sum(exps)) for forest, exps in _dparts(n, n))
+    return [[(size, d - weight, blocks, standard_pairing(size, d - weight))
+             for (size, weight), blocks in sorted(tally.items())
+             if 0 <= d - weight <= size]
+            for d in range(n + 1)]
 
 
-def block_gram(report):
-    """``(members, gram)`` of a :class:`BlockReport`: its standard monomials
-    in the monomial order, and ``gram[i][j]``, (-1)^epsilon times the X^S
-    socle coefficient of the a/b-parts of member i and dual(member j)."""
-    forest = Forest(s for s, _ in report.dpart)
-    exps = tuple(e for _, e in report.dpart)
-    S = report.s_set
-    parts = enumerate_standard_xn(len(S), report.degree - sum(exps), ground=S)
+def block_gram(members):
+    """The Gram matrix of one block, given its members (the standard
+    monomials of one D-part and degree, in the monomial order):
+    ``gram[i][j]`` is (-1)^epsilon times the X^S socle coefficient of the
+    a/b-parts of member i and dual(member j)."""
+    forest = members[0].forest
+    S = tuple(sorted(forest.s_set(members[0].n)))
     sign = -1 if forest.sign_exponent() % 2 else 1
-    duals = [dual_xn(ab, len(S), ground=S) for ab in parts]
-    gram = [[sign * standard_socle_coefficient(ab, db, S) for db in duals] for ab in parts]
-    return [StandardMonomialFM(report.n, ab, forest, exps) for ab in parts], gram
+    duals = [dual_xn(v.ab, len(S), ground=S) for v in members]
+    return [[sign * standard_socle_coefficient(v.ab, db, S) for db in duals]
+            for v in members]
 
 
 def _keys(ring, monomials):
@@ -599,32 +588,33 @@ def _keys(ring, monomials):
     return [ring.monomial_key(v.to_monomial()) for v in monomials]
 
 
-def cross_check_blocks(ring, reports):
+def cross_check_blocks(ring, blocks):
     """Verify the sign rule and triangularity of one degree's blocks
-    (:func:`block_pairing`) against the full engine ``ring``; a failure
-    raises :class:`CrossCheckError`.
+    against the full engine ``ring``; a failure raises
+    :class:`CrossCheckError`.  Each block is the list of its members, each
+    a pair ``(v, key(v))``, and the blocks come in the D-part order.
 
-    Members and Gram entries come from :func:`block_gram`, not from the
-    shape records.  The engine value of v . dual(w) is read from the socle
-    table at the key key(v) + key(dual(w)) (``GradedRing.socle_values``);
-    no product is built.  Sign rule: inside a block the engine values are
-    the block's signed Gram entries.  Triangularity: for v in an earlier
-    block than w, that is with a smaller D-part, the engine value is 0.
+    The engine value of v . dual(w) is read from the socle table at the
+    key key(v) + key(dual(w)) (``GradedRing.socle_values``); no product is
+    built.  Sign rule: inside a block the engine values are the block's
+    signed Gram entries (:func:`block_gram`).  Triangularity: for v in an
+    earlier block than w, that is with a smaller D-part, the engine value
+    is 0.
     """
-    blocks = [block_gram(r) for r in reports]
-    dual_keys = [_keys(ring, map(dual_fm, members)) for members, _ in blocks]
-    for i, (report, (members, gram)) in enumerate(zip(reports, blocks)):
-        for v, kv, gram_row in zip(members, _keys(ring, members), gram):
+    grams = [block_gram([v for v, _ in block]) for block in blocks]
+    dual_keys = [_keys(ring, (dual_fm(v) for v, _ in block)) for block in blocks]
+    for i, (block, gram) in enumerate(zip(blocks, grams)):
+        for (v, kv), gram_row in zip(block, gram):
             row = ring.socle_values([kv + kd for kd in dual_keys[i]])
             if row != gram_row:
                 raise CrossCheckError(
                     "sign-rule-and-triangularity",
-                    f"sign rule fails at {v} . dual(block {report.dpart}): "
+                    f"sign rule fails at {v} . dual(block {v.D}): "
                     f"engine {row}, block {gram_row}"
                 )
-            for (later, _), keys in zip(blocks[i + 1:], dual_keys[i + 1:]):
-                for w, value in zip(later,
-                                    ring.socle_values([kv + kd for kd in keys])):
+            for later, keys in zip(blocks[i + 1:], dual_keys[i + 1:]):
+                for (w, _), value in zip(later,
+                                         ring.socle_values([kv + kd for kd in keys])):
                     if value:
                         raise CrossCheckError(
                             "sign-rule-and-triangularity",
@@ -632,27 +622,32 @@ def cross_check_blocks(ring, reports):
                         )
 
 
-def filtration_vanishing_check(n, ring=None):
-    """Exhaustive check of the filtration vanishing statement.
+def engine_cross_check(ring):
+    """Check the block route against the full engine ``ring`` of X[n]: the
+    sign rule and triangularity of every degree's blocks
+    (:func:`cross_check_blocks`), then the filtration vanishing statement.
+    Returns the number of filtration pairs checked; a refutation raises
+    :class:`CrossCheckError`.  Each degree's standard monomials are
+    enumerated and keyed once; their order is by D-part first, so the
+    blocks are its runs of one D-part.
 
-    For every pair of standard monomials v, w (any degrees, product degree
-    at most n) with w << v and p(v) + deg(w) > n, the full-engine product
-    must vanish: the key key(v) + key(w) is tested by
-    ``GradedRing.is_zero_key``, with no product built.  Returns the number
-    of pairs checked; a nonzero product raises :class:`CrossCheckError`.
-
-    The monomials are bucketed by degree, so for v of degree a only the
-    degrees b with n - p(v) < b <= n - a are scanned: the two degree
-    conditions select whole buckets, and ``much_less`` is the only test
-    left per pair.  The pairs are visited in the order of a scan over all
-    ordered pairs of the degree-sorted list.
+    Filtration vanishing: for every pair of standard monomials v, w (any
+    degrees, product degree at most n) with w << v and p(v) + deg(w) > n,
+    the full-engine product vanishes: the key key(v) + key(w) is tested by
+    ``GradedRing.is_zero_key``, with no product built.  For v of degree a
+    only the degrees b with n - p(v) < b <= n - a are scanned: the two
+    degree conditions select whole degrees, and ``much_less`` is the only
+    test left per pair.  The pairs are visited in the order of a scan over
+    all ordered pairs of the degree-sorted list.
     """
-    if ring is None:
-        ring = ring_for(fm_presentation(n))
+    n = ring.presentation.socle_degree
     by_degree = []
     for d in range(n + 1):
         standard = enumerate_standard_fm(n, d)
-        by_degree.append(list(zip(standard, _keys(ring, standard))))
+        keyed = list(zip(standard, _keys(ring, standard)))
+        cross_check_blocks(ring, [list(block) for _, block in
+                                  itertools.groupby(keyed, lambda pair: pair[0].D)])
+        by_degree.append(keyed)
     checked = 0
     for a, keyed in enumerate(by_degree):
         for v, kv in keyed:

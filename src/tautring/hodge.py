@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .algebra import ring_for
+from .algebra import check_size, ring_for
 from .fm import fm_presentation, psi_pullback
 
 GENUS = 2
@@ -36,9 +36,12 @@ def _bernoulli_row(k):
 
 
 def bernoulli(k):
-    """The Bernoulli number B_k for even k >= 2, exactly."""
+    """The Bernoulli number B_k for even k >= 2, exactly.  The row up to
+    B_k sums k(k+1)/2 Fraction terms, and a row of more terms than
+    ``algebra.SIZE_CEILING`` is refused."""
     if k % 2 != 0 or k < 2:
         raise ValueError("Bernoulli arguments here must be even and >= 2")
+    check_size(f"B_{k}", None, k * (k + 1) // 2, "Bernoulli terms")
     return _bernoulli_row(k)[k]
 
 

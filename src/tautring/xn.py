@@ -28,16 +28,10 @@ from .algebra import (
     Monomial,
     Poly,
     Presentation,
-    SizeCeilingError,
     check_size,
     gen_a,
     gen_b,
 )
-
-#: Perfect-matching Gram matrices grow as (2m-1)!!; past this the engine
-#: refuses rather than grind (945 matchings at m=5 is the largest sensible).
-MATCHING_GRAM_LIMIT = 5
-
 
 def default_ground(n):
     if n < 0:
@@ -502,20 +496,14 @@ def matching_gram(m):
 
     Row/column order is ``perfect_matchings(range(1, 2m+1))``.  Entries are
     socle evaluations of products of the corresponding standard monomials,
-    computed through the rewrite system.  Refuses for ``m > 5``: the matrix
-    side is the double factorial (2m-1)!!, and the refusal counts entries,
-    against the (9!!)^2 = 893,025 entries of m = 5.
+    computed through the rewrite system.  The matrix side is the double
+    factorial (2m-1)!!, and a matrix of more entries than
+    ``algebra.SIZE_CEILING`` is refused: m = 5 has (9!!)^2 = 893,025
+    entries, m = 6 has 108,056,025.
     """
     if m < 1:
         raise ValueError("need at least one pair")
-    if m > MATCHING_GRAM_LIMIT:
-        count = prod(range(1, 2 * m, 2)) ** 2
-        ceiling = prod(range(1, 2 * MATCHING_GRAM_LIMIT, 2)) ** 2
-        raise SizeCeilingError(
-            "matching-gram", None, count, ceiling, "Gram entries",
-            reason=f"needs {count} Gram entries, above the ceiling of {ceiling} "
-                   f"(m <= {MATCHING_GRAM_LIMIT})",
-        )
+    check_size("matching-gram", None, prod(range(1, 2 * m, 2)) ** 2, "Gram entries")
     ground = default_ground(2 * m)
     matchings = perfect_matchings(ground)
     polys = [

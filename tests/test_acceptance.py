@@ -13,10 +13,8 @@ import pytest
 from tautring.algebra import _integer_rank, ring_for
 from tautring.fm import (
     StandardMonomialFM,
-    block_pairing,
     dual_fm,
     enumerate_standard_fm,
-    filtration_vanishing_check,
     fm_presentation,
     is_standard_fm,
 )

@@ -246,7 +246,7 @@ def test_blocks_mode_honours_the_size_ceiling(lower_ceiling):
 # the unit of the count and ceiling of each command's refusal
 GUARD_UNITS = {"xn check": "columns", "fm check": "standard monomials",
                "fm standard": "points", "xn matching-gram": "Gram entries",
-               "xn six-point": "standard monomials"}
+               "xn six-point": "standard monomials", "hodge eval": "Bernoulli terms"}
 
 
 @pytest.mark.parametrize("args, lowered, accepted", [
@@ -263,6 +263,9 @@ GUARD_UNITS = {"xn check": "columns", "fm check": "standard monomials",
     # the columns of the six-point vectors: degree 3 of X^6 (215 standard
     # monomials) is refused under 200, degree 2 (120) would be served
     (["xn", "six-point", "--n", "6", "--degree", "3"], 200, 120),
+    # the Fraction terms of the Bernoulli row: B_4 of genus 2 (10 terms) is
+    # computed, B_6 of genus 3 (21) refused
+    (["hodge", "eval", "--g", "3", "--alphas", "2"], 10, 10),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
 def test_a_size_guard_counts_in_the_unit_of_its_ceiling(args, lowered, accepted,
                                                         lower_ceiling):
@@ -389,6 +392,19 @@ def test_fm_check_blocks():
     names = {c["name"] for c in report["checks"]}
     assert "filtration-vanishing" in names
     assert "sign-rule-and-triangularity" in names
+
+
+def test_blocks_mode_walks_the_d_parts_once(monkeypatch):
+    # one table of shapes serves every degree: above the cross-check limit
+    # the D-parts of X[5] are walked once, for all degrees up to 5
+    from tautring import fm
+
+    walk, calls = fm._dparts, []
+    monkeypatch.setattr(fm, "_dparts",
+                        lambda n, degree: calls.append((n, degree)) or walk(n, degree))
+    result = run_cli(["--format", "json", "fm", "check", "--n", "5", "--mode", "blocks"])
+    assert result.exit_code == 0
+    assert calls == [(5, 5)]
 
 
 def _shift_sign_exponent(monkeypatch):

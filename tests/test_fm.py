@@ -1,8 +1,13 @@
 """Compactified-ring combinatorics: forests, duality, blocks, filtration."""
 
+from collections import Counter
 from functools import cmp_to_key
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
+
+from tautring import fm
 
 from tautring.algebra import GradedRing, Poly, _integer_rank, ring_for
 from tautring.fm import (
@@ -13,12 +18,11 @@ from tautring.fm import (
     _families,
     block_gram,
     block_pairing,
-    cross_check_blocks,
     dpart_key,
     dual_fm,
+    engine_cross_check,
     enumerate_standard_fm,
     filtration_p,
-    filtration_vanishing_check,
     fm_presentation,
     fm_relation_counts,
     is_standard_fm,
@@ -34,6 +38,7 @@ from tautring.xn import (
     d_poly,
     dual_xn,
     socle_coefficient,
+    standard_pairing,
     xn_presentation,
 )
 
@@ -352,14 +357,16 @@ def test_much_less_examples():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_filtration_vanishing_against_engine(n):
-    filtration_vanishing_check(n)  # raises on any counterexample
+    # raises on any counterexample
+    assert engine_cross_check(ring_for(fm_presentation(n))) == {2: 0, 3: 12, 4: 523}[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_filtration_check_visits_the_pairs_of_the_full_scan(n):
+def test_filtration_check_visits_the_pairs_of_the_full_scan(n, monkeypatch):
     # the degree-bucketed scan tests exactly the pairs, in the same order,
     # that a scan over every ordered pair selects; a recording zero test
-    # stands in for the engine, so no X[n] basis is built
+    # stands in for the engine and the block checks only record their
+    # blocks, so no X[n] basis is built
     ring = GradedRing(fm_presentation(n))
     standard = [v for d in range(n + 1) for v in enumerate_standard_fm(n, d)]
     expected = []
@@ -370,9 +377,16 @@ def test_filtration_check_visits_the_pairs_of_the_full_scan(n):
                 expected.append((ring.monomial_key(v.to_monomial() * w.to_monomial()), d))
     seen = []
     ring.is_zero_key = lambda key, d: seen.append((key, d)) or True
-    assert filtration_vanishing_check(n, ring=ring) == len(expected)
+    blocks = []
+    monkeypatch.setattr(fm, "cross_check_blocks", lambda ring, found: blocks.append(found))
+    assert engine_cross_check(ring) == len(expected)
     assert seen == expected
     assert len(expected) == {1: 0, 2: 0, 3: 12, 4: 523, 5: 20000}[n]
+    # one list of blocks per degree, each block a run of one D-part with
+    # the engine key of every member
+    assert len(blocks) == n + 1
+    for d, found in enumerate(blocks):
+        assert found == keyed_blocks(ring, n, d)
 
 
 # ----- presentation ----------------------------------------------------------
@@ -438,14 +452,35 @@ def test_psi_pullback_rejects_bad_index():
 # ----- block pairing -----------------------------------------------------------
 
 
+def keyed_blocks(ring, n, d):
+    """The blocks of degree d as ``cross_check_blocks`` takes them: the runs
+    of one D-part of the standard monomials, each member with its engine
+    key."""
+    return [[(v, ring.monomial_key(v.to_monomial())) for v in block]
+            for block in member_blocks(n, d)]
+
+
+def member_blocks(n, d):
+    """The members of each block of degree d: the runs of one D-part of the
+    standard monomials, in the monomial order."""
+    return [list(block) for _, block in groupby(enumerate_standard_fm(n, d),
+                                                attrgetter("D"))]
+
+
+def shape_of(members):
+    """The shape (|S|, k) of a block from its members."""
+    return len(members[0].forest.s_set(members[0].n)), members[0].ab.degree
+
+
 def test_block_example_at_three_points():
-    reports = block_pairing(3, 1)
-    d_block = next(r for r in reports if r.dpart)
-    members, gram = block_gram(d_block)
+    members = next(b for b in member_blocks(3, 1) if b[0].D)
+    gram = block_gram(members)
     assert members[0].forest.sign_exponent() == 3
-    assert d_block.size == len(members) == 1
+    assert len(members) == 1
     assert gram[0][0] == -1  # (-1)^3 times the X^1 value 1
-    assert d_block.rank == 1 and d_block.xs_dimension == 1
+    # the block is the one block of its shape, whose record has rank and
+    # dimension 1
+    assert (1, 0, 1, (1, 1, 1)) in block_pairing(3)[1]
     ring = ring_for(fm_presentation(3))
     v = StandardMonomialFM.make(3, D={(1, 2, 3): 1})
     product = Poly.monomial(v.to_monomial()) * Poly.monomial(dual_fm(v).to_monomial())
@@ -455,46 +490,53 @@ def test_block_example_at_three_points():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_blocks_cross_checked_against_engine(n):
     engine = ring_for(fm_presentation(n))
-    for d in range(n + 1):
-        reports = block_pairing(n, d)
-        cross_check_blocks(engine, reports)
-        assert all(r.ok for r in reports)
-        assert sum(r.rank for r in reports) == engine.basis(d).dimension
+    for d, shapes in enumerate(block_pairing(n)):
+        fm.cross_check_blocks(engine, keyed_blocks(engine, n, d))
+        assert all(rank == dimension for *_, (_, rank, dimension) in shapes)
+        rank_sum = sum(blocks * rank for _, _, blocks, (_, rank, _) in shapes)
+        assert rank_sum == engine.basis(d).dimension
 
 
 def test_triangularity_check_catches_blocks_out_of_order():
     # reversed, the blocks pair larger D-parts with the duals of smaller
     # ones, and X[4] has a nonzero such product in degree 2
     engine = ring_for(fm_presentation(4))
-    reports = block_pairing(4, 2)
-    cross_check_blocks(engine, reports)
+    blocks = keyed_blocks(engine, 4, 2)
+    fm.cross_check_blocks(engine, blocks)
     with pytest.raises(CrossCheckError, match="triangularity fails"):
-        cross_check_blocks(engine, reports[::-1])
+        fm.cross_check_blocks(engine, blocks[::-1])
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_blocks_pass_conditionally_at_larger_sizes(n):
-    rank_sums = {}
-    for d in range(n + 1):
-        reports = block_pairing(n, d)
-        assert all(r.ok for r in reports)
-        rank_sums[d] = sum(r.rank for r in reports)
-    assert all(rank_sums[d] == rank_sums[n - d] for d in range(n + 1))
+    rank_sums = []
+    for shapes in block_pairing(n):
+        assert all(rank == dimension for *_, (_, rank, dimension) in shapes)
+        rank_sums.append(sum(blocks * rank for _, _, blocks, (_, rank, _) in shapes))
+    assert rank_sums == rank_sums[::-1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_shape_counts_the_blocks_of_its_shape(n):
+    # the tally of one D-part walk gives every degree the number of blocks
+    # of each shape (|S|, k) that the standard monomials of that degree have
+    table = block_pairing(n)
+    assert len(table) == n + 1
+    for d, shapes in enumerate(table):
+        counted = Counter(shape_of(members) for members in member_blocks(n, d))
+        assert {(size, k): blocks for size, k, blocks, _ in shapes} == counted, d
+        assert all(record == standard_pairing(size, k) for size, k, _, record in shapes)
 
 
 def test_block_grams_match_the_rewrite_path_at_five_points():
     n = 5
     checked = 0
+    table = block_pairing(n)
     for d in range(n + 1):
-        groups = {}
-        for v in enumerate_standard_fm(n, d):
-            groups.setdefault(v.D, []).append(v)
-        reports = block_pairing(n, d)
-        assert len(reports) == len(groups)
-        assert {r.dpart for r in reports} == set(groups)
-        for report in reports:
-            members, gram = block_gram(report)
-            assert members == groups[report.dpart]
+        groups = member_blocks(n, d)
+        assert len(groups) == sum(blocks for _, _, blocks, _ in table[d])
+        for members in groups:
+            gram = block_gram(members)
             forest = members[0].forest
             S = tuple(sorted(forest.s_set(n)))
             sign = (-1) ** forest.sign_exponent()
@@ -510,13 +552,12 @@ def test_block_grams_match_the_rewrite_path_at_five_points():
 
 
 def test_empty_dpart_block_is_the_power_ring_pairing():
-    reports = block_pairing(3, 1)
-    top = next(r for r in reports if not r.dpart)
-    members, gram = block_gram(top)
+    members = next(b for b in member_blocks(3, 1) if not b[0].D)
+    gram = block_gram(members)
     assert members[0].forest.sign_exponent() == 0
-    assert top.s_set == (1, 2, 3)
-    assert top.size == len(members) == 6 and top.rank == 6 and top.xs_dimension == 6
-    assert _integer_rank(gram) == 6
+    assert members[0].forest.s_set(3) == {1, 2, 3}
+    assert len(members) == 6 and _integer_rank(gram) == 6
+    assert (3, 1, 1, (6, 6, 6)) in block_pairing(3)[1]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -524,10 +565,10 @@ def test_every_block_gram_has_the_size_and_rank_of_its_shape_record(n):
     # block_pairing reads size and rank from the record of (|S|, k); each
     # block's own signed Gram on S, built directly, must agree with it
     for d in range(n + 1):
-        for report in block_pairing(n, d):
-            members, gram = block_gram(report)
-            assert (report.size, report.rank) == (len(members), _integer_rank(gram)), (
-                d, report.dpart)
+        for members in member_blocks(n, d):
+            count, rank, _ = standard_pairing(*shape_of(members))
+            assert (count, rank) == (len(members), _integer_rank(block_gram(members))), (
+                d, members[0].D)
 
 
 def test_forest_of_validates_laminarity():
