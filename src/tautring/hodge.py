@@ -23,26 +23,21 @@ from .fm import fm_presentation, psi_pullback
 GENUS = 2
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_row(k):
-    """Exact Bernoulli numbers B_0..B_k (B_1 = -1/2 convention)."""
-    row = [Fraction(1)]
-    for m in range(1, k + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * row[j]
-        row.append(-acc / (m + 1))
-    return tuple(row)
-
-
 def bernoulli(k):
-    """The Bernoulli number B_k for even k >= 2, exactly.  The row up to
-    B_k sums k(k+1)/2 Fraction terms, and a row of more terms than
-    ``algebra.SIZE_CEILING`` is refused."""
+    """The Bernoulli number B_k for even k >= 2, exactly: with g = k/2,
+    B_k = (-1)^(g-1) k T_g / (4^g (4^g - 1)), the tangent number T_g from
+    the integer recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967) in
+    g(g-1)/2 steps.  The refusal counts the k(k+1)/2 terms of the classical
+    Fraction recurrence, past ``algebra.SIZE_CEILING``."""
     if k % 2 != 0 or k < 2:
         raise ValueError("Bernoulli arguments here must be even and >= 2")
     check_size(f"B_{k}", None, k * (k + 1) // 2, "Bernoulli terms")
-    return _bernoulli_row(k)[k]
+    g = k // 2
+    t = [math.factorial(j) for j in range(g)]  # t[j] ends as T_{j+1}
+    for i in range(1, g):
+        for j in range(i, g):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (g - 1) * k * t[-1], 4 ** g * (4 ** g - 1))
 
 
 def double_factorial(k):

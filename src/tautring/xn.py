@@ -220,14 +220,6 @@ class StandardMonomialXn:
     __repr__ = __str__
 
 
-def standard_from_monomial(m):
-    """Interpret a squarefree a/b Monomial as a StandardMonomialXn."""
-    a_exps, b_exps = _split_ab(m)
-    if any(e != 1 for e in a_exps.values()) or any(e != 1 for e in b_exps.values()):
-        raise ValueError(f"not a standard monomial: {m}")
-    return StandardMonomialXn.make(a_exps.keys(), b_exps.keys())
-
-
 def perfect_matchings(elements):
     """All perfect matchings of an even-sized collection, as sorted tuples
     of increasing pairs.  Deterministic order: the smallest element pairs
@@ -248,10 +240,25 @@ def perfect_matchings(elements):
 
 
 def enumerate_standard_xn(n, degree, ground=None):
-    """All standard monomials of the given degree, sorted by (A, B)."""
+    """All standard monomials of the given degree, sorted by (A, B).
+
+    Refuses (SizeCeilingError, labelled ``xn:<size of the ground set>``)
+    when their number, a closed form, passes ``algebra.SIZE_CEILING``
+    (:func:`algebra.check_size`), before anything is enumerated.
+    """
     ground = default_ground(n) if ground is None else tuple(sorted(ground))
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    size = len(ground)
+    # choose the a-indices, then the points of the b-pairs, then a perfect
+    # matching of those points
+    count = sum(
+        comb(size, degree - pairs) * comb(size - degree + pairs, 2 * pairs)
+        * prod(range(1, 2 * pairs, 2))
+        for pairs in range(degree + 1)
+        if degree + pairs <= size
+    )
+    check_size(f"xn:{size}", degree, count, "standard monomials")
     out = []
     for npairs in range(degree + 1):
         na = degree - npairs
@@ -325,39 +332,25 @@ def six_point_relations(n, degree):
     """Degree-``degree`` relation vectors spanned by the matching sums.
 
     Every product (six-index matching sum) x (standard monomial of degree
-    ``degree - 3``) is quadratic-normal-formed and written in coordinates
-    over ``enumerate_standard_xn(n, degree)``.  Vectors are sparse dicts
-    ``{standard index: coefficient}``; identically-zero products are
-    omitted.  Returns ``(vectors, standard_list)``.
-
-    Refuses (SizeCeilingError, labelled ``xn:n``) when the number of
-    standard monomials, a closed form, passes ``algebra.SIZE_CEILING``
-    (:func:`algebra.check_size`), before anything is enumerated.
+    ``degree - 3``), summed term by term by :func:`standard_product`, as a
+    sparse dict ``{index in enumerate_standard_xn(n, degree): coefficient}``;
+    zero products are omitted.  Returns ``(vectors, standard_list)``.
     """
-    # choose the a-indices, then the points of the b-pairs, then a perfect
-    # matching of those points
-    count = sum(
-        comb(n, degree - pairs) * comb(n - degree + pairs, 2 * pairs)
-        * prod(range(1, 2 * pairs, 2))
-        for pairs in range(degree + 1)
-        if degree + pairs <= n
-    )
-    check_size(f"xn:{n}", degree, count, "standard monomials")
     standard = enumerate_standard_xn(n, degree)
     index = {v: i for i, v in enumerate(standard)}
     vectors = []
     if degree < 3 or n < 6:
         return vectors, standard
+    multipliers = enumerate_standard_xn(n, degree - 3)
     for six in itertools.combinations(default_ground(n), 6):
-        base = six_point_poly(six)
-        for mult in enumerate_standard_xn(n, degree - 3):
-            nf = quadratic_normal_form(base * mult.to_poly())
-            if nf.is_zero:
-                continue
+        terms = [StandardMonomialXn.make((), m) for m in perfect_matchings(six)]
+        for mult in multipliers:
             vec = {}
-            for m, c in nf.terms.items():
-                vec[index[standard_from_monomial(m)]] = c
-            vectors.append(vec)
+            for cycles, u in filter(None, (standard_product(t, mult) for t in terms)):
+                vec[index[u]] = vec.get(index[u], 0) + (-4) ** cycles
+            vec = {col: c for col, c in vec.items() if c}
+            if vec:
+                vectors.append(vec)
     return vectors, standard
 
 
@@ -365,10 +358,14 @@ def six_point_relations(n, degree):
 def standard_pairing(n, degree):
     """``(count, rank, dimension)`` in degree ``degree`` of the ring on ``n``
     points, without the generic engine (memoized): the number of standard
-    monomials, the rank of their Gram matrix against their duals
-    (:func:`standard_socle_coefficient`), and the dimension, the count
-    minus the rank of :func:`six_point_relations` (which refuses past the
-    size ceiling).
+    monomials, the rank r of their Gram matrix against their duals
+    (:func:`standard_socle_coefficient`), and the dimension: r when r is
+    the count, with no six-point vector built, else the count minus the
+    rank of :func:`six_point_relations`.
+
+    Proof of the shortcut.  The standard monomials span the ring in this
+    degree (below), and the Gram matrix factors through it, its entries
+    being socle values of products; so r <= dim <= count.
 
     Proof of the dimension.  Write the ring as P/(Q + M), with P the
     polynomial ring in the a's and b's, Q the ideal of the quadratic
@@ -385,15 +382,19 @@ def standard_pairing(n, degree):
     rank.  With fewer than six points or below degree three there are no
     vectors and the standard monomials are a basis.
     """
-    vectors, standard = six_point_relations(n, degree)
+    standard = enumerate_standard_xn(n, degree)
+    ground = default_ground(n)
+    duals = [dual_xn(w, n) for w in standard]
+    rank = _integer_rank(
+        [[standard_socle_coefficient(v, w, ground) for w in duals] for v in standard])
+    if rank == len(standard):
+        return rank, rank, rank
+    vectors, _ = six_point_relations(n, degree)
     reducer = SpanReducer(len(standard))
     for vec in vectors:
         cols = sorted(vec)
         reducer.insert(cols, [vec[c] for c in cols])
-    ground = default_ground(n)
-    duals = [dual_xn(w, n) for w in standard]
-    gram = [[standard_socle_coefficient(v, w, ground) for w in duals] for v in standard]
-    return len(standard), _integer_rank(gram), len(standard) - reducer.rank
+    return len(standard), rank, len(standard) - reducer.rank
 
 
 # ----- socle evaluation without the generic engine -------------------------
@@ -413,81 +414,82 @@ def socle_coefficient(q, ground):
     return nf.terms.get(target, 0)
 
 
-def matching_cycle_count(u, v):
-    """Number of cycles in the union multigraph of two perfect matchings.
+def standard_product(v, w):
+    """The product of two standard monomials in closed form: ``(c, u)``
+    with v.w = (-4)^c u and u standard, or None when v.w is zero; equal to
+    ``quadratic_normal_form(v.to_poly() * w.to_poly())`` but builds no
+    polynomial.
 
-    Every vertex has one edge from each matching, so the union is a
-    disjoint set of even cycles (a shared pair counts as a 2-cycle).  The
-    Gram entry of the two matching monomials is (-4) to this count.
+    Proof.  Write v = a(A) b(B) and w = a(A') b(B').  Every quadratic
+    rewrite sends a monomial to a scalar times one monomial and never
+    removes an a-factor, and the system is confluent, so v.w has one
+    normal form, whatever the order of steps.  If A and A' meet, or an
+    a-part meets the other's b-support, a redex a_i^2 or a_i b_{i,j}
+    survives every step and the normal form is 0.  Otherwise A + A' avoid
+    the b-graph B + B'.  Each point meets at most one pair of B and one of
+    B', so that graph is a disjoint union of paths and even cycles (a pair
+    shared by B and B' is a 2-cycle).  The step b_{s,j} b_{s,k} -> a_s
+    b_{j,k} at a point s of degree two removes s from its component and
+    joins its neighbours, and the a-factor it adds meets no remaining pair
+    and no other a-factor.  So a path contracts to a_(inner points)
+    b_(ends), and a walk from an end, a point of degree one, meets the
+    whole path.  A cycle on 2k points contracts by 2k - 2 steps of
+    coefficient 1 to b_{j,l}^2 = -4 a_j a_l: c counts the cycles, and each
+    puts an a on each of its points.
     """
-    next_u = {}
-    next_v = {}
-    for i, j in u:
-        next_u[i], next_u[j] = j, i
-    for i, j in v:
-        next_v[i], next_v[j] = j, i
-    if set(next_u) != set(next_v):
-        raise ValueError("matchings must cover the same points")
-    unseen = set(next_u)
+    if v.A & w.support or w.A & v.support:
+        return None
+    links = ({}, {})
+    for side, pairs in zip(links, (v.B, w.B)):
+        for i, j in pairs:
+            side[i], side[j] = j, i
+    ends = links[0].keys() ^ links[1].keys()
+    A = set(v.A | w.A)
+    B = []
     cycles = 0
-    while unseen:
-        start = min(unseen)
-        node, use_u = start, True
-        while True:
-            unseen.discard(node)
-            node = next_u[node] if use_u else next_v[node]
-            use_u = not use_u
-            if node == start and use_u:
-                break
-        cycles += 1
+    seen = set()
+    for start in [*ends, *(links[0].keys() - ends)]:  # path ends first
+        if start in seen:
+            continue
+        walk = [start]
+        side = start not in links[0]
+        while (point := links[side].get(walk[-1])) not in (None, start):
+            walk.append(point)
+            side = not side
+        seen.update(walk)
+        if point is None:
+            A.update(walk[1:-1])
+            B.append((walk[0], walk[-1]))
+        else:
+            cycles += 1
+            A.update(walk)
+    return cycles, StandardMonomialXn.make(A, B)
+
+
+def matching_cycle_count(u, v):
+    """Number of cycles in the union multigraph of two perfect matchings of
+    the same points, the c of :func:`standard_product` of their
+    b-monomials (a shared pair counts as a 2-cycle).  The Gram entry of
+    the two matching monomials is (-4) to this count.  Raises ValueError
+    when the matchings cover different points: the product keeps a b-pair.
+    """
+    make = StandardMonomialXn.make
+    cycles, product = standard_product(make((), u), make((), v))
+    if product.B:
+        raise ValueError("matchings must cover the same points")
     return cycles
 
 
 def standard_socle_coefficient(v, w, ground):
-    """Socle coefficient of the product of two standard monomials, read off
-    their index sets; equal to ``socle_coefficient(v.to_poly() *
-    w.to_poly(), ground)`` but builds no polynomial.
-
-    Write v = a(A) b(B) and w = a(A') b(B'), both standard inside
-    ``ground`` = S.  The value is (-4)^c, c = ``matching_cycle_count(B,
-    B')``, when
-
-      * A and A' are disjoint,
-      * neither a-part meets the other's b-support,
-      * B and B' cover the same points, and
-      * A, A' and that common b-support together cover S;
-
-    otherwise it is 0.  The second condition is not tested separately: a
-    standard a-part avoids its own b-support, so it follows from the third.
-
-    Proof.  Every quadratic rewrite sends a monomial to a scalar times one
-    monomial and never removes an a-factor, and the system is confluent,
-    so v.w has one normal form, 0 or a scalar times one monomial, whatever
-    the order of steps.  If v.w contains some a_i^2 or some a_i b_{i,j},
-    that redex survives every step and the normal form is 0.  Otherwise
-    the a-indices A + A' avoid the b-graph B + B'.  Each point meets at
-    most one pair of B and one of B', so that graph is a disjoint union of
-    paths and even cycles (a pair shared by B and B' is a 2-cycle).  The
-    step b_{s,j} b_{s,k} -> a_s b_{j,k} at a point s of degree two removes
-    s from its component and joins its neighbours, so the a-factor it adds
-    meets no remaining pair and no other a-factor.  A path on k >= 2
-    points thus contracts to a_(inner points) b_(ends), whose b-factor is
-    never rewritten away, so the normal form is not the socle.  A cycle on
-    2k points contracts by 2k - 2 steps of coefficient 1 to
-    b_{j,l}^2 = -4 a_j a_l, so each cycle contributes -4 and an a-factor
-    on each of its points.  The graph has no paths exactly when B and B'
-    cover the same points; the normal form is then (-4)^c times the
-    product of the a_i over A + A' + supp(B), which is the socle monomial
-    exactly when those sets cover S.
-    """
-    b_support = v.support - v.A
-    if (
-        v.A & w.A
-        or w.support - w.A != b_support
-        or v.A | w.A | b_support != frozenset(ground)
-    ):
+    """Socle coefficient of the product of two standard monomials over
+    ``ground``: (-4)^c when :func:`standard_product` gives ``(c, u)`` with
+    u the product of the a_i over ``ground``, and 0 otherwise; equal to
+    ``socle_coefficient(v.to_poly() * w.to_poly(), ground)`` but builds no
+    polynomial."""
+    product = standard_product(v, w)
+    if product is None or product[1].B or product[1].A != frozenset(ground):
         return 0
-    return (-4) ** matching_cycle_count(v.B, w.B)
+    return (-4) ** product[0]
 
 
 def matching_gram(m):

@@ -44,6 +44,20 @@ def test_bernoulli_values():
     assert bernoulli(12) == Fraction(-691, 2730)
 
 
+def _bernoulli_row(k):
+    """B_0..B_k by the classical Fraction recurrence
+    sum_{j <= m} C(m+1, j) B_j = 0, independent of the tangent numbers."""
+    row = [Fraction(1)]
+    for m in range(1, k + 1):
+        row.append(-sum(math.comb(m + 1, j) * row[j] for j in range(m)) / (m + 1))
+    return row
+
+
+def test_bernoulli_equals_the_fraction_recurrence():
+    row = _bernoulli_row(80)
+    assert [bernoulli(2 * g) for g in range(1, 41)] == row[2::2]
+
+
 def test_bernoulli_rejects_odd_or_small_arguments():
     for bad in (-2, 0, 1, 3, 7):
         with pytest.raises(ValueError):

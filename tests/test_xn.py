@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tautring import xn
 from tautring.algebra import Poly, SizeCeilingError, _integer_rank, gen_a, gen_b, ring_for
 from tautring.xn import (
     StandardMonomialXn,
@@ -26,8 +27,8 @@ from tautring.xn import (
     six_point_poly,
     six_point_relations,
     socle_coefficient,
-    standard_from_monomial,
     standard_pairing,
+    standard_product,
     standard_socle_coefficient,
     verify_faber_relation,
     xn_presentation,
@@ -75,18 +76,50 @@ def test_standard_dimension_is_the_engine_dimension(n):
 
 def test_standard_dimension_refuses_past_the_size_ceiling(lower_ceiling):
     # the refusal counts the standard monomials, by a closed form checked
-    # here against the enumeration, and a record memoized under the real
+    # here against the enumeration (counted under the real ceiling, since
+    # the enumeration itself refuses), and a record memoized under the real
     # ceiling does not get past a lowered one
     assert standard_pairing(5, 1) == (15, 15, 15)
-    for n in range(1, 9):
-        for d in range(n + 1):
-            count = len(enumerate_standard_xn(n, d))
-            lower_ceiling(count - 1)
-            with pytest.raises(SizeCeilingError) as info:
-                standard_pairing(n, d)
-            refused = info.value
-            assert (refused.label, refused.degree, refused.count, refused.ceiling) == (
-                f"xn:{n}", d, count, count - 1)
+    counts = {(n, d): len(enumerate_standard_xn(n, d))
+              for n in range(1, 9) for d in range(n + 1)}
+    for (n, d), count in counts.items():
+        lower_ceiling(count - 1)
+        with pytest.raises(SizeCeilingError) as info:
+            standard_pairing(n, d)
+        refused = info.value
+        assert (refused.label, refused.degree, refused.count, refused.ceiling) == (
+            f"xn:{n}", d, count, count - 1)
+
+
+def test_standard_pairing_builds_six_point_vectors_only_below_full_rank(monkeypatch):
+    # the Gram rank r comes first, and r = #std is the dimension with no
+    # six-point vector; the vectors are built exactly for the shapes whose
+    # pairing is short.  Without them X^6 reads dimension 215 against rank
+    # 214 in degree 3, so that shape's block check fails: every X^s is
+    # Gorenstein, and only this test sees a record that takes dim = r
+    calls = []
+    real = xn.six_point_relations
+
+    def spy(n, degree):
+        calls.append((n, degree))
+        return real(n, degree)
+
+    monkeypatch.setattr(xn, "six_point_relations", spy)
+    xn.standard_pairing.cache_clear()
+    try:
+        short = []
+        for s in range(1, 8):
+            for k in range(s + 1):
+                count, rank, _ = standard_pairing(s, k)
+                if rank < count:
+                    short.append((s, k))
+        assert calls == short == [(6, 3), (7, 3), (7, 4)]
+        monkeypatch.setattr(xn, "six_point_relations",
+                            lambda n, degree: ([], enumerate_standard_xn(n, degree)))
+        xn.standard_pairing.cache_clear()
+        assert standard_pairing(6, 3) == (215, 214, 215)
+    finally:
+        xn.standard_pairing.cache_clear()
 
 
 def test_six_point_relation_count_at_degree_three():
@@ -100,6 +133,27 @@ def test_six_point_relation_count_at_degree_three():
     }
     assert set(vectors[0]) == matching_idx
     assert all(c == 1 for c in vectors[0].values())
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_six_point_relations_equal_the_rewritten_products(n):
+    # the vectors sum closed-form products; the oracle multiplies the
+    # matching-sum polynomial by each multiplier and rewrites the product
+    nonzero = 0
+    for d in range(n + 1):
+        vectors, standard = six_point_relations(n, d)
+        index = {v.to_monomial(): i for i, v in enumerate(standard)}
+        expected = []
+        multipliers = [m.to_poly() for m in enumerate_standard_xn(n, d - 3)] if d >= 3 else []
+        for six in itertools.combinations(default_ground(n), 6):
+            matching_sum = six_point_poly(six)
+            for mult in multipliers:
+                nf = quadratic_normal_form(matching_sum * mult)
+                if not nf.is_zero:
+                    expected.append({index[m]: c for m, c in nf.terms.items()})
+        assert vectors == expected, d
+        nonzero += len(vectors)
+    assert nonzero
 
 
 def test_presentation_relation_count_at_six_points():
@@ -204,7 +258,11 @@ def test_normal_forms_are_standard_monomials():
             q = q * b_poly(*pairs[rng.randrange(len(pairs))])
         nf = quadratic_normal_form(q)
         for monomial in nf.terms:
-            standard_from_monomial(monomial)  # raises if not standard
+            exps = dict(monomial.exps)
+            assert set(exps.values()) == {1}
+            StandardMonomialXn.make(  # raises if an a meets a pair or pairs meet
+                [g.data[0] for g in exps if g.kind == "a"],
+                [g.data for g in exps if g.kind == "b"])
 
 
 def test_socle_coefficient_matches_engine():
@@ -253,19 +311,32 @@ def _rewritten_socle(v, w, ground):
     "ground", [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 3, 4, 6)]
 )
 def test_closed_form_socle_rule_matches_rewriting_on_all_pairs(ground):
-    # every pair of degrees: a-parts that overlap and still cover the
-    # ground set occur only when the degrees add up to more than n
+    # every pair of degrees: the closed-form product against the rewritten
+    # one, zero products and products off the socle included, and the
+    # socle coefficient read off it; a-parts that overlap and still cover
+    # the ground set occur only when the degrees add up to more than n
     n = len(ground)
     monomials = [
         v for d in range(n + 1) for v in enumerate_standard_xn(n, d, ground)
     ]
     values = set()
+    kinds = set()  # None for zero, else (has cycles, keeps a pair)
     for v in monomials:
         for w in monomials:
+            rewritten = quadratic_normal_form(v.to_poly() * w.to_poly())
+            product = standard_product(v, w)
+            if product is None:
+                assert rewritten.is_zero, (v, w)
+                kinds.add(None)
+            else:
+                cycles, u = product
+                assert rewritten == u.to_poly().scale((-4) ** cycles), (v, w)
+                kinds.add((cycles > 0, bool(u.B)))
             value = standard_socle_coefficient(v, w, ground)
-            assert value == _rewritten_socle(v, w, ground), (v, w)
+            assert value == socle_coefficient(rewritten, ground), (v, w)
             values.add(value)
     assert values >= ({0, 1, -4} if n >= 2 else {0, 1})
+    assert len(kinds) == (5 if n >= 4 else 4 if n >= 2 else 2)
 
 
 def test_closed_form_socle_rule_matches_rewriting_at_five_points():
@@ -330,6 +401,8 @@ def test_cycle_count_examples():
     v = ((1, 3), (2, 4))
     assert matching_cycle_count(u, u) == 2  # two shared pairs
     assert matching_cycle_count(u, v) == 1  # one 4-cycle
+    with pytest.raises(ValueError):  # the product keeps the pair b_{2,3}
+        matching_cycle_count(((1, 2),), ((1, 3),))
 
 
 # ----- enumeration hygiene ----------------------------------------------------
