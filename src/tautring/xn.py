@@ -239,32 +239,29 @@ def perfect_matchings(elements):
     return out
 
 
-def enumerate_standard_xn(n, degree, ground=None):
-    """All standard monomials of the given degree, sorted by (A, B).
-
-    Refuses (SizeCeilingError, labelled ``xn:<size of the ground set>``)
-    when their number, a closed form, passes ``algebra.SIZE_CEILING``
-    (:func:`algebra.check_size`), before anything is enumerated.
+def standard_supports(size, degree):
+    """``(count, [N_0, N_1, ...])``: N_m ways to choose, on ``size`` points,
+    the a-part and the 2m-point b-support of a standard monomial of the
+    given degree, and count = sum N_m (2m - 1)!! such monomials.  Refuses
+    (SizeCeilingError, ``xn:<size>``) a count past ``algebra.SIZE_CEILING``.
     """
-    ground = default_ground(n) if ground is None else tuple(sorted(ground))
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    size = len(ground)
-    # choose the a-indices, then the points of the b-pairs, then a perfect
-    # matching of those points
-    count = sum(
-        comb(size, degree - pairs) * comb(size - degree + pairs, 2 * pairs)
-        * prod(range(1, 2 * pairs, 2))
-        for pairs in range(degree + 1)
-        if degree + pairs <= size
-    )
+    supports = [comb(size, degree - m) * comb(size - degree + m, 2 * m)
+                for m in range(min(degree, size - degree) + 1)]
+    count = sum(N * prod(range(1, 2 * m, 2)) for m, N in enumerate(supports))
     check_size(f"xn:{size}", degree, count, "standard monomials")
+    return count, supports
+
+
+def enumerate_standard_xn(n, degree, ground=None):
+    """All standard monomials of the given degree, sorted by (A, B), after
+    the refusal of :func:`standard_supports`."""
+    ground = default_ground(n) if ground is None else tuple(sorted(ground))
+    _, supports = standard_supports(len(ground), degree)
     out = []
-    for npairs in range(degree + 1):
-        na = degree - npairs
-        if na + 2 * npairs > len(ground):
-            continue
-        for A in itertools.combinations(ground, na):
+    for npairs in range(len(supports)):
+        for A in itertools.combinations(ground, degree - npairs):
             rest = [x for x in ground if x not in A]
             for supp in itertools.combinations(rest, 2 * npairs):
                 for matching in perfect_matchings(supp):
@@ -358,14 +355,25 @@ def six_point_relations(n, degree):
 def standard_pairing(n, degree):
     """``(count, rank, dimension)`` in degree ``degree`` of the ring on ``n``
     points, without the generic engine (memoized): the number of standard
-    monomials, the rank r of their Gram matrix against their duals
-    (:func:`standard_socle_coefficient`), and the dimension: r when r is
-    the count, with no six-point vector built, else the count minus the
-    rank of :func:`six_point_relations`.
+    monomials, the rank r of their pairing against their duals, read in
+    blocks by :func:`matching_rank`, and the dimension: r when r is the
+    count, with no six-point vector built, else the count minus the rank
+    of :func:`six_point_relations`.
+
+    Proof of the blocks.  A standard monomial is an a-part A, a b-support
+    T of 2m points and a perfect matching of T, with N_m choices of (A, T)
+    (:func:`standard_supports`); dual(w) keeps w's matching and has the
+    a-part ground - A_w - T_w.  By :func:`standard_product`, v.dual(w)
+    reaches the socle monomial only when no path survives, that is when
+    T_v = T_w (a point of one support only ends a path), and when the
+    disjoint A_v, ground - A_w - T_w and T_v cover the ground exactly, so
+    A_v = A_w; the value is then (-4) to the cycle count of the two
+    matchings of T.  So the pairing has one block per (A, T), T's matching
+    Gram relabelled, and r = sum N_m rank_m.
 
     Proof of the shortcut.  The standard monomials span the ring in this
-    degree (below), and the Gram matrix factors through it, its entries
-    being socle values of products; so r <= dim <= count.
+    degree (below), and the pairing factors through it, its entries being
+    socle values of products; so r <= dim <= count.
 
     Proof of the dimension.  Write the ring as P/(Q + M), with P the
     polynomial ring in the a's and b's, Q the ideal of the quadratic
@@ -382,19 +390,16 @@ def standard_pairing(n, degree):
     rank.  With fewer than six points or below degree three there are no
     vectors and the standard monomials are a basis.
     """
-    standard = enumerate_standard_xn(n, degree)
-    ground = default_ground(n)
-    duals = [dual_xn(w, n) for w in standard]
-    rank = _integer_rank(
-        [[standard_socle_coefficient(v, w, ground) for w in duals] for v in standard])
-    if rank == len(standard):
+    count, supports = standard_supports(n, degree)
+    rank = sum(N * matching_rank(m) for m, N in enumerate(supports))
+    if rank == count:
         return rank, rank, rank
     vectors, _ = six_point_relations(n, degree)
-    reducer = SpanReducer(len(standard))
+    reducer = SpanReducer(count)
     for vec in vectors:
         cols = sorted(vec)
         reducer.insert(cols, [vec[c] for c in cols])
-    return len(standard), rank, len(standard) - reducer.rank
+    return count, rank, count - reducer.rank
 
 
 # ----- socle evaluation without the generic engine -------------------------
@@ -492,25 +497,30 @@ def standard_socle_coefficient(v, w, ground):
     return (-4) ** product[0]
 
 
+def _matchings(m):
+    """``perfect_matchings`` of 1..2m, refused when their Gram would have
+    more than ``algebra.SIZE_CEILING`` entries ((2m - 1)!! squared)."""
+    check_size("matching-gram", None, prod(range(1, 2 * m, 2)) ** 2, "Gram entries")
+    return perfect_matchings(default_ground(2 * m))
+
+
 def matching_gram(m):
     """Gram matrix of all m-pair perfect matchings on 2m points, as a list
-    of rows indexed ``gram[i][j]``.
+    of rows indexed ``gram[i][j]``, the oracle of :func:`closed_matching_gram`.
 
     Row/column order is ``perfect_matchings(range(1, 2m+1))``.  Entries are
     socle evaluations of products of the corresponding standard monomials,
-    computed through the rewrite system.  The matrix side is the double
-    factorial (2m-1)!!, and a matrix of more entries than
+    computed through the rewrite system.  A matrix of more entries than
     ``algebra.SIZE_CEILING`` is refused: m = 5 has (9!!)^2 = 893,025
     entries, m = 6 has 108,056,025.
     """
     if m < 1:
         raise ValueError("need at least one pair")
-    check_size("matching-gram", None, prod(range(1, 2 * m, 2)) ** 2, "Gram entries")
-    ground = default_ground(2 * m)
-    matchings = perfect_matchings(ground)
+    matchings = _matchings(m)
     polys = [
         StandardMonomialXn.make((), matching).to_poly() for matching in matchings
     ]
+    ground = default_ground(2 * m)
     gram = []
     for i, vp in enumerate(polys):
         gram.append([
@@ -518,6 +528,20 @@ def matching_gram(m):
             for j, wp in enumerate(polys)
         ])
     return gram
+
+
+def closed_matching_gram(m):
+    """:func:`matching_gram` read off the cycle counts, entries
+    (-4)^:func:`matching_cycle_count`, in the same order and with the same
+    refusal; m = 0 gives [[1]], the empty matching."""
+    matchings = _matchings(m)
+    return [[(-4) ** matching_cycle_count(u, v) for v in matchings] for u in matchings]
+
+
+@cache
+def matching_rank(m):
+    """Rank of :func:`closed_matching_gram` (memoized): 1, 1, 3, 14, 84 to m = 4."""
+    return _integer_rank(closed_matching_gram(m))
 
 
 # ----- derivations of the named relations ----------------------------------

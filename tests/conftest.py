@@ -75,14 +75,15 @@ def reference_normal_form(ring, q, d):
 @pytest.fixture
 def lower_ceiling(monkeypatch):
     """``lower_ceiling(c)`` sets ``algebra.SIZE_CEILING`` to ``c`` for the
-    test and empties the caches of ``ring_for`` and
-    ``xn.standard_pairing``, so that no ring built under the real ceiling,
-    with bases it already holds, and no shape record computed under it is
-    reused; the caches are emptied again afterwards."""
+    test and empties the caches of ``ring_for``, ``xn.standard_pairing``
+    and ``xn.matching_rank``, so that no ring built under the real ceiling,
+    with bases it already holds, and no shape record or matching rank
+    computed under it is reused; the caches are emptied again afterwards."""
 
     def clear():
         algebra.ring_for.cache_clear()
         xn.standard_pairing.cache_clear()
+        xn.matching_rank.cache_clear()
 
     def lower(ceiling):
         monkeypatch.setattr(algebra, "SIZE_CEILING", ceiling)

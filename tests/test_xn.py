@@ -15,6 +15,7 @@ from tautring.xn import (
     StandardMonomialXn,
     a_poly,
     b_poly,
+    closed_matching_gram,
     d_poly,
     default_ground,
     derive_six_point,
@@ -22,6 +23,7 @@ from tautring.xn import (
     enumerate_standard_xn,
     matching_cycle_count,
     matching_gram,
+    matching_rank,
     perfect_matchings,
     quadratic_normal_form,
     six_point_poly,
@@ -91,10 +93,46 @@ def test_standard_dimension_refuses_past_the_size_ceiling(lower_ceiling):
             f"xn:{n}", d, count, count - 1)
 
 
+def test_standard_pairing_refuses_a_matching_gram_past_the_ceiling(lower_ceiling):
+    # X^6 degree 3 has 215 standard monomials, under a ceiling of 220, but
+    # its block of three pairs reads a matching Gram of 15 x 15 entries
+    lower_ceiling(220)
+    with pytest.raises(SizeCeilingError) as info:
+        standard_pairing(6, 3)
+    refused = info.value
+    assert (refused.label, refused.degree, refused.count, refused.unit) == (
+        "matching-gram", None, 225, "Gram entries")
+
+
+def test_standard_pairing_refuses_a_negative_degree():
+    with pytest.raises(ValueError):
+        standard_pairing(5, -1)
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_standard_pairing_rank_is_the_dense_gram_rank(s):
+    # the record reads its rank in matching blocks; the dense Gram of the
+    # standard monomials against their duals is the oracle, and its nonzero
+    # entries pair monomials of one a-part and one b-support, the premise
+    # of the block proof
+    ground = default_ground(s)
+    for k in range(s + 1):
+        standard = enumerate_standard_xn(s, k)
+        duals = [dual_xn(w, s) for w in standard]
+        gram = [[standard_socle_coefficient(v, w, ground) for w in duals]
+                for v in standard]
+        for v, row in zip(standard, gram):
+            for w, entry in zip(standard, row):
+                if entry:
+                    assert v.A == w.A and v.support == w.support, (v, w)
+        count, rank, _ = standard_pairing(s, k)
+        assert (count, rank) == (len(standard), _integer_rank(gram)), (s, k)
+
+
 def test_standard_pairing_builds_six_point_vectors_only_below_full_rank(monkeypatch):
-    # the Gram rank r comes first, and r = #std is the dimension with no
+    # the pairing rank r comes first, and r = #std is the dimension with no
     # six-point vector; the vectors are built exactly for the shapes whose
-    # pairing is short.  Without them X^6 reads dimension 215 against rank
+    # pairing is short, and no record enumerates anything else.  Without them X^6 reads dimension 215 against rank
     # 214 in degree 3, so that shape's block check fails: every X^s is
     # Gorenstein, and only this test sees a record that takes dim = r
     calls = []
@@ -104,7 +142,19 @@ def test_standard_pairing_builds_six_point_vectors_only_below_full_rank(monkeypa
         calls.append((n, degree))
         return real(n, degree)
 
+    def enumerated(n, degree, ground=None):
+        listed.append((n, degree))
+        return real_enumerate(n, degree, ground)
+
+    def refused(*args):
+        raise AssertionError("the records build no dense Gram")
+
+    listed = []
+    real_enumerate = xn.enumerate_standard_xn
     monkeypatch.setattr(xn, "six_point_relations", spy)
+    monkeypatch.setattr(xn, "enumerate_standard_xn", enumerated)
+    monkeypatch.setattr(xn, "dual_xn", refused)
+    monkeypatch.setattr(xn, "standard_socle_coefficient", refused)
     xn.standard_pairing.cache_clear()
     try:
         short = []
@@ -114,6 +164,8 @@ def test_standard_pairing_builds_six_point_vectors_only_below_full_rank(monkeypa
                 if rank < count:
                     short.append((s, k))
         assert calls == short == [(6, 3), (7, 3), (7, 4)]
+        # each short shape enumerates its degree and its multipliers' only
+        assert listed == [(6, 3), (6, 0), (7, 3), (7, 0), (7, 4), (7, 1)]
         monkeypatch.setattr(xn, "six_point_relations",
                             lambda n, degree: ([], enumerate_standard_xn(n, degree)))
         xn.standard_pairing.cache_clear()
@@ -370,12 +422,15 @@ def test_closed_form_socle_rule_examples():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_matching_gram_entries_follow_the_cycle_count(m):
+    # the rewrite Gram is the oracle of the closed form the records read
     gram = matching_gram(m)
     matchings = perfect_matchings(range(1, 2 * m + 1))
     for i, u in enumerate(matchings):
         for j, v in enumerate(matchings):
             cycles = matching_cycle_count(u, v)
             assert gram[i][j] == Fraction(-4) ** cycles
+    assert gram == closed_matching_gram(m)
+    assert matching_rank(m) == _integer_rank(gram) == [1, 3, 14, 84][m - 1]
 
 
 def test_matching_gram_three_pairs_has_corank_one():
