@@ -18,8 +18,8 @@ degrees, a filtration by the dimension of the contracted cycle, and a block
 decomposition of the intersection pairing with one block per D-part, equal
 up to a global sign to a pairing inside X^S.
 
-The block route is one table of X^S shapes: :func:`block_pairing` walks the
-D-parts once, tallies them by shape, and reads every block of every degree
+The block route is one table of X^S shapes: :func:`block_pairing` counts
+the D-parts by shape, with no walk, and reads every block of every degree
 from its shape's record, building nothing; the block ranks and their
 symmetry are the verdict.  For small n, :func:`engine_cross_check` then
 enumerates each degree's standard monomials once and tests the sign rule,
@@ -30,6 +30,7 @@ refutation raises :class:`CrossCheckError` after every block verdict is in.
 import itertools
 from collections import Counter
 from functools import cache
+from math import comb
 from operator import attrgetter
 
 from .algebra import (
@@ -52,7 +53,7 @@ from .xn import (
     xn_presentation,
 )
 
-#: Largest ground set whose D-parts :func:`_dparts` enumerates.
+#: Largest ground set of :func:`_dparts` and :func:`block_pairing` (:func:`_check_points`).
 STANDARD_ENUMERATION_LIMIT = 12
 
 
@@ -352,20 +353,24 @@ def filtration_p(v):
 # ----- enumeration -----------------------------------------------------------
 
 
-def _dparts(n, degree):
-    """Every D-part ``(forest, exps)`` of the standard monomials of the
-    given degree: the laminar families of at most ``degree`` index sets, in
-    decreasing subset order, with their exponents of weight <= degree.  A
-    ground set of more than ``STANDARD_ENUMERATION_LIMIT`` points is
-    refused with no degree, since the limit bounds points."""
-    if not 0 <= degree:
-        raise ValueError("degree must be nonnegative")
+def _check_points(n):
+    """Refuse more than ``STANDARD_ENUMERATION_LIMIT`` points, with no degree."""
     if n > STANDARD_ENUMERATION_LIMIT:
         raise SizeCeilingError(
             f"fm:{n}", None, n, STANDARD_ENUMERATION_LIMIT, "points",
             reason=f"needs a ground set of {n} points, above the limit "
                    f"n <= {STANDARD_ENUMERATION_LIMIT}",
         )
+
+
+def _dparts(n, degree):
+    """Every D-part ``(forest, exps)`` of the standard monomials of the
+    given degree: the laminar families of at most ``degree`` index sets, in
+    decreasing subset order, with their exponents of weight <= degree,
+    after the refusal of :func:`_check_points`."""
+    if not 0 <= degree:
+        raise ValueError("degree must be nonnegative")
+    _check_points(n)
     for family in _families(_subsets(n)[::-1], nested_or_disjoint, degree):
         forest = Forest(family)
         bounds = [forest.exponent_bound(r) for r in range(len(forest))]
@@ -542,6 +547,36 @@ class CrossCheckError(Exception):
         self.check = check
 
 
+def _dpart_tally(n):
+    """``Counter((|S|, weight))`` of ``_dparts(n, n)``, counted, not walked:
+    A_n, where A_k counts the D-parts on k points by z^|S| y^weight, B_k
+    those whose family lacks the whole ground and T_k the others; A_k =
+    B_k + T_k, weights above n dropped.
+
+    Proof.  Split by the block of point 1, a singleton or a root of j >= 3
+    points with its tree; |S| and the weight add over the blocks, so B_k =
+    sum_j C(k-1, j-1) block(j) A_{k-j}, j = k left out for k >= 3, with
+    block(1) = z, block(2) = 0 and block(j) = T_j.  T_k = z sum B_k[s, w]
+    (y + ... + y^{s-2}): the root is one marker, and its exponent runs up
+    to ``Forest.exponent_bound``, min(|I| - 2, s - 2) = s - 2, where s =
+    |I| - U + c <= |I| is the section set of the forest inside I (U the
+    union of its c children); s < 3 leaves none, ``_dparts``' skip.
+    """
+    tally, block = [Counter({(0, 0): 1})], {1: Counter({(1, 0): 1}), 2: Counter()}
+    for k in range(1, n + 1):
+        rest, roots = Counter(), Counter()
+        for j in range(1, min(k, len(block)) + 1):  # j = k only for k <= 2
+            for (s1, w1), c1 in block[j].items():
+                for (s2, w2), c2 in tally[k - j].items():
+                    if w1 + w2 <= n:
+                        rest[s1 + s2, w1 + w2] += comb(k - 1, j - 1) * c1 * c2
+        for (s, w), c in rest.items():
+            roots.update({(1, w + e): c for e in range(1, min(s - 2, n - w) + 1)})
+        block.setdefault(k, roots)  # block(1) and block(2) stay
+        tally.append(rest + roots)
+    return tally[n]
+
+
 def block_pairing(n):
     """The blocks of the pairing of X[n] as one table of shapes per degree.
 
@@ -550,7 +585,7 @@ def block_pairing(n):
     in X^S, with the global sign (-1)^epsilon (:func:`block_gram`), and
     passes when its rank is dim X^S_k.  Every block of one shape (|S|, k)
     has the record ``standard_pairing(|S|, k)``, ``(count, rank,
-    dimension)``, so one walk of the D-parts tallies them by (|S|, w) and
+    dimension)``, so :func:`_dpart_tally` counts them by (|S|, w) and
     nothing is built.  Entry d of the returned list lists the shapes of
     degree d, in increasing (|S|, w), as ``(|S|, k, blocks, record)``;
     they are the tallied (|S|, w) with 0 <= k <= |S|, the degrees in which
@@ -563,7 +598,9 @@ def block_pairing(n):
     (-1)^epsilon times the record's, entry by entry, and X^S is X^{|S|}
     relabelled, of the record's dimension.
     """
-    tally = Counter((len(forest.s_set(n)), sum(exps)) for forest, exps in _dparts(n, n))
+    _check_points(n)
+    standard_pairing(n, n // 2)  # the largest shape first: a refused Gram costs nothing
+    tally = _dpart_tally(n)
     return [[(size, d - weight, blocks, standard_pairing(size, d - weight))
              for (size, weight), blocks in sorted(tally.items())
              if 0 <= d - weight <= size]

@@ -354,52 +354,41 @@ def six_point_relations(n, degree):
 @cache
 def standard_pairing(n, degree):
     """``(count, rank, dimension)`` in degree ``degree`` of the ring on ``n``
-    points, without the generic engine (memoized): the number of standard
-    monomials, the rank r of their pairing against their duals, read in
-    blocks by :func:`matching_rank`, and the dimension: r when r is the
-    count, with no six-point vector built, else the count minus the rank
-    of :func:`six_point_relations`.
+    points, without the generic engine (memoized): the standard monomials,
+    the rank of their pairing against their duals and the dimension, read
+    largest block first (a refused Gram costs nothing) as sum N_m (2m-1)!!,
+    sum N_m rho_m and sum N_m delta_m (:func:`standard_supports`,
+    :func:`matching_rank`, :func:`matching_dimension`).  The pure pairing
+    factors through the pure quotient: rho_m <= delta_m, so rank =
+    dimension if and only if rho_m = delta_m for every m with N_m > 0.
 
-    Proof of the blocks.  A standard monomial is an a-part A, a b-support
-    T of 2m points and a perfect matching of T, with N_m choices of (A, T)
-    (:func:`standard_supports`); dual(w) keeps w's matching and has the
-    a-part ground - A_w - T_w.  By :func:`standard_product`, v.dual(w)
-    reaches the socle monomial only when no path survives, that is when
-    T_v = T_w (a point of one support only ends a path), and when the
-    disjoint A_v, ground - A_w - T_w and T_v cover the ground exactly, so
-    A_v = A_w; the value is then (-4) to the cycle count of the two
-    matchings of T.  So the pairing has one block per (A, T), T's matching
-    Gram relabelled, and r = sum N_m rank_m.
+    Proof of the rank.  A standard monomial is an a-part A, a b-support
+    T of 2m points and a perfect matching of T, with N_m choices of (A, T);
+    dual(w) keeps w's matching and has the a-part ground - A_w - T_w.  By
+    :func:`standard_product`, v.dual(w) reaches the socle monomial only
+    when no path survives, so T_v = T_w, and when A_v, ground - A_w - T_w
+    and T_v cover the ground, so A_v = A_w; its value is (-4) to the cycle
+    count.  So the pairing has one block per (A, T), T's matching Gram.
 
-    Proof of the shortcut.  The standard monomials span the ring in this
-    degree (below), and the pairing factors through it, its entries being
-    socle values of products; so r <= dim <= count.
-
-    Proof of the dimension.  Write the ring as P/(Q + M), with P the
-    polynomial ring in the a's and b's, Q the ideal of the quadratic
-    relations and M that of the matching sums.  The quadratic rewrite
-    system terminates and is confluent, so every class of P/Q has one
-    normal form and the standard monomials (the monomials no rule
-    rewrites) are a basis of P/Q.  In degree d, M is spanned by the
-    products f m of a matching sum f and a monomial m of degree d - 3;
-    modulo Q, m is a combination of standard monomials of degree d - 3, so
-    the image of M in P/Q is spanned by the normal forms of the products
-    f s with s standard, which are exactly the vectors of
-    :func:`six_point_relations` (a product with normal form zero adds
-    nothing).  The dimension is therefore the standard count minus their
-    rank.  With fewer than six points or below degree three there are no
-    vectors and the standard monomials are a basis.
+    Proof of the dimension.  The quadratic rewrite system is terminating
+    and confluent, so the standard monomials are a basis modulo the
+    quadratic relations, and the dimension is the count minus the rank of
+    the normal forms of f_P s (:func:`six_point_relations`), f_P the
+    matching sum on six points P and s = a(A_s) b(B_s) standard, three
+    degrees lower (any multiplier is a sum of such s).  If P meets A_s it
+    is 0.  Else a point of P in T_s has degree two in each term's graph
+    and every other point of P degree one, so each term has the a-part
+    A = A_s + (P & T_s) and the b-support T = P ^ T_s.  A pair of B_s inside P
+    gives 0 (its 3 matchings give -4 a_r a_x times the matching sum of the
+    other four points, the 12 others +4 times it); else b_{r,j} b_{r,x} =
+    a_r b_{j,x} moves each r in P & T_s to its partner x, and the vector is
+    a(A) f_Q b(M), Q the moved P and M the rest of B_s: a pure vector on T.
+    Each arises so (P = Q, s = a(A) b(M)): the block has dimension delta_m.
     """
     count, supports = standard_supports(n, degree)
-    rank = sum(N * matching_rank(m) for m, N in enumerate(supports))
-    if rank == count:
-        return rank, rank, rank
-    vectors, _ = six_point_relations(n, degree)
-    reducer = SpanReducer(count)
-    for vec in vectors:
-        cols = sorted(vec)
-        reducer.insert(cols, [vec[c] for c in cols])
-    return count, rank, count - reducer.rank
+    blocks = list(enumerate(supports))[::-1]
+    return (count, sum(N * matching_rank(m) for m, N in blocks),
+            sum(N * matching_dimension(m) for m, N in blocks))
 
 
 # ----- socle evaluation without the generic engine -------------------------
@@ -542,6 +531,20 @@ def closed_matching_gram(m):
 def matching_rank(m):
     """Rank of :func:`closed_matching_gram` (memoized): 1, 1, 3, 14, 84 to m = 4."""
     return _integer_rank(closed_matching_gram(m))
+
+
+@cache
+def matching_dimension(m):
+    """delta_m = (2m - 1)!! minus the rank of the pure vectors f_Q b(M), Q a
+    six-set and M a matching of the other points, over :func:`_matchings`
+    and under its refusal (memoized): 1, 1, 3, 14, 84 to m = 4."""
+    matchings = _matchings(m)
+    index = {frozenset(matching): i for i, matching in enumerate(matchings)}
+    reducer, ground = SpanReducer(len(matchings)), set(default_ground(2 * m))
+    for Q in itertools.combinations(sorted(ground), 6):
+        for M in perfect_matchings(ground - set(Q)):
+            reducer.insert(sorted(index[frozenset(q + M)] for q in perfect_matchings(Q)), [1] * 15)
+    return len(matchings) - reducer.rank
 
 
 # ----- derivations of the named relations ----------------------------------

@@ -13,14 +13,13 @@ Usage, from the checkout (the script imports ``tautring`` from ``src``):
     python tests/golden/regenerate.py [--long]         # rewrite the files
 
 ``--check`` prints each command that differs from its file and exits 1 if
-any does.  The quick set (``QUICK``, a few seconds, ``fm check --n 7
+any does.  The quick set (``QUICK``, a few seconds, ``fm check --n 9
 --mode blocks`` among them) runs in tier-1 as
-``tests/test_golden.py``; the long set (``LONG``: ``xn check --n 7``,
-``fm check --n 6 --mode full`` and ``fm check --n 8 --mode blocks``, a
-minute or two) runs only here, in CI as
-the ``long-golden`` job of ``.github/workflows/tests.yml``.  The script
-uses the standard library alone, so any supported interpreter can rerun
-the set without pytest.
+``tests/test_golden.py``; the long set (``LONG``: ``xn check --n 7`` and
+``fm check --n 6 --mode full``, about a minute) runs only
+here, in CI as the ``long-golden`` job of ``.github/workflows/tests.yml``.
+The script uses the standard library alone, so any supported
+interpreter can rerun the set without pytest.
 """
 
 import argparse
@@ -45,7 +44,7 @@ def _named(*args):
 
 QUICK = dict([
     *(_named("xn", "check", "--n", str(n)) for n in range(1, 7)),
-    *(_named("fm", "check", "--n", str(n), "--mode", "blocks") for n in range(1, 8)),
+    *(_named("fm", "check", "--n", str(n), "--mode", "blocks") for n in range(1, 10)),
     *(_named("fm", "check", "--n", str(n), "--mode", "full") for n in range(1, 6)),
     *(_named("bridge", "--n", str(n)) for n in range(1, 6)),
     *(_named("fm", "standard", "--n", str(n), "--degree", str(d))
@@ -65,7 +64,6 @@ QUICK = dict([
 LONG = dict([
     _named("xn", "check", "--n", "7"),
     _named("fm", "check", "--n", "6", "--mode", "full"),
-    _named("fm", "check", "--n", "8", "--mode", "blocks"),
 ])
 
 

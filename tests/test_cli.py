@@ -394,17 +394,37 @@ def test_fm_check_blocks():
     assert "sign-rule-and-triangularity" in names
 
 
-def test_blocks_mode_walks_the_d_parts_once(monkeypatch):
-    # one table of shapes serves every degree: above the cross-check limit
-    # the D-parts of X[5] are walked once, for all degrees up to 5
-    from tautring import fm
+@pytest.mark.parametrize("n", [5, 9])
+def test_blocks_mode_walks_no_d_part(n, monkeypatch, fresh_records):
+    # above the cross-check limit the verdict counts the D-parts and reads
+    # the X^s records from matching blocks: no D-part, forest, six-point
+    # vector or standard monomial is built, the records computed afresh
+    from tautring import fm, xn
 
-    walk, calls = fm._dparts, []
-    monkeypatch.setattr(fm, "_dparts",
-                        lambda n, degree: calls.append((n, degree)) or walk(n, degree))
-    result = run_cli(["--format", "json", "fm", "check", "--n", "5", "--mode", "blocks"])
+    calls = []
+    for module, name in [(fm, "_dparts"), (fm, "Forest"), (fm, "enumerate_standard_xn"),
+                         (xn, "six_point_relations"), (xn, "enumerate_standard_xn")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    result = run_cli(["--format", "json", "fm", "check", "--n", str(n), "--mode", "blocks"])
     assert result.exit_code == 0
-    assert calls == [(5, 5)]
+    assert calls == []
+
+
+def test_blocks_mode_refuses_n_12_at_its_largest_matching_gram(monkeypatch, fresh_records):
+    # n = 12 passes the points limit, and its largest shape, X^12 in degree
+    # 6, needs the Gram of m = 6 pairs; it is read first, so the refusal
+    # comes before any matching Gram is built or any D-part counted
+    from tautring import fm, xn
+
+    built, real = [], xn.closed_matching_gram
+    monkeypatch.setattr(xn, "closed_matching_gram", lambda m: built.append(m) or real(m))
+    monkeypatch.setattr(fm, "_dpart_tally", lambda n: built.append("tally"))
+    result = run_cli(["--format", "json", "fm", "check", "--n", "12", "--mode", "blocks"])
+    assert result.exit_code == 3
+    (guard,) = strict_report_of(result)["checks"]
+    assert (guard["name"], guard["label"], guard["count"], guard["unit"]) == (
+        "size-guard", "matching-gram", 108_056_025, "Gram entries")
+    assert built == [6]
 
 
 def _shift_sign_exponent(monkeypatch):

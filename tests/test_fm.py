@@ -516,10 +516,17 @@ def test_blocks_pass_conditionally_at_larger_sizes(n):
     assert rank_sums == rank_sums[::-1]
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_dpart_tally_counts_the_walk(n):
+    # the recursion's (|S|, weight) counts against one walk of the D-parts
+    walked = Counter((len(forest.s_set(n)), sum(exps)) for forest, exps in fm._dparts(n, n))
+    assert fm._dpart_tally(n) == walked
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_each_shape_counts_the_blocks_of_its_shape(n):
-    # the tally of one D-part walk gives every degree the number of blocks
-    # of each shape (|S|, k) that the standard monomials of that degree have
+    # the D-part tally gives every degree the number of blocks of each
+    # shape (|S|, k) that the standard monomials of that degree have
     table = block_pairing(n)
     assert len(table) == n + 1
     for d, shapes in enumerate(table):

@@ -5,11 +5,13 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb, prod
 from pathlib import Path
 
 import pytest
 
 from tautring import xn
+from tautring._kernel import SpanReducer
 from tautring.algebra import Poly, SizeCeilingError, _integer_rank, gen_a, gen_b, ring_for
 from tautring.xn import (
     StandardMonomialXn,
@@ -22,6 +24,7 @@ from tautring.xn import (
     dual_xn,
     enumerate_standard_xn,
     matching_cycle_count,
+    matching_dimension,
     matching_gram,
     matching_rank,
     perfect_matchings,
@@ -32,6 +35,7 @@ from tautring.xn import (
     standard_pairing,
     standard_product,
     standard_socle_coefficient,
+    standard_supports,
     verify_faber_relation,
     xn_presentation,
 )
@@ -129,49 +133,40 @@ def test_standard_pairing_rank_is_the_dense_gram_rank(s):
         assert (count, rank) == (len(standard), _integer_rank(gram)), (s, k)
 
 
-def test_standard_pairing_builds_six_point_vectors_only_below_full_rank(monkeypatch):
-    # the pairing rank r comes first, and r = #std is the dimension with no
-    # six-point vector; the vectors are built exactly for the shapes whose
-    # pairing is short, and no record enumerates anything else.  Without them X^6 reads dimension 215 against rank
-    # 214 in degree 3, so that shape's block check fails: every X^s is
-    # Gorenstein, and only this test sees a record that takes dim = r
-    calls = []
-    real = xn.six_point_relations
+def test_standard_pairing_builds_no_six_point_vector_and_enumerates_nothing(monkeypatch,
+                                                                           fresh_records):
+    # every record is read from the matching blocks alone: no six-point
+    # vector, no enumeration and no dense Gram, for every shape up to X^8
+    # (whose degrees 3 to 5 need delta_4); and the dimension is the pure
+    # blocks' delta_m, for without the pure vectors X^6 reads dimension 215
+    # against rank 214 in degree 3, so that shape's block check fails
+    def refused(*args, **kwargs):
+        raise AssertionError("the records build and enumerate nothing")
 
-    def spy(n, degree):
-        calls.append((n, degree))
-        return real(n, degree)
-
-    def enumerated(n, degree, ground=None):
-        listed.append((n, degree))
-        return real_enumerate(n, degree, ground)
-
-    def refused(*args):
-        raise AssertionError("the records build no dense Gram")
-
-    listed = []
-    real_enumerate = xn.enumerate_standard_xn
-    monkeypatch.setattr(xn, "six_point_relations", spy)
-    monkeypatch.setattr(xn, "enumerate_standard_xn", enumerated)
-    monkeypatch.setattr(xn, "dual_xn", refused)
-    monkeypatch.setattr(xn, "standard_socle_coefficient", refused)
+    for name in ("six_point_relations", "enumerate_standard_xn", "dual_xn",
+                 "standard_socle_coefficient"):
+        monkeypatch.setattr(xn, name, refused)
+    for s in range(1, 9):
+        for k in range(s + 1):
+            standard_pairing(s, k)
+    monkeypatch.setattr(xn, "matching_dimension", lambda m: prod(range(1, 2 * m, 2)))
     xn.standard_pairing.cache_clear()
-    try:
-        short = []
-        for s in range(1, 8):
-            for k in range(s + 1):
-                count, rank, _ = standard_pairing(s, k)
-                if rank < count:
-                    short.append((s, k))
-        assert calls == short == [(6, 3), (7, 3), (7, 4)]
-        # each short shape enumerates its degree and its multipliers' only
-        assert listed == [(6, 3), (6, 0), (7, 3), (7, 0), (7, 4), (7, 1)]
-        monkeypatch.setattr(xn, "six_point_relations",
-                            lambda n, degree: ([], enumerate_standard_xn(n, degree)))
-        xn.standard_pairing.cache_clear()
-        assert standard_pairing(6, 3) == (215, 214, 215)
-    finally:
-        xn.standard_pairing.cache_clear()
+    assert standard_pairing(6, 3) == (215, 214, 215)
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_standard_dimension_is_the_count_minus_the_six_point_rank(s):
+    # the oracle of the block dimension: the rank of every six-point vector
+    # of X^s, built by products of standard monomials
+    for k in range(s + 1):
+        vectors, standard = six_point_relations(s, k)
+        reducer = SpanReducer(len(standard))
+        for vec in vectors:
+            cols = sorted(vec)
+            reducer.insert(cols, [vec[c] for c in cols])
+        _, supports = standard_supports(s, k)
+        dimension = sum(N * matching_dimension(m) for m, N in enumerate(supports))
+        assert standard_pairing(s, k)[2] == dimension == len(standard) - reducer.rank, (s, k)
 
 
 def test_six_point_relation_count_at_degree_three():
@@ -431,6 +426,16 @@ def test_matching_gram_entries_follow_the_cycle_count(m):
             assert gram[i][j] == Fraction(-4) ** cycles
     assert gram == closed_matching_gram(m)
     assert matching_rank(m) == _integer_rank(gram) == [1, 3, 14, 84][m - 1]
+
+
+def test_pure_blocks_read_the_a005700_numbers():
+    # rho_m and delta_m of the pure blocks against C_m C_{m+2} - C_{m+1}^2
+    # (OEIS A005700), from Catalan numbers alone
+    catalan = [comb(2 * i, i) // (i + 1) for i in range(7)]
+    numbers = [catalan[m] * catalan[m + 2] - catalan[m + 1] ** 2 for m in range(5)]
+    assert numbers == [1, 1, 3, 14, 84]
+    assert [matching_rank(m) for m in range(5)] == numbers
+    assert [matching_dimension(m) for m in range(5)] == numbers
 
 
 def test_matching_gram_three_pairs_has_corank_one():
