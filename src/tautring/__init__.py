@@ -14,7 +14,6 @@ from .algebra import (
     PresentationError,
     SizeCeilingError,
     SocleError,
-    gorenstein_check,
     ring_for,
 )
 from .fm import (
@@ -69,7 +68,6 @@ __all__ = [
     "faber_constant",
     "filtration_p",
     "fm_presentation",
-    "gorenstein_check",
     "hodge_psi_integral",
     "is_standard_fm",
     "matching_gram",

@@ -116,6 +116,11 @@ class SpanReducer:
         result row is content-free with a positive lead and zero in every
         other pivot column, a unique normal form of the row space.  The
         reducer is only read, so rows may still be inserted afterwards.
+
+        Eliminating one pivot column scales the row by a nonzero integer and
+        subtracts a reduced row's tail, which lies in non-pivot columns; so
+        every other pivot column of the row keeps its nonzero entry until
+        its own turn, and its factor is never zero.
         """
         pivots = self._pivots
         reduced = {}
@@ -123,9 +128,7 @@ class SpanReducer:
             cols, coeffs, _ = pivots[lead]
             row = dict(zip(cols, coeffs))
             for col in sorted(c for c in cols if c != lead and c in pivots):
-                factor = row.pop(col, 0)
-                if not factor:
-                    continue
+                factor = row.pop(col)
                 other_cols, other_coeffs = reduced[col]
                 other_lead = other_coeffs[0]
                 g = gcd(factor, other_lead)

@@ -962,6 +962,3 @@ def ring_for(presentation):
     """
     return GradedRing(presentation)
 
-
-def gorenstein_check(presentation):
-    return ring_for(presentation).gorenstein_check()

@@ -8,11 +8,12 @@ I with |I| >= 3, subject to five relation families (see fm_presentation).
 
 The combinatorial backbone: a nonzero D-monomial has nested-or-disjoint
 index sets, i.e. a forest; *standard* monomials bound each D-exponent by the
-branching data of that forest and confine the a/b-part to a section set S
-(one marker per root plus everything outside the union).  A standard
-monomial is thus a D-part over a standard monomial of the power ring X^S:
-``StandardMonomialFM`` holds its a/b-part as an ``xn.StandardMonomialXn``,
-which owns every a/b rule (validation, support, dual, degree, order).
+section size of its vertex in that forest (``Forest.section``) and confine
+the a/b-part to a section set S (one marker per root plus everything
+outside the union).  A standard monomial is thus a D-part over a standard
+monomial of the power ring X^S: ``StandardMonomialFM`` holds its a/b-part
+as an ``xn.StandardMonomialXn``, which owns every a/b rule (validation,
+support, dual, degree, order).
 Standard monomials carry an explicit involution pairing complementary
 degrees, a filtration by the dimension of the contracted cycle, and a block
 decomposition of the intersection pairing with one block per D-part, equal
@@ -149,6 +150,21 @@ class Forest:
     subset order (the largest set first); edges point from a set to the
     maximal sets strictly inside it.  Roots are the maximal sets; a vertex
     is external when it has no children (minimal set), internal otherwise.
+
+    ``section[r]`` is the size s_r of the section set inside I_r: its
+    points in no child, plus one marker per child, so s_r = |I_r| - (points
+    in the children) + c_r with c_r children.  Every standard-monomial rule
+    reads it: the D-exponent at r runs over 1..s_r - 2, the dual exponent
+    is s_r - 1 - e, the sign exponent is sum s_r and the section set S of
+    the whole forest has n - |S| = sum over the roots of (|I_r| - 1).
+
+    Proof that s_r - 2 is the whole bound, with no cap at |I_r| - 2: every
+    child has three or more points, so s_r <= |I_r| - 2 c_r <= |I_r|.  The
+    sum telescopes: each child's points are added at its own vertex and
+    taken off at its parent's, leaving the roots' points, which are
+    disjoint, so sum s_r = |union| + sum c_r.  S is one marker per root
+    plus the n - |union| points outside, so n - |S| = |union| - (number of
+    roots), the sum over the roots of (|I_r| - 1).
     """
 
     def __init__(self, subsets):
@@ -178,41 +194,22 @@ class Forest:
             for r in range(len(sets))
         )
         self.roots = tuple(r for r, p in enumerate(self.parent) if p is None)
+        self.section = tuple(
+            len(s) - sum(len(sets[c]) - 1 for c in kids)
+            for s, kids in zip(sets, self.children)
+        )
 
     def __len__(self):
         return len(self.subsets)
 
-    def degree(self, r):
-        """Number of children (maximal proper subsets present)."""
-        return len(self.children[r])
-
-    def child_union_size(self, r):
-        """Size of the union of all member sets strictly inside vertex r."""
-        return sum(len(self.subsets[c]) for c in self.children[r])
-
-    def exponent_bound(self, r):
-        """Largest standard exponent at vertex r."""
-        size = len(self.subsets[r])
-        return min(size - 2, size - self.child_union_size(r) + self.degree(r) - 2)
-
-    def dual_exponent(self, r, i_r):
-        """Exponent of vertex r in the dual monomial (one formula covers
-        internal and external vertices: for externals the child data is
-        empty and it reduces to |I_r| - 1 - i_r)."""
-        size = len(self.subsets[r])
-        return size - self.child_union_size(r) + self.degree(r) - 1 - i_r
-
-    def root_minima(self):
-        return tuple(min(self.subsets[r]) for r in self.roots)
-
     def s_set(self, n):
         """One marker (the minimum) per root, plus everything outside."""
         outside = set(range(1, n + 1)) - self.union
-        return frozenset(self.root_minima()) | frozenset(outside)
+        return frozenset(min(self.subsets[r]) for r in self.roots) | outside
 
     def sign_exponent(self):
-        """The epsilon of the block sign rule: |union| + total branching."""
-        return len(self.union) + sum(len(c) for c in self.children)
+        """The epsilon of the block sign rule: the sum of the section sizes."""
+        return sum(self.section)
 
 
 # ----- monomials -------------------------------------------------------------
@@ -325,7 +322,7 @@ def is_standard_fm(v):
     D-part is laminar by construction, since :class:`Forest` refuses
     overlapping index sets."""
     forest = v.forest
-    return (all(e <= forest.exponent_bound(r) for r, (_, e) in enumerate(v.D))
+    return (all(e <= s - 2 for s, (_, e) in zip(forest.section, v.D))
             and v.ab.support <= forest.s_set(v.n))
 
 
@@ -338,16 +335,15 @@ def dual_fm(v):
         raise ValueError(f"not a standard monomial: {v}")
     forest = v.forest
     S = forest.s_set(v.n)
-    dual_exps = tuple(forest.dual_exponent(r, e) for r, (_, e) in enumerate(v.D))
+    dual_exps = tuple(s - 1 - e for s, (_, e) in zip(forest.section, v.D))
     return StandardMonomialFM(v.n, dual_xn(v.ab, len(S), ground=S), forest, dual_exps)
 
 
 def filtration_p(v):
-    """Filtration level: ab-degree plus the codimension drop of the roots
-    (sum of root sizes minus the number of roots)."""
-    forest = v.forest
-    root_weight = sum(len(forest.subsets[r]) for r in forest.roots)
-    return v.ab.degree + root_weight - len(forest.roots)
+    """Filtration level: ab-degree plus the codimension drop of the roots,
+    the sum of their sizes minus one each, which is n - |S|
+    (:class:`Forest`)."""
+    return v.ab.degree + v.n - len(v.forest.s_set(v.n))
 
 
 # ----- enumeration -----------------------------------------------------------
@@ -373,7 +369,7 @@ def _dparts(n, degree):
     _check_points(n)
     for family in _families(_subsets(n)[::-1], nested_or_disjoint, degree):
         forest = Forest(family)
-        bounds = [forest.exponent_bound(r) for r in range(len(forest))]
+        bounds = [s - 2 for s in forest.section]
         if any(b < 1 for b in bounds):
             continue
         for exps in itertools.product(*(range(1, min(b, degree) + 1) for b in bounds)):
@@ -558,9 +554,8 @@ def _dpart_tally(n):
     sum_j C(k-1, j-1) block(j) A_{k-j}, j = k left out for k >= 3, with
     block(1) = z, block(2) = 0 and block(j) = T_j.  T_k = z sum B_k[s, w]
     (y + ... + y^{s-2}): the root is one marker, and its exponent runs up
-    to ``Forest.exponent_bound``, min(|I| - 2, s - 2) = s - 2, where s =
-    |I| - U + c <= |I| is the section set of the forest inside I (U the
-    union of its c children); s < 3 leaves none, ``_dparts``' skip.
+    to s - 2, s the section size of the forest inside it
+    (``Forest.section``); s < 3 leaves none, ``_dparts``' skip.
     """
     tally, block = [Counter({(0, 0): 1})], {1: Counter({(1, 0): 1}), 2: Counter()}
     for k in range(1, n + 1):

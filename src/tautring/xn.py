@@ -351,12 +351,11 @@ def six_point_relations(n, degree):
     return vectors, standard
 
 
-@cache
 def standard_pairing(n, degree):
     """``(count, rank, dimension)`` in degree ``degree`` of the ring on ``n``
-    points, without the generic engine (memoized): the standard monomials,
-    the rank of their pairing against their duals and the dimension, read
-    largest block first (a refused Gram costs nothing) as sum N_m (2m-1)!!,
+    points, without the generic engine: the standard monomials, the rank
+    of their pairing against their duals and the dimension, read largest
+    block first (a refused Gram costs nothing) as sum N_m (2m-1)!!,
     sum N_m rho_m and sum N_m delta_m (:func:`standard_supports`,
     :func:`matching_rank`, :func:`matching_dimension`).  The pure pairing
     factors through the pure quotient: rho_m <= delta_m, so rank =

@@ -75,15 +75,13 @@ def reference_normal_form(ring, q, d):
 @pytest.fixture
 def lower_ceiling(monkeypatch):
     """``lower_ceiling(c)`` sets ``algebra.SIZE_CEILING`` to ``c`` for the
-    test and empties the caches of ``ring_for``, ``xn.standard_pairing``,
-    ``xn.matching_rank`` and ``xn.matching_dimension``, so that no ring
-    built under the real ceiling, with bases it already holds, and no shape
-    record or matching block computed under it is reused; the caches are
-    emptied again afterwards."""
+    test and empties the caches of ``ring_for``, ``xn.matching_rank`` and
+    ``xn.matching_dimension``, so that no ring built under the real
+    ceiling, with bases it already holds, and no matching block computed
+    under it is reused; the caches are emptied again afterwards."""
 
     def clear():
         algebra.ring_for.cache_clear()
-        xn.standard_pairing.cache_clear()
         xn.matching_rank.cache_clear()
         xn.matching_dimension.cache_clear()
 
@@ -97,9 +95,9 @@ def lower_ceiling(monkeypatch):
 
 @pytest.fixture
 def fresh_records():
-    """Empties the memos of the shape records and matching blocks before
-    and after the test, so that it sees every record computed afresh."""
-    memos = (xn.standard_pairing, xn.matching_rank, xn.matching_dimension)
+    """Empties the memos of the matching blocks before and after the test,
+    so that it sees every shape record computed afresh."""
+    memos = (xn.matching_rank, xn.matching_dimension)
     for memo in memos:
         memo.cache_clear()
     yield

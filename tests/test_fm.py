@@ -163,10 +163,19 @@ def test_forest_shape_of_the_twenty_point_case():
     forest = Forest(subsets)
     assert len(forest) == 7
     assert sum(map(len, forest.children)) == 5  # edges
-    degrees = {forest.subsets[r]: forest.degree(r) for r in range(7)}
+    degrees = {forest.subsets[r]: len(forest.children[r]) for r in range(7)}
     assert degrees[tuple(range(1, 9))] == 2
     assert degrees[tuple(range(9, 19))] == 2
     assert degrees[tuple(range(9, 21))] == 1
+    assert dict(zip(forest.subsets, forest.section)) == {
+        tuple(range(1, 9)): 8 - 7 + 2,
+        (1, 2, 3): 3,
+        (4, 5, 6, 7): 4,
+        tuple(range(9, 21)): 12 - 10 + 1,
+        tuple(range(9, 19)): 10 - 8 + 2,
+        (9, 10, 11, 12): 4,
+        (13, 14, 15, 16): 4,
+    }
     assert sorted(forest.subsets[r] for r in forest.roots) == [
         tuple(range(1, 9)),
         tuple(range(9, 21)),
@@ -174,6 +183,33 @@ def test_forest_shape_of_the_twenty_point_case():
     externals = {forest.subsets[r] for r in range(7) if not forest.children[r]}
     assert externals == {(1, 2, 3), (4, 5, 6, 7), (9, 10, 11, 12), (13, 14, 15, 16)}
     assert sorted(forest.s_set(20)) == [1, 9]
+
+
+def test_section_sizes_give_the_old_branching_formulas():
+    # the reference formulas, written out from the forest's sets: with U
+    # the points of the c children of I, the bound min(|I| - 2, |I| - U +
+    # c - 2) and the dual exponent |I| - U + c - 1 - e; the sign exponent
+    # |union| + sum c; the filtration level ab-degree + sum over the roots
+    # of (|I| - 1)
+    def branching(forest, r):
+        kids = forest.children[r]
+        return len(forest.subsets[r]) - sum(len(forest.subsets[c]) for c in kids) + len(kids)
+
+    for n in range(1, 8):
+        for forest, _ in fm._dparts(n, n):
+            assert [s - 2 for s in forest.section] == [
+                min(len(forest.subsets[r]) - 2, branching(forest, r) - 2)
+                for r in range(len(forest))]
+            assert forest.sign_exponent() == len(forest.union) + sum(
+                map(len, forest.children))
+    for n in range(1, 7):
+        for d in range(n + 1):
+            for v in enumerate_standard_fm(n, d):
+                forest = v.forest
+                assert filtration_p(v) == v.ab.degree + sum(
+                    len(forest.subsets[r]) - 1 for r in forest.roots)
+                assert [e for _, e in dual_fm(v).D] == [
+                    branching(forest, r) - 1 - e for r, (_, e) in enumerate(v.D)]
 
 
 def test_families_come_depth_first_from_the_empty_family():

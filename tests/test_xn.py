@@ -150,7 +150,6 @@ def test_standard_pairing_builds_no_six_point_vector_and_enumerates_nothing(monk
         for k in range(s + 1):
             standard_pairing(s, k)
     monkeypatch.setattr(xn, "matching_dimension", lambda m: prod(range(1, 2 * m, 2)))
-    xn.standard_pairing.cache_clear()
     assert standard_pairing(6, 3) == (215, 214, 215)
 
 
