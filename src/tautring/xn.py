@@ -357,9 +357,11 @@ def standard_pairing(n, degree):
     of their pairing against their duals and the dimension, read largest
     block first (a refused Gram costs nothing) as sum N_m (2m-1)!!,
     sum N_m rho_m and sum N_m delta_m (:func:`standard_supports`,
-    :func:`matching_rank`, :func:`matching_dimension`).  The pure pairing
-    factors through the pure quotient: rho_m <= delta_m, so rank =
-    dimension if and only if rho_m = delta_m for every m with N_m > 0.
+    :func:`matching_block`).  The pairing factors through the ring, so
+    every pure vector pairs to zero with every matching (tier-1 checks it
+    for m = 3, 4: ``test_pure_vectors_lie_in_the_kernel_of_the_matching_gram``)
+    and rho_m <= delta_m: rank = dimension if and only if rho_m = delta_m
+    for every m with N_m > 0.
 
     Proof of the rank.  A standard monomial is an a-part A, a b-support
     T of 2m points and a perfect matching of T, with N_m choices of (A, T);
@@ -385,9 +387,12 @@ def standard_pairing(n, degree):
     Each arises so (P = Q, s = a(A) b(M)): the block has dimension delta_m.
     """
     count, supports = standard_supports(n, degree)
-    blocks = list(enumerate(supports))[::-1]
-    return (count, sum(N * matching_rank(m) for m, N in blocks),
-            sum(N * matching_dimension(m) for m, N in blocks))
+    rank = dimension = 0
+    for m, N in reversed(list(enumerate(supports))):
+        rho, delta = matching_block(m)
+        rank += N * rho
+        dimension += N * delta
+    return count, rank, dimension
 
 
 # ----- socle evaluation without the generic engine -------------------------
@@ -459,20 +464,6 @@ def standard_product(v, w):
     return cycles, StandardMonomialXn.make(A, B)
 
 
-def matching_cycle_count(u, v):
-    """Number of cycles in the union multigraph of two perfect matchings of
-    the same points, the c of :func:`standard_product` of their
-    b-monomials (a shared pair counts as a 2-cycle).  The Gram entry of
-    the two matching monomials is (-4) to this count.  Raises ValueError
-    when the matchings cover different points: the product keeps a b-pair.
-    """
-    make = StandardMonomialXn.make
-    cycles, product = standard_product(make((), u), make((), v))
-    if product.B:
-        raise ValueError("matchings must cover the same points")
-    return cycles
-
-
 def standard_socle_coefficient(v, w, ground):
     """Socle coefficient of the product of two standard monomials over
     ``ground``: (-4)^c when :func:`standard_product` gives ``(c, u)`` with
@@ -519,31 +510,37 @@ def matching_gram(m):
 
 
 def closed_matching_gram(m):
-    """:func:`matching_gram` read off the cycle counts, entries
-    (-4)^:func:`matching_cycle_count`, in the same order and with the same
-    refusal; m = 0 gives [[1]], the empty matching."""
-    matchings = _matchings(m)
-    return [[(-4) ** matching_cycle_count(u, v) for v in matchings] for u in matchings]
+    """:func:`matching_gram` in closed form, in the same order and with the
+    same refusal; m = 0 gives [[1]], the empty matching.
+
+    Proof.  Two perfect matchings u, v of the same 2m points join into a
+    b-graph in which every point has degree two: no path survives, so by
+    :func:`standard_product` b(u) b(v) = (-4)^c a(1..2m), c the number of
+    cycles (a shared pair is a 2-cycle), and the entry is (-4)^c.  The
+    product commutes, so the entries below the diagonal mirror those above.
+    """
+    monomials = [StandardMonomialXn.make((), u) for u in _matchings(m)]
+    gram = []
+    for i, u in enumerate(monomials):
+        gram.append([gram[j][i] if j < i else (-4) ** standard_product(u, v)[0]
+                     for j, v in enumerate(monomials)])
+    return gram
 
 
 @cache
-def matching_rank(m):
-    """Rank of :func:`closed_matching_gram` (memoized): 1, 1, 3, 14, 84 to m = 4."""
-    return _integer_rank(closed_matching_gram(m))
-
-
-@cache
-def matching_dimension(m):
-    """delta_m = (2m - 1)!! minus the rank of the pure vectors f_Q b(M), Q a
-    six-set and M a matching of the other points, over :func:`_matchings`
-    and under its refusal (memoized): 1, 1, 3, 14, 84 to m = 4."""
+def matching_block(m):
+    """``(rho_m, delta_m)`` of the pure block on 2m points, under the
+    refusal of :func:`_matchings` (memoized): rho_m the rank of
+    :func:`closed_matching_gram` and delta_m = (2m - 1)!! minus the rank of
+    the pure vectors f_Q b(M), Q a six-set and M a matching of the other
+    points; both read 1, 1, 3, 14, 84 to m = 4."""
     matchings = _matchings(m)
     index = {frozenset(matching): i for i, matching in enumerate(matchings)}
     reducer, ground = SpanReducer(len(matchings)), set(default_ground(2 * m))
     for Q in itertools.combinations(sorted(ground), 6):
         for M in perfect_matchings(ground - set(Q)):
             reducer.insert(sorted(index[frozenset(q + M)] for q in perfect_matchings(Q)), [1] * 15)
-    return len(matchings) - reducer.rank
+    return _integer_rank(closed_matching_gram(m)), len(matchings) - reducer.rank
 
 
 # ----- derivations of the named relations ----------------------------------

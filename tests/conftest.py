@@ -75,15 +75,15 @@ def reference_normal_form(ring, q, d):
 @pytest.fixture
 def lower_ceiling(monkeypatch):
     """``lower_ceiling(c)`` sets ``algebra.SIZE_CEILING`` to ``c`` for the
-    test and empties the caches of ``ring_for``, ``xn.matching_rank`` and
-    ``xn.matching_dimension``, so that no ring built under the real
-    ceiling, with bases it already holds, and no matching block computed
-    under it is reused; the caches are emptied again afterwards."""
+    test and empties the caches of ``ring_for`` and ``xn.matching_block``,
+    so that no ring built under the real ceiling, with bases it already
+    holds, and no matching block computed under it is reused; the caches
+    are emptied again afterwards."""
+    memo = xn.matching_block
 
     def clear():
         algebra.ring_for.cache_clear()
-        xn.matching_rank.cache_clear()
-        xn.matching_dimension.cache_clear()
+        memo.cache_clear()
 
     def lower(ceiling):
         monkeypatch.setattr(algebra, "SIZE_CEILING", ceiling)
@@ -95,11 +95,10 @@ def lower_ceiling(monkeypatch):
 
 @pytest.fixture
 def fresh_records():
-    """Empties the memos of the matching blocks before and after the test,
-    so that it sees every shape record computed afresh."""
-    memos = (xn.matching_rank, xn.matching_dimension)
-    for memo in memos:
-        memo.cache_clear()
+    """Empties the memo of the matching blocks before and after the test,
+    so that it sees every shape record computed afresh.  The memo is held
+    here, for a test may patch ``xn.matching_block`` before this teardown."""
+    memo = xn.matching_block
+    memo.cache_clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    memo.cache_clear()

@@ -28,10 +28,10 @@ from tautring.xn import (
     StandardMonomialXn,
     dual_xn,
     enumerate_standard_xn,
-    matching_cycle_count,
     matching_gram,
     perfect_matchings,
     six_point_relations,
+    standard_product,
     xn_presentation,
 )
 from conftest import run_cli
@@ -95,10 +95,10 @@ def test_criterion_05_matching_gram_kernel():
     assert set(vectors[0]) == idx and set(vectors[0].values()) == {Fraction(1)}
     for m in (1, 2, 3, 4):
         g = matching_gram(m)
-        ms = perfect_matchings(range(1, 2 * m + 1))
+        ms = [StandardMonomialXn.make((), u) for u in perfect_matchings(range(1, 2 * m + 1))]
         for i, u in enumerate(ms):
             for j, v in enumerate(ms):
-                assert g[i][j] == Fraction(-4) ** matching_cycle_count(u, v)
+                assert g[i][j] == Fraction(-4) ** standard_product(u, v)[0]
     print("criterion 5: PASS - corank-one matching Gram, (-4)^cycles entries")
 
 

@@ -412,12 +412,12 @@ def test_blocks_mode_walks_no_d_part(n, monkeypatch, fresh_records):
 
 def test_blocks_mode_refuses_n_12_at_its_largest_matching_gram(monkeypatch, fresh_records):
     # n = 12 passes the points limit, and its largest shape, X^12 in degree
-    # 6, needs the Gram of m = 6 pairs; it is read first, so the refusal
-    # comes before any matching Gram is built or any D-part counted
+    # 6, needs the block of m = 6 pairs; it is read first, so the refusal
+    # comes before any matching block is computed or any D-part counted
     from tautring import fm, xn
 
-    built, real = [], xn.closed_matching_gram
-    monkeypatch.setattr(xn, "closed_matching_gram", lambda m: built.append(m) or real(m))
+    built, real = [], xn.matching_block
+    monkeypatch.setattr(xn, "matching_block", lambda m: built.append(m) or real(m))
     monkeypatch.setattr(fm, "_dpart_tally", lambda n: built.append("tally"))
     result = run_cli(["--format", "json", "fm", "check", "--n", "12", "--mode", "blocks"])
     assert result.exit_code == 3

@@ -23,10 +23,8 @@ from tautring.xn import (
     derive_six_point,
     dual_xn,
     enumerate_standard_xn,
-    matching_cycle_count,
-    matching_dimension,
+    matching_block,
     matching_gram,
-    matching_rank,
     perfect_matchings,
     quadratic_normal_form,
     six_point_poly,
@@ -149,7 +147,8 @@ def test_standard_pairing_builds_no_six_point_vector_and_enumerates_nothing(monk
     for s in range(1, 9):
         for k in range(s + 1):
             standard_pairing(s, k)
-    monkeypatch.setattr(xn, "matching_dimension", lambda m: prod(range(1, 2 * m, 2)))
+    block = xn.matching_block
+    monkeypatch.setattr(xn, "matching_block", lambda m: (block(m)[0], prod(range(1, 2 * m, 2))))
     assert standard_pairing(6, 3) == (215, 214, 215)
 
 
@@ -164,7 +163,7 @@ def test_standard_dimension_is_the_count_minus_the_six_point_rank(s):
             cols = sorted(vec)
             reducer.insert(cols, [vec[c] for c in cols])
         _, supports = standard_supports(s, k)
-        dimension = sum(N * matching_dimension(m) for m, N in enumerate(supports))
+        dimension = sum(N * matching_block(m)[1] for m, N in enumerate(supports))
         assert standard_pairing(s, k)[2] == dimension == len(standard) - reducer.rank, (s, k)
 
 
@@ -418,13 +417,15 @@ def test_closed_form_socle_rule_examples():
 def test_matching_gram_entries_follow_the_cycle_count(m):
     # the rewrite Gram is the oracle of the closed form the records read
     gram = matching_gram(m)
-    matchings = perfect_matchings(range(1, 2 * m + 1))
+    points = range(1, 2 * m + 1)
+    matchings = [StandardMonomialXn.make((), u) for u in perfect_matchings(points)]
     for i, u in enumerate(matchings):
         for j, v in enumerate(matchings):
-            cycles = matching_cycle_count(u, v)
+            cycles, product = standard_product(u, v)
+            assert product == StandardMonomialXn.make(points)
             assert gram[i][j] == Fraction(-4) ** cycles
     assert gram == closed_matching_gram(m)
-    assert matching_rank(m) == _integer_rank(gram) == [1, 3, 14, 84][m - 1]
+    assert matching_block(m)[0] == _integer_rank(gram) == [1, 3, 14, 84][m - 1]
 
 
 def test_pure_blocks_read_the_a005700_numbers():
@@ -433,8 +434,34 @@ def test_pure_blocks_read_the_a005700_numbers():
     catalan = [comb(2 * i, i) // (i + 1) for i in range(7)]
     numbers = [catalan[m] * catalan[m + 2] - catalan[m + 1] ** 2 for m in range(5)]
     assert numbers == [1, 1, 3, 14, 84]
-    assert [matching_rank(m) for m in range(5)] == numbers
-    assert [matching_dimension(m) for m in range(5)] == numbers
+    assert [matching_block(m) for m in range(5)] == [(x, x) for x in numbers]
+
+
+def test_pure_vectors_lie_in_the_kernel_of_the_matching_gram():
+    # the premise of rho_m <= delta_m: each pure vector f_Q b(M), the 15
+    # matchings of a six-set Q joined with a matching M of the other points,
+    # pairs to zero with every matching; 1 vector for m = 3, 28 for m = 4
+    for m, count in [(3, 1), (4, 28)]:
+        points = set(range(1, 2 * m + 1))
+        index = {frozenset(u): i for i, u in enumerate(perfect_matchings(points))}
+        vectors = [[index[frozenset(q + M)] for q in perfect_matchings(Q)]
+                   for Q in itertools.combinations(sorted(points), 6)
+                   for M in perfect_matchings(points - set(Q))]
+        assert len(vectors) == count
+        gram = closed_matching_gram(m)
+        for cols in vectors:
+            assert all(sum(row[c] for c in cols) == 0 for row in gram), (m, cols)
+
+
+def test_a_swapped_block_record_is_seen(monkeypatch, fresh_records):
+    # rho_m = delta_m for every m <= 4, so only a Gram of lower rank tells
+    # the two apart: with the Gram of m = 3 all zeros, rho_3 reads 0 and
+    # X^6 degree 3, one block of m = 3, loses its 14 from the rank alone
+    real = xn.closed_matching_gram
+    monkeypatch.setattr(xn, "closed_matching_gram",
+                        lambda m: [[0] * 15] * 15 if m == 3 else real(m))
+    assert matching_block(3) == (0, 14)
+    assert standard_pairing(6, 3) == (215, 200, 214)
 
 
 def test_matching_gram_three_pairs_has_corank_one():
@@ -456,12 +483,14 @@ def test_matching_gram_refuses_oversized_instances():
 
 
 def test_cycle_count_examples():
-    u = ((1, 2), (3, 4))
-    v = ((1, 3), (2, 4))
-    assert matching_cycle_count(u, u) == 2  # two shared pairs
-    assert matching_cycle_count(u, v) == 1  # one 4-cycle
-    with pytest.raises(ValueError):  # the product keeps the pair b_{2,3}
-        matching_cycle_count(((1, 2),), ((1, 3),))
+    make = StandardMonomialXn.make
+    u = make((), ((1, 2), (3, 4)))
+    v = make((), ((1, 3), (2, 4)))
+    assert standard_product(u, u) == (2, make((1, 2, 3, 4)))  # two shared pairs
+    assert standard_product(u, v) == (1, make((1, 2, 3, 4)))  # one 4-cycle
+    # different supports leave a path: b12 b13 = a1 b23
+    assert standard_product(make((), ((1, 2),)), make((), ((1, 3),))) == (
+        0, make((1,), ((2, 3),)))
 
 
 # ----- enumeration hygiene ----------------------------------------------------
