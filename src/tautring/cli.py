@@ -1,7 +1,8 @@
 """Command-line front end: verifications and their reports.
 
-Every subcommand runs a set of named checks and emits one report document
-(JSON or an aligned table) with the shape
+Every subcommand runs a set of named checks and returns ``(inputs, checks,
+summary)``; :func:`main` emits them as one report document (JSON or an
+aligned table) with the shape
 
     {schema, command, inputs, checks[], summary, cache, timing}
 
@@ -95,6 +96,10 @@ def check(name, ok, **witness):
 
 
 def emit(run, command, inputs, checks, summary_extra=None, *, status=None):
+    """Print the report of one run and exit with its code; the one exit of
+    every run that reaches a report.  The report is serialized as strict
+    JSON first, in either format, so a non-finite number raises ValueError
+    before anything is printed."""
     passed = sum(1 for c in checks if c["status"] == "pass")
     failed = sum(1 for c in checks if c["status"] == "fail")
     if status is None:
@@ -111,9 +116,10 @@ def emit(run, command, inputs, checks, summary_extra=None, *, status=None):
         "cache": run.cache_report(),
         "timing": {"seconds": round(time.monotonic() - run.started, 3)},
     }
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     try:
         if run.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(text)
         else:
             _echo_table(report)
         sys.stdout.flush()
@@ -148,8 +154,6 @@ def _echo_table(report):
     print(f"timing  : {report['timing']['seconds']}s")
 
 
-
-
 def _parse_alphas(text):
     try:
         return [int(part) for part in text.split(",")]
@@ -169,20 +173,18 @@ def xn_hilbert(run, n, max_degree):
     if top >= n:
         sym = all(dims[d] == dims[n - d] for d in range(n + 1))
         checks.append(check("palindrome", sym))
-    emit(run, "xn hilbert", {"n": n, "max_degree": top}, checks,
-         {"hilbert": dims})
+    return {"n": n, "max_degree": top}, checks, {"hilbert": dims}
 
 
 def xn_check(run, n):
     """Full pairing verification of the power ring."""
-    ring = run.ring(xn_mod.xn_presentation(n))
-    report = ring.gorenstein_check()
-    checks = _pairing_checks(report)
-    emit(run, "xn check", {"n": n}, checks,
-         {"verdict": report.verdict, "hilbert": report.hilbert})
+    return {"n": n}, *_engine_checks(run, xn_mod.xn_presentation(n))
 
 
-def _pairing_checks(report):
+def _engine_checks(run, presentation):
+    """The checks and summary of the engine's Gorenstein verification of
+    ``presentation``, shared by ``xn check`` and ``fm check --mode full``."""
+    report = run.ring(presentation).gorenstein_check()
     checks = [
         check("socle-dimension", report.socle_ok, note=report.socle_note),
         check(
@@ -201,7 +203,7 @@ def _pairing_checks(report):
                 gram_rank=rec["gram_rank"],
             )
         )
-    return checks
+    return checks, {"verdict": report.verdict, "hilbert": report.hilbert}
 
 
 def xn_six_point(run, n, degree):
@@ -211,9 +213,9 @@ def xn_six_point(run, n, degree):
         check("vectors-nonzero", all(v for v in vectors), count=len(vectors)),
     ]
     payload = [sorted((i, str(c)) for i, c in vec.items()) for vec in vectors]
-    emit(run, "xn six-point", {"n": n, "degree": degree}, checks,
-         {"vector_count": len(vectors), "standard_count": len(standard),
-          "vectors": payload})
+    return ({"n": n, "degree": degree}, checks,
+            {"vector_count": len(vectors), "standard_count": len(standard),
+             "vectors": payload})
 
 
 def xn_derive_six_point(run):
@@ -225,7 +227,7 @@ def xn_derive_six_point(run):
         check("matches-minus-sum-over-matchings", ok,
               term_count=len(derived.sorted_terms())),
     ]
-    emit(run, "xn derive-six-point", {}, checks, {"derived": str(derived)})
+    return {}, checks, {"derived": str(derived)}
 
 
 def xn_faber_relation(run):
@@ -236,7 +238,7 @@ def xn_faber_relation(run):
         - xn_mod.a_poly(1) * xn_mod.b_poly(2, 3)
     ).scale(2)
     checks = [check("reduces-to-quadratic-pair", reduced == expected)]
-    emit(run, "xn faber-relation", {}, checks, {"reduced": str(reduced)})
+    return {}, checks, {"reduced": str(reduced)}
 
 
 def xn_matching_gram(run, m):
@@ -247,7 +249,7 @@ def xn_matching_gram(run, m):
               check("rank", True, rank=rank, size=size)]
     if m == 3:
         checks.append(check("corank-one", rank == size - 1))
-    emit(run, "xn matching-gram", {"m": m}, checks, {"rank": rank, "size": size})
+    return {"m": m}, checks, {"rank": rank, "size": size}
 
 
 # ----- compactified-ring commands --------------------------------------------
@@ -255,13 +257,9 @@ def xn_matching_gram(run, m):
 
 def fm_check(run, n, mode):
     """Verify the compactified ring: full engine or block decomposition."""
+    inputs = {"n": n, "mode": mode}
     if mode == "full":
-        ring = run.ring(fm_mod.fm_presentation(n))
-        report = ring.gorenstein_check()
-        checks = _pairing_checks(report)
-        emit(run, "fm check", {"n": n, "mode": mode}, checks,
-             {"verdict": report.verdict, "hilbert": report.hilbert})
-        return
+        return inputs, *_engine_checks(run, fm_mod.fm_presentation(n))
     table = fm_mod.block_pairing(n)
     rank_sums = [sum(blocks * rank for _, _, blocks, (_, rank, _) in shapes)
                  for shapes in table]
@@ -287,16 +285,15 @@ def fm_check(run, n, mode):
             checks.append(check("filtration-vanishing", True, pairs_checked=pairs))
             checks.append(check("sign-rule-and-triangularity", True,
                                 note="verified against the full engine"))
-    emit(run, "fm check", {"n": n, "mode": mode}, checks, {"rank_sums": rank_sums})
+    return inputs, checks, {"rank_sums": rank_sums}
 
 
 def fm_standard(run, n, degree):
     """Enumerate standard monomials of one degree."""
     monomials = fm_mod.enumerate_standard_fm(n, degree)
     checks = [check("enumerated", True, count=len(monomials))]
-    emit(run, "fm standard", {"n": n, "degree": degree}, checks,
-         {"count": len(monomials),
-          "monomials": [m.serialize() for m in monomials]})
+    return ({"n": n, "degree": degree}, checks,
+            {"count": len(monomials), "monomials": [m.serialize() for m in monomials]})
 
 
 def fm_dual(run, payload_text, n):
@@ -326,8 +323,7 @@ def fm_dual(run, payload_text, n):
         check("degrees-complementary", v.degree + w.degree == size,
               degree=v.degree, dual_degree=w.degree),
     ]
-    emit(run, "fm dual", {"n": size, "monomial": payload}, checks,
-         {"dual": w.serialize()})
+    return {"n": size, "monomial": payload}, checks, {"dual": w.serialize()}
 
 
 def fm_presentation_cmd(run, n):
@@ -335,11 +331,11 @@ def fm_presentation_cmd(run, n):
     pres = fm_mod.fm_presentation(n)
     counts = fm_mod.fm_relation_counts(n)
     checks = [check("relation-families", True, **counts)]
-    emit(run, "fm presentation", {"n": n}, checks,
-         {"generators": len(pres.generators),
-          "relations": len(pres.relations),
-          "socle_degree": pres.socle_degree,
-          "content_hash": pres.content_hash})
+    return ({"n": n}, checks,
+            {"generators": len(pres.generators),
+             "relations": len(pres.relations),
+             "socle_degree": pres.socle_degree,
+             "content_hash": pres.content_hash})
 
 
 # ----- moduli-side commands ---------------------------------------------------
@@ -353,7 +349,7 @@ def hodge_cmd(run, g, alphas):
     except ValueError as exc:
         raise UsageError(str(exc))
     checks = [check("evaluated", True, value=value)]
-    emit(run, "hodge eval", {"g": g, "alphas": exps}, checks, {"value": value})
+    return {"g": g, "alphas": exps}, checks, {"value": value}
 
 
 def bridge_cmd(run, n, alphas):
@@ -367,8 +363,8 @@ def bridge_cmd(run, n, alphas):
     except ValueError as exc:
         raise UsageError(str(exc))
     checks = [check("bridge-identity", ok, lhs=lhs, rhs=rhs)]
-    emit(run, "bridge", {"n": n, "alphas": exps}, checks,
-         {"lhs": lhs, "rhs": rhs, "constant": hodge_mod.bridge_constant()})
+    return ({"n": n, "alphas": exps}, checks,
+            {"lhs": lhs, "rhs": rhs, "constant": hodge_mod.bridge_constant()})
 
 
 # ----- argument parsing -------------------------------------------------------
@@ -391,8 +387,8 @@ def _at_least(low):
 
 def _parser(prog):
     """The argument parser.  Each subcommand's defaults name the function
-    that runs it (``_command``), its path below the program name, which a
-    size-guard report gives as its ``command`` (``_path``), and its own
+    that runs it (``_command``), its path below the program name, which
+    the report gives as its ``command`` (``_path``), and its own
     parser (``_parser``), whose usage line a usage error prints."""
     main_parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
@@ -473,10 +469,11 @@ def main(args=None, prog_name="tautring", standalone_mode=True):
     """Run one command line (``args``, by default ``sys.argv[1:]``) and
     exit with its code: 0 pass, 1 a check failed, 2 usage error, 3
     size-guard refusal.  Every outcome, a usage error included, ends in
-    SystemExit.  ``prog_name`` names the program in usage messages, the
-    same under ``python -m tautring.cli`` as for the console script;
-    ``standalone_mode`` is accepted for callers that pass it and changes
-    nothing."""
+    SystemExit; every outcome but a usage error prints one report, by the
+    one call of :func:`emit` here.  ``prog_name`` names the program in
+    usage messages, the same under ``python -m tautring.cli`` as for the
+    console script; ``standalone_mode`` is accepted for callers that pass
+    it and changes nothing."""
     main_parser = _parser(prog_name)
     _check_leading_options(main_parser, sys.argv[1:] if args is None else args)
     params = vars(main_parser.parse_args(args))
@@ -485,29 +482,17 @@ def main(args=None, prog_name="tautring", standalone_mode=True):
     except OSError as exc:  # the cache directory cannot be made
         main_parser.error(f"argument --cache-dir: {exc}")
     command, path, parser = params.pop("_command"), params.pop("_path"), params.pop("_parser")
+    status = None
     try:
-        command(run, **params)
+        inputs, checks, summary = command(run, **params)
     except UsageError as exc:
         parser.error(str(exc))
     except SizeCeilingError as exc:
-        emit(
-            run,
-            path,
-            params,
-            [
-                check(
-                    "size-guard",
-                    False,
-                    label=exc.label,
-                    degree=exc.degree,
-                    count=exc.count,
-                    ceiling=exc.ceiling,
-                    unit=exc.unit,
-                    reason=exc.reason,
-                )
-            ],
-            status="size-guard",
-        )
+        inputs, summary, status = params, None, "size-guard"
+        checks = [check("size-guard", False, label=exc.label, degree=exc.degree,
+                        count=exc.count, ceiling=exc.ceiling, unit=exc.unit,
+                        reason=exc.reason)]
+    emit(run, path, inputs, checks, summary, status=status)
 
 
 if __name__ == "__main__":

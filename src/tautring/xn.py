@@ -283,7 +283,15 @@ def dual_xn(v, n, ground=None):
 
 @cache
 def xn_presentation(n):
-    """Presentation of the ring for ``n`` points (cached per ``n``)."""
+    """Presentation of the ring for ``n`` points (cached per ``n``).
+
+    Refuses (SizeCeilingError) before anything is built once the matching
+    sums, 15 cubic terms for each six points, pass ``SIZE_CEILING``: n = 28
+    needs 5,651,100 ``six-point terms``, n = 27 4,440,150.  Only the
+    matching sums are counted: the quadratic relations number O(n^3), far
+    below the ceiling wherever the matching sums pass it.
+    """
+    check_size(f"xn:{n}", None, 15 * comb(n, 6), "six-point terms")
     ground = default_ground(n)
     relations = []
     for i in ground:

@@ -78,6 +78,14 @@ MUTANTS = [
            "for lead, (cols, _) in rref.items() if len(cols) == 1}",
            "for lead, (cols, _) in rref.items() if len(cols) <= 2}",
            "GradedRing.is_zero_key"),
+    Mutant("criterion-b-keeps-the-idle", ALGEBRA,
+           "if rdeg < d and i not in self.basis(rdeg).tags:",
+           "if rdeg < d and i in self.basis(rdeg).tags:",
+           "GradedRing._compute_basis, proof of (b)"),
+    Mutant("j-prime-one-divisor", ALGEBRA,
+           "and all(q + gen_keys[g] in alive for q in steps)]",
+           "and any(q + gen_keys[g] in alive for q in steps)]",
+           "GradedRing._column_products"),
     Mutant("vanishing-always-assumed", ALGEBRA,
            "        return self.basis(n + 1).dimension", "        return 0",
            "GradedRing._above_socle_dimension"),
@@ -148,6 +156,9 @@ MUTANTS = [
     Mutant("dparts-bound-s-minus-1", FM,
            "bounds = [s - 2 for s in forest.section]", "bounds = [s - 1 for s in forest.section]",
            "fm.Forest, the exponent range"),
+    Mutant("dpart-key-sets-unnegated", FM,
+           "((-len(s), tuple([-i for i in s])), e)", "((-len(s), s), e)",
+           "fm.dpart_key"),
     Mutant("families-out-of-order", FM,
            "            for i in range(start, len(sets)):",
            "            for i in reversed(range(start, len(sets))):",
@@ -159,6 +170,9 @@ MUTANTS = [
     Mutant("tally-two-point-block", FM,
            "2: Counter()}", "2: Counter({(2, 0): 1})}",
            "fm._dpart_tally"),
+    Mutant("shapes-below-the-top-degree", FM,
+           "if 0 <= d - weight <= size]", "if 0 <= d - weight < size]",
+           "fm.block_pairing"),
     Mutant("block-sign-plus-one", FM,
            "sign = -1 if forest.sign_exponent() % 2 else 1", "sign = 1",
            "fm.block_gram"),

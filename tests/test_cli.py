@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, report shape, cache workflow."""
 
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from unittest import mock
 
 import pytest
@@ -126,13 +129,19 @@ def test_cache_entries_keep_their_names(tmp_path):
     }
 
 
-@pytest.mark.parametrize("args, code", [
+# one run of each outcome: a pass, a failed check (the tests break the
+# relation), usage errors from the parser and from a command, and a
+# size-guard refusal (under a ceiling of 50 columns)
+EACH_OUTCOME = pytest.mark.parametrize("args, code", [
     (["xn", "check", "--n", "2"], 0),
-    (["xn", "faber-relation"], 1),  # with the relation broken below
+    (["xn", "faber-relation"], 1),
     (["xn", "check", "--n", "0"], 2),
     (["bridge", "--n", "2", "--alphas", "1"], 2),
-    (["xn", "check", "--n", "4"], 3),  # under a ceiling of 50 columns
+    (["xn", "check", "--n", "4"], 3),
 ])
+
+
+@EACH_OUTCOME
 def test_main_exits_with_the_documented_code(args, code, monkeypatch, capsys,
                                              lower_ceiling):
     # the call the benchmark's tracer makes: the code comes from SystemExit
@@ -152,6 +161,59 @@ def test_main_exits_with_the_documented_code(args, code, monkeypatch, capsys,
     else:
         assert json.loads(out)["summary"]["status"] == (
             {0: "pass", 1: "fail", 3: "size-guard"}[code])
+
+
+@EACH_OUTCOME
+def test_main_emits_one_report_per_run_and_none_on_a_usage_error(args, code, monkeypatch,
+                                                                 lower_ceiling):
+    # the commands return their checks, and main prints the one report,
+    # named by the parser's path of the command
+    from tautring import cli as cli_module
+    from tautring.xn import a_poly
+
+    if code == 3:
+        lower_ceiling(50)
+    seen, real = [], cli_module.emit
+    monkeypatch.setattr(cli_module, "emit",
+                        lambda run, command, *rest, **kw: seen.append(command)
+                        or real(run, command, *rest, **kw))
+    monkeypatch.setattr(cli_module.xn_mod, "verify_faber_relation", lambda: a_poly(1))
+    result = run_cli(["--format", "json"] + args)
+    assert result.exit_code == code
+    assert seen == ([] if code == 2 else [" ".join(args[:2])])
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_non_finite_number_never_prints_as_a_report(fmt, monkeypatch):
+    # the report is serialized as strict JSON before anything is printed,
+    # so the run fails and standard output stays empty
+    from tautring import cli as cli_module
+
+    monkeypatch.setattr(cli_module, "xn_faber_relation", lambda run: (
+        {}, [cli_module.check("finite", True)], {"value": float("nan")}))
+    out = io.StringIO()
+    with pytest.raises(ValueError), contextlib.redirect_stdout(out):
+        cli_module.main(["--format", fmt, "xn", "faber-relation"], prog_name="tautring")
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("args, n", [
+    (["xn", "check", "--n", "40"], 40),
+    (["xn", "hilbert", "--n", "30", "--max-degree", "2"], 30),
+], ids=["xn check --n 40", "xn hilbert --n 30"])
+def test_a_power_ring_presentation_is_refused_before_it_is_built(args, n):
+    # 15 cubic terms for each six of the n points, counted by one closed
+    # form before any relation is multiplied out
+    from math import comb
+
+    start = time.perf_counter()
+    result = run_cli(["--format", "json"] + args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 3
+    (guard,) = strict_report_of(result)["checks"]
+    assert (guard["name"], guard["label"], guard["degree"], guard["unit"]) == (
+        "size-guard", f"xn:{n}", None, "six-point terms")
+    assert guard["count"] == 15 * comb(n, 6) > guard["ceiling"]
 
 
 def test_a_reader_that_stops_early_gets_exit_one_and_no_traceback():
