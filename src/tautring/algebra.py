@@ -55,7 +55,7 @@ class SizeCeilingError(RuntimeError):
 
     ``count`` is finite and above ``ceiling``, both in ``unit``
     (``columns``, ``standard monomials``, ``Gram entries``, ``Bernoulli
-    terms``, ``six-point terms`` or ``points``),
+    terms``, ``six-point terms``, ``relation terms`` or ``points``),
     or both ``count`` and ``unit`` are None when the refusal is not about a
     count (a degree beyond the exponent packing); ``reason`` says which.
     ``degree`` is None when the request has no degree.  The engine stops

@@ -31,7 +31,7 @@ refutation raises :class:`CrossCheckError` after every block verdict is in.
 import itertools
 from collections import Counter
 from functools import cache
-from math import comb
+from math import comb, prod
 from operator import attrgetter
 
 from .algebra import (
@@ -39,6 +39,7 @@ from .algebra import (
     Poly,
     Presentation,
     SizeCeilingError,
+    check_size,
     gen_a,
     gen_b,
     gen_D,
@@ -430,10 +431,42 @@ def fm_relation_counts(n):
     return dict(_fm_build(n)[1])
 
 
+def _relation_terms(n):
+    """Upper bounds, summing to at least the terms of the relations of
+    :func:`fm_presentation`, a family and a subset size at a time, from
+    subset counts alone.  A relation has at most the product of its
+    factors' term counts, and a sum at most the sum of its summands': a
+    D-class has one term, a d-class three and the superset sum of an s-set
+    2^(n - s).  So a factor d - superset sum, or superset sum + d, has at
+    most t = 2^(n - s) + 3.  The power ring has at most two terms per
+    quadratic relation and fifteen per matching sum, and there is at most
+    one incompatible product per pair of D-sets."""
+    pairs = comb(n, 2)
+    yield 2 * (n + 3 * pairs + 3 * comb(n, 3)) + 15 * comb(n, 6)
+    yield comb(2 ** n - 1 - n - pairs, 2)
+    for s in range(3, n + 1):
+        sets, t = comb(n, s), 2 ** (n - s) + 3
+        yield sets * s * (s - 1) * (4 + 6 * (n - s))  # restriction kernel
+        yield sets * s * t ** (s - 1)  # self-intersection
+        # chain compatibility: parts[r] sums, over the partitions of r
+        # points into blocks of three or more, the product over the blocks
+        # of b t (b choices of the marked point w, and its factor), split by
+        # the block of the first point; the other f points are free, with f
+        # choices of the base point u and f - 1 factors
+        parts = [1]
+        for r in range(1, s):
+            parts.append(sum(comb(r - 1, b - 1) * b * t * parts[r - b] for b in range(3, r + 1)))
+        yield sets * sum(comb(s, f) * f * t ** (f - 1) * parts[s - f] for f in range(1, s))
+
+
 @cache
 def _fm_build(n):
     """``(presentation, relation counts per family)`` of
-    :func:`fm_presentation`."""
+    :func:`fm_presentation`, after the refusal (SizeCeilingError, in
+    ``relation terms``) of a sum of :func:`_relation_terms` past
+    ``SIZE_CEILING``, which stops at the first bound that passes it."""
+    for total in itertools.accumulate(_relation_terms(n)):
+        check_size(f"fm:{n}", None, total, "relation terms")
     ground = tuple(range(1, n + 1))
     pairs = list(itertools.combinations(ground, 2))
     subsets = _subsets(n)
@@ -481,26 +514,17 @@ def _fm_build(n):
                 continue
             for u in free:
                 for marks in itertools.product(*blocks):
-                    rel = Poly.constant(1)
-                    for x in free:
-                        if x != u:
-                            rel = rel * (t_value + d_poly(u, x))
-                    for w in marks:
-                        rel = rel * (t_value + d_poly(u, w))
-                    for blk in blocks:
-                        rel = rel * D_poly(blk)
-                    relations.append(rel)
+                    factors = [t_value + d_poly(u, x) for x in (*free, *marks) if x != u]
+                    factors += [D_poly(blk) for blk in blocks]
+                    relations.append(prod(factors, start=Poly.constant(1)))
     counts["chain-compatibility"] = len(relations) - start
 
     start = len(relations)
     for I in subsets:
         correction = _superset_sum(I, n)
         for i in I:
-            rel = Poly.constant(1)
-            for j in I:
-                if j != i:
-                    rel = rel * (d_poly(i, j) - correction)
-            relations.append(rel)
+            factors = (d_poly(i, j) - correction for j in I if j != i)
+            relations.append(prod(factors, start=Poly.constant(1)))
     counts["self-intersection"] = len(relations) - start
 
     pres = Presentation(

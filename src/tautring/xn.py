@@ -23,7 +23,7 @@ import itertools
 from functools import cache
 from math import comb, prod
 
-from ._kernel import SpanReducer, _integer_rank
+from ._kernel import _integer_rank
 from .algebra import (
     Monomial,
     Poly,
@@ -392,7 +392,9 @@ def standard_pairing(n, degree):
     other four points, the 12 others +4 times it); else b_{r,j} b_{r,x} =
     a_r b_{j,x} moves each r in P & T_s to its partner x, and the vector is
     a(A) f_Q b(M), Q the moved P and M the rest of B_s: a pure vector on T.
-    Each arises so (P = Q, s = a(A) b(M)): the block has dimension delta_m.
+    Each arises so (P = Q, s = a(A) b(M)): the block has dimension delta_m,
+    (2m - 1)!! minus the rank of the pure vectors, which
+    :func:`matching_block` bounds by a_m without building one.
     """
     count, supports = standard_supports(n, degree)
     rank = dimension = 0
@@ -503,35 +505,36 @@ def matching_gram(m):
     """
     if m < 1:
         raise ValueError("need at least one pair")
-    matchings = _matchings(m)
-    polys = [
-        StandardMonomialXn.make((), matching).to_poly() for matching in matchings
-    ]
+    polys = [StandardMonomialXn.make((), u).to_poly() for u in _matchings(m)]
     ground = default_ground(2 * m)
-    gram = []
-    for i, vp in enumerate(polys):
-        gram.append([
-            gram[j][i] if j < i else socle_coefficient(vp * wp, ground)
-            for j, wp in enumerate(polys)
-        ])
-    return gram
+    return _gram(polys, lambda v, w: socle_coefficient(v * w, ground))
 
 
 def closed_matching_gram(m):
     """:func:`matching_gram` in closed form, in the same order and with the
-    same refusal; m = 0 gives [[1]], the empty matching.
+    same refusal; m = 0 gives [[1]], the empty matching."""
+    return _closed_gram(_matchings(m))
+
+
+def _closed_gram(matchings):
+    """The Gram of perfect matchings of the same points, in closed form.
 
     Proof.  Two perfect matchings u, v of the same 2m points join into a
     b-graph in which every point has degree two: no path survives, so by
     :func:`standard_product` b(u) b(v) = (-4)^c a(1..2m), c the number of
-    cycles (a shared pair is a 2-cycle), and the entry is (-4)^c.  The
-    product commutes, so the entries below the diagonal mirror those above.
+    cycles (a shared pair is a 2-cycle), and the entry is (-4)^c.
     """
-    monomials = [StandardMonomialXn.make((), u) for u in _matchings(m)]
+    monomials = [StandardMonomialXn.make((), u) for u in matchings]
+    return _gram(monomials, lambda u, v: (-4) ** standard_product(u, v)[0])
+
+
+def _gram(items, entry):
+    """The rows of ``entry(u, v)`` over a list of matching classes, in its
+    order.  Their product commutes, so each entry below the diagonal
+    mirrors the one above."""
     gram = []
-    for i, u in enumerate(monomials):
-        gram.append([gram[j][i] if j < i else (-4) ** standard_product(u, v)[0]
-                     for j, v in enumerate(monomials)])
+    for i, u in enumerate(items):
+        gram.append([gram[j][i] if j < i else entry(u, v) for j, v in enumerate(items)])
     return gram
 
 
@@ -541,14 +544,36 @@ def matching_block(m):
     refusal of :func:`_matchings` (memoized): rho_m the rank of
     :func:`closed_matching_gram` and delta_m = (2m - 1)!! minus the rank of
     the pure vectors f_Q b(M), Q a six-set and M a matching of the other
-    points; both read 1, 1, 3, 14, 84 to m = 4."""
-    matchings = _matchings(m)
-    index = {frozenset(matching): i for i, matching in enumerate(matchings)}
-    reducer, ground = SpanReducer(len(matchings)), set(default_ground(2 * m))
-    for Q in itertools.combinations(sorted(ground), 6):
-        for M in perfect_matchings(ground - set(Q)):
-            reducer.insert(sorted(index[frozenset(q + M)] for q in perfect_matchings(Q)), [1] * 15)
-    return _integer_rank(closed_matching_gram(m)), len(matchings) - reducer.rank
+    points.  Both are a_m, the number of 3-noncrossing matchings, with no
+    three pairwise crossing arcs: C_m C_{m+2} - C_{m+1}^2 (Chen, Deng, Du,
+    Stanley, Yan, Trans. AMS 359, 2007), 1, 1, 3, 14, 84, 594 to m = 5.
+    Raises ArithmeticError when their Gram ranks short of a_m.
+
+    Proof.  Order the matchings by crossing number cr, the pairs of arcs
+    (a b), (c d) with a < c < b < d.  Let mu cross three arcs
+    (q1 q4)(q2 q5)(q3 q6) on Q = {q1 < ... < q6}, and M be its other arcs.
+    The 15 terms of f_Q b(M) have coefficient 1 and mu is one of them;
+    every other term has a smaller cr, for the crossings among the arcs of
+    M are the same in every term, the full crossing is the only matching of
+    six points with three crossings, and an arc of M with k points of Q
+    inside it, a run of Q, crosses at most min(k, 6 - k) arcs of a matching
+    of Q, as many as the full crossing does.  So these vectors, one per
+    3-crossed mu, have distinct leads, their terms mu of largest cr: the
+    pure vectors rank at least (2m - 1)!! - a_m, and delta_m <= a_m.  A
+    submatrix ranks at most the whole, so rho_m is at least the rank of the
+    Gram of the a_m 3-noncrossing matchings; and rho_m <= delta_m
+    (:func:`standard_pairing`).  So when that rank reads a_m,
+    a_m <= rho_m <= delta_m <= a_m.  It does for every m under the refusal,
+    as the invariant theory of Sp(4) on H^1 of the curve leads one to
+    expect (De Concini-Procesi, Adv. Math. 21, 1976); a short rank leaves
+    the bounds apart, so it raises rather than give a record.
+    """
+    kept = [u for u in _matchings(m) if not any(
+        a < c < e < b < d < f for (a, b), (c, d), (e, f) in itertools.combinations(u, 3))]
+    rank = _integer_rank(_closed_gram(kept))
+    if rank < len(kept):
+        raise ArithmeticError(f"a_{m} = {len(kept)}, but its Gram has rank {rank}")
+    return len(kept), len(kept)
 
 
 # ----- derivations of the named relations ----------------------------------

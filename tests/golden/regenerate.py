@@ -15,8 +15,9 @@ Usage, from the checkout (the script imports ``tautring`` from ``src``):
 ``--check`` prints each command that differs from its file and exits 1 if
 any does.  The quick set (``QUICK``, a few seconds, ``fm check --n 9
 --mode blocks`` among them) runs in tier-1 as
-``tests/test_golden.py``; the long set (``LONG``: ``xn check --n 7`` and
-``fm check --n 6 --mode full``, about a minute) runs only
+``tests/test_golden.py``; the long set (``LONG``: ``xn check --n 7``,
+``fm check --n 6 --mode full`` and ``fm check --n 10`` and ``--n 11 --mode
+blocks``, whose pure blocks reach m = 5, about two minutes) runs only
 here, in CI as the ``long-golden`` job of ``.github/workflows/tests.yml``.
 The script uses the standard library alone, so any supported
 interpreter can rerun the set without pytest.
@@ -64,6 +65,7 @@ QUICK = dict([
 LONG = dict([
     _named("xn", "check", "--n", "7"),
     _named("fm", "check", "--n", "6", "--mode", "full"),
+    *(_named("fm", "check", "--n", str(n), "--mode", "blocks") for n in (10, 11)),
 ])
 
 

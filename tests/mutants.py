@@ -56,6 +56,7 @@ class Mutant(NamedTuple):
 
 XN, FM = "src/tautring/xn.py", "src/tautring/fm.py"
 ALGEBRA, CLI = "src/tautring/algebra.py", "src/tautring/cli.py"
+KERNEL, HODGE = "src/tautring/_kernel.py", "src/tautring/hodge.py"
 
 NO_OP = Mutant("no-op", XN, "def standard_product(", "def standard_product(",
                "nothing: the control")
@@ -69,6 +70,9 @@ MUTANTS = [
            "    for six in itertools.combinations(ground, 6):",
            "    for six in list(itertools.combinations(ground, 6))[1:]:",
            "xn: the matching sum of every six indices"),
+    Mutant("relation-terms-factor-short", FM,
+           "yield sets * s * t ** (s - 1)", "yield sets * s * t ** (s - 2)",
+           "fm._relation_terms"),
     # the engine
     Mutant("criterion-a-j-above-i", ALGEBRA,
            "zip(below.keys, below.owner) if j >= i]",
@@ -89,6 +93,10 @@ MUTANTS = [
     Mutant("vanishing-always-assumed", ALGEBRA,
            "        return self.basis(n + 1).dimension", "        return 0",
            "GradedRing._above_socle_dimension"),
+    Mutant("rref-subtracts-unreduced-rows", KERNEL,
+           "other_cols, other_coeffs = reduced[col]",
+           "other_cols, other_coeffs = pivots[col][:2]",
+           "SpanReducer.rref"),
     Mutant("socle-table-not-normalized", ALGEBRA,
            "        if s != 1:\n            lam = [x / s for x in lam]",
            "        if False:\n            lam = [x / s for x in lam]",
@@ -112,21 +120,16 @@ MUTANTS = [
            "comb(size, degree - m) * comb(size, 2 * m)",
            "xn.standard_supports"),
     Mutant("closed-gram-cycle-plus-4", XN,
-           "gram[j][i] if j < i else (-4) ** standard_product(u, v)[0]",
-           "gram[j][i] if j < i else 4 ** standard_product(u, v)[0]",
-           "xn.closed_matching_gram"),
-    Mutant("rho-is-the-count", XN,
-           "    return _integer_rank(closed_matching_gram(m)), len(matchings) - reducer.rank",
-           "    return len(matchings), len(matchings) - reducer.rank",
+           "lambda u, v: (-4) ** standard_product(u, v)[0])",
+           "lambda u, v: 4 ** standard_product(u, v)[0])",
+           "xn._closed_gram"),
+    Mutant("block-filters-two-crossings", XN,
+           "a < c < e < b < d < f for (a, b), (c, d), (e, f) in itertools.combinations(u, 3))]",
+           "a < c < b < d for (a, b), (c, d) in itertools.combinations(u, 2))]",
            "xn.matching_block"),
-    Mutant("swapped-block-record", XN,
-           "    return _integer_rank(closed_matching_gram(m)), len(matchings) - reducer.rank",
-           "    return len(matchings) - reducer.rank, _integer_rank(closed_matching_gram(m))",
+    Mutant("block-rank-unchecked", XN,
+           "    if rank < len(kept):\n", "    if False:\n",
            "xn.matching_block"),
-    Mutant("delta-from-one-six-set", XN,
-           "    for Q in itertools.combinations(sorted(ground), 6):",
-           "    for Q in list(itertools.combinations(sorted(ground), 6))[:1]:",
-           "xn.standard_pairing, proof of the dimension"),
     Mutant("dimension-from-the-block-below", XN,
            "        dimension += N * delta",
            "        dimension += N * matching_block(max(m - 1, 0))[1]",
@@ -176,6 +179,10 @@ MUTANTS = [
     Mutant("block-sign-plus-one", FM,
            "sign = -1 if forest.sign_exponent() % 2 else 1", "sign = 1",
            "fm.block_gram"),
+    # the bridge
+    Mutant("psi-drops-negative-terms", HODGE,
+           "if c and k in alive}", "if c > 0 and k in alive}",
+           "hodge.fiber_socle_of_psi"),
     Mutant("cross-check-limit-3", CLI,
            "CROSS_CHECK_LIMIT = 4", "CROSS_CHECK_LIMIT = 3",
            "cli: the engine cross-check runs for n <= 4"),

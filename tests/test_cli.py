@@ -216,6 +216,28 @@ def test_a_power_ring_presentation_is_refused_before_it_is_built(args, n):
     assert guard["count"] == 15 * comb(n, 6) > guard["ceiling"]
 
 
+@pytest.mark.parametrize("args", [
+    ["fm", "presentation", "--n", "9"],
+    ["fm", "check", "--n", "9", "--mode", "full"],
+    ["bridge", "--n", "9"],
+], ids=" ".join)
+def test_a_compactified_presentation_is_refused_before_it_is_built(args):
+    # the relation terms of X[9] are bounded from subset counts before any
+    # relation is multiplied out; the sum stops at the first bound past the
+    # ceiling, so its count is a partial sum; X[8] is the first refused
+    from tautring import fm
+
+    start = time.perf_counter()
+    result = run_cli(["--format", "json"] + args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 3
+    (guard,) = strict_report_of(result)["checks"]
+    assert (guard["name"], guard["label"], guard["degree"], guard["unit"]) == (
+        "size-guard", "fm:9", None, "relation terms")
+    assert guard["ceiling"] < guard["count"] <= sum(fm._relation_terms(9))
+    assert sum(fm._relation_terms(7)) <= guard["ceiling"] < sum(fm._relation_terms(8))
+
+
 def test_a_reader_that_stops_early_gets_exit_one_and_no_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "tautring.cli", "--format", "json",

@@ -458,6 +458,15 @@ def test_chain_compatibility_count_at_four_points():
     assert fm_relation_counts(4)["chain-compatibility"] == 12
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_relation_term_bound_covers_the_built_presentation(n):
+    # the refusal's count, from subset counts alone, is at least the terms
+    # the presentation builds: 85,092 against 58,089 at n = 6
+    built = sum(len(rel.terms) for rel in fm_presentation(n).relations)
+    bound = sum(fm._relation_terms(n))
+    assert built <= bound == [2, 10, 102, 970, 8480, 85092][n - 1]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fm_hilbert_functions(n):
     ring = ring_for(fm_presentation(n))

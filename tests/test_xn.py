@@ -437,31 +437,77 @@ def test_pure_blocks_read_the_a005700_numbers():
     assert [matching_block(m) for m in range(5)] == [(x, x) for x in numbers]
 
 
+def _pure_vectors(m):
+    """The columns, in ``perfect_matchings`` order, of each pure vector
+    f_Q b(M) on 2m points: the 15 matchings of a six-set Q joined with a
+    matching M of the other points, each with coefficient 1."""
+    points = set(range(1, 2 * m + 1))
+    index = {frozenset(u): i for i, u in enumerate(perfect_matchings(points))}
+    return [sorted(index[frozenset(q + M)] for q in perfect_matchings(Q))
+            for Q in itertools.combinations(sorted(points), 6)
+            for M in perfect_matchings(points - set(Q))]
+
+
 def test_pure_vectors_lie_in_the_kernel_of_the_matching_gram():
-    # the premise of rho_m <= delta_m: each pure vector f_Q b(M), the 15
-    # matchings of a six-set Q joined with a matching M of the other points,
-    # pairs to zero with every matching; 1 vector for m = 3, 28 for m = 4
+    # the premise of rho_m <= delta_m: each pure vector pairs to zero with
+    # every matching; 1 vector for m = 3, 28 for m = 4
     for m, count in [(3, 1), (4, 28)]:
-        points = set(range(1, 2 * m + 1))
-        index = {frozenset(u): i for i, u in enumerate(perfect_matchings(points))}
-        vectors = [[index[frozenset(q + M)] for q in perfect_matchings(Q)]
-                   for Q in itertools.combinations(sorted(points), 6)
-                   for M in perfect_matchings(points - set(Q))]
+        vectors = _pure_vectors(m)
         assert len(vectors) == count
         gram = closed_matching_gram(m)
         for cols in vectors:
             assert all(sum(row[c] for c in cols) == 0 for row in gram), (m, cols)
 
 
-def test_a_swapped_block_record_is_seen(monkeypatch, fresh_records):
-    # rho_m = delta_m for every m <= 4, so only a Gram of lower rank tells
-    # the two apart: with the Gram of m = 3 all zeros, rho_3 reads 0 and
-    # X^6 degree 3, one block of m = 3, loses its 14 from the rank alone
-    real = xn.closed_matching_gram
-    monkeypatch.setattr(xn, "closed_matching_gram",
-                        lambda m: [[0] * 15] * 15 if m == 3 else real(m))
-    assert matching_block(3) == (0, 14)
-    assert standard_pairing(6, 3) == (215, 200, 214)
+def _crossings(matching):
+    return sum(a < c < b < d or c < a < d < b
+               for (a, b), (c, d) in itertools.combinations(matching, 2))
+
+
+def test_a_three_crossing_is_the_strict_crossing_lead_of_its_pure_vector():
+    # the premise of delta_m <= a_m: for every 3-crossed matching mu and
+    # every 3-crossing Q of its arcs, mu has more crossings than each other
+    # term of f_Q b(M), M the rest of mu; 1, 21 and 351 such mu for m = 3..5
+    for m, crossed in [(3, 1), (4, 21), (5, 351)]:
+        seen = 0
+        for mu in perfect_matchings(range(1, 2 * m + 1)):
+            triples = [t for t in itertools.combinations(mu, 3)
+                       if t[0][0] < t[1][0] < t[2][0] < t[0][1] < t[1][1] < t[2][1]]
+            seen += bool(triples)
+            for triple in triples:
+                M = tuple(arc for arc in mu if arc not in triple)
+                Q = sorted(i for arc in triple for i in arc)
+                others = [q for q in perfect_matchings(Q) if set(q) != set(triple)]
+                assert len(others) == 14
+                assert all(_crossings(q + M) < _crossings(mu) for q in others), (mu, triple)
+        assert seen == crossed
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_matching_block_agrees_with_the_pure_vector_elimination(m):
+    # the oracle of the record: delta_m as (2m - 1)!! minus the rank of
+    # every pure vector f_Q b(M), and rho_m as the rank of the whole Gram
+    count = prod(range(1, 2 * m, 2))
+    reducer = SpanReducer(count)
+    for cols in _pure_vectors(m):
+        reducer.insert(cols, [1] * 15)
+    record = _integer_rank(closed_matching_gram(m)), count - reducer.rank
+    assert matching_block(m) == record == (count - [0, 0, 0, 1, 21][m],) * 2
+
+
+def test_a_singular_restricted_gram_raises_rather_than_gives_a_record(monkeypatch,
+                                                                     fresh_records):
+    # with the Gram of the 14 3-noncrossing matchings of m = 3 all zeros,
+    # the bounds 0 <= rho_3 <= delta_3 <= 14 no longer meet: no record, and
+    # X^6 degree 3, one block of m = 3, raises instead of reading a rank
+    real = xn._closed_gram
+    monkeypatch.setattr(xn, "_closed_gram",
+                        lambda us: [[0] * 14] * 14 if len(us) == 14 else real(us))
+    with pytest.raises(ArithmeticError, match="a_3 = 14, but its Gram has rank 0"):
+        matching_block(3)
+    with pytest.raises(ArithmeticError):
+        standard_pairing(6, 3)
+    assert matching_block(4) == (84, 84)
 
 
 def test_matching_gram_three_pairs_has_corank_one():
