@@ -5,13 +5,12 @@ Every rank the engine reports -- graded pieces, and through
 fraction-free elimination in :class:`SpanReducer`, and every canonical row
 form from its back-substitution, :meth:`SpanReducer.rref`.  Rows are
 ``(cols, coeffs)`` pairs: strictly increasing column indices and nonzero
-integers (:func:`_integral_coeffs` makes exact rationals such integers, and
-:func:`_normalize` is the one place content is stripped from a finished
-row).  There is one implementation, in plain Python, and no other
+integers, and :func:`_normalize` is the one place content is stripped from
+a finished row.  There is one implementation, in plain Python, and no other
 elimination path to keep in step with it.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 
 def _normalize(coeffs):
@@ -26,15 +25,6 @@ def _normalize(coeffs):
     if g != 1:
         for i in range(len(coeffs)):
             coeffs[i] //= g
-
-
-def _integral_coeffs(values):
-    """The integer coefficient list proportional to the exact rationals
-    ``values`` (ints or Fractions): denominators cleared, then normalized."""
-    den = lcm(*(v.denominator for v in values))
-    coeffs = [int(v * den) for v in values]
-    _normalize(coeffs)
-    return coeffs
 
 
 class SpanReducer:
@@ -150,17 +140,20 @@ class SpanReducer:
 
 
 def _integer_rank(rows):
-    """Exact rank of a matrix given as a list of rows of ints and Fractions.
+    """Exact rank of a matrix given as a list of rows of ints.
 
-    Each nonzero row is made integral and the rows are fed to the reducer
-    sparsest first.
+    The nonzero entries of each nonzero row are stripped of content
+    (:func:`_normalize`) and the rows are fed to the reducer sparsest
+    first.
     """
     ncols = len(rows[0]) if rows else 0
     int_rows = []
     for row in rows:
         cols = [j for j, v in enumerate(row) if v]
         if cols:
-            int_rows.append((cols, _integral_coeffs([row[j] for j in cols])))
+            coeffs = [row[j] for j in cols]
+            _normalize(coeffs)
+            int_rows.append((cols, coeffs))
     int_rows.sort(key=lambda r: (len(r[0]), r[0], r[1]))
     reducer = SpanReducer(ncols)
     for cols, coeffs in int_rows:

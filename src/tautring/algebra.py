@@ -1,4 +1,4 @@
-"""Generic graded quotient-ring engine over exact rationals.
+"""Generic graded quotient-ring engine over the integers.
 
 A :class:`Presentation` lists generators (all in degree one), homogeneous
 relation polynomials, and a socle degree.  The engine computes each graded
@@ -18,13 +18,16 @@ piece of the quotient ring R = S/I by explicit exact linear algebra:
   socle degree.  The engine hands out packed keys, live sets and the socle
   functional; it reduces no element to the quotient basis.
 
-No Groebner basis is computed -- ranks of explicit integer matrices decide
-everything, which keeps the verification auditable.  A row of the slice is
-left out only when one of two proven criteria (Koszul and redundant
-relation, see :meth:`GradedRing._compute_basis`) shows it lies in the span
-of the rows kept, so the ranks are those of the full slice.  Above the
-socle degree the engine proves vanishing instead of building the piece
-(see :meth:`GradedRing._above_socle_dimension`).
+Relation coefficients are ints (:class:`Presentation` refuses any other),
+and a Fraction is made only where a socle value leaves the engine
+(:meth:`GradedRing.socle_values`).  No Groebner basis is computed -- ranks
+of explicit integer matrices decide everything, which keeps the
+verification auditable.  A row of the slice is left out only when one of
+two proven criteria (Koszul and redundant relation, see
+:meth:`GradedRing._compute_basis`) shows it lies in the span of the rows
+kept, so the ranks are those of the full slice.  Above the socle degree
+the engine proves vanishing instead of building the piece (see
+:meth:`GradedRing._above_socle_dimension`).
 
 Monomials are encoded as packed integers (one bit field per generator
 exponent) so that multiplying two monomials is a single integer addition;
@@ -38,10 +41,10 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import inf, lcm
 from types import SimpleNamespace
 
-from ._kernel import SpanReducer, _integer_rank, _integral_coeffs
+from ._kernel import SpanReducer, _integer_rank, _normalize
 
 #: Per-degree ceiling on the number of columns (monomials outside the
 #: monomial ideal) the engine will enumerate before refusing (guards against
@@ -233,22 +236,12 @@ class Monomial:
 ONE = Monomial()
 
 
-def _exact(c):
-    """The coefficient ``c`` as an int when it is integral, otherwise as a
-    Fraction; ``str`` prints both the same way, so payloads do not depend
-    on which one a computation produced."""
-    if c.__class__ is int:
-        return c
-    if c.__class__ is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class Poly:
-    """A finite rational linear combination of monomials.
+    """A finite integer linear combination of monomials.
 
-    Coefficients are exact: an integral one is stored as an int, any other
-    as a Fraction (see :func:`_exact`).
+    Coefficients are stored as given and zero terms are dropped;
+    :class:`Presentation` refuses a relation with a coefficient that is not
+    an int.
     """
 
     __slots__ = ("terms",)
@@ -258,15 +251,11 @@ class Poly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for m, c in items:
-                c = _exact(c)
-                if not c:
-                    continue
-                prev = data.get(m)
-                c = c if prev is None else _exact(prev + c)
+                c += data.get(m, 0)
                 if c:
                     data[m] = c
-                elif prev is not None:
-                    del data[m]
+                else:
+                    data.pop(m, None)
         self.terms = data
 
     @classmethod
@@ -301,7 +290,7 @@ class Poly:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = _exact(out.get(m, 0) + c)
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             elif m in out:
@@ -324,7 +313,7 @@ class Poly:
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     m = m1 * m2
-                    v = _exact(out.get(m, 0) + c1 * c2)
+                    v = out.get(m, 0) + c1 * c2
                     if v:
                         out[m] = v
                     elif m in out:
@@ -338,11 +327,10 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c):
-        c = _exact(c)
         if not c:
             return Poly.zero()
         p = Poly.__new__(Poly)
-        p.terms = {m: _exact(v * c) for m, v in self.terms.items()}
+        p.terms = {m: v * c for m, v in self.terms.items()}
         return p
 
     def __eq__(self, other):
@@ -393,7 +381,8 @@ class Presentation:
     """A graded ring presentation: generators, relations, socle data.
 
     All generators sit in degree one; relations must be homogeneous of
-    degree at least one.  ``ground`` is the tuple of point labels the
+    degree at least one, with int coefficients, so that the engine works
+    over the integers.  ``ground`` is the tuple of point labels the
     presentation is built over; only :meth:`to_payload` (the content hash) reads it.
     """
 
@@ -414,12 +403,16 @@ class Presentation:
         for rel in self.relations:
             if rel.is_zero:
                 raise PresentationError("zero relation")
-            d = rel.degree()  # raises if mixed degrees
-            if d < 1:
+            degrees = {m.degree for m in rel.terms}
+            if len(degrees) > 1:
+                raise PresentationError(f"relation is not homogeneous: degrees {sorted(degrees)}")
+            if degrees.pop() < 1:
                 raise PresentationError("relations must have positive degree")
-            for m in rel.terms:
+            for m, c in rel.terms.items():
                 if any(g not in genset for g, _ in m.exps):
                     raise PresentationError(f"relation uses unknown generator: {m}")
+                if c.__class__ is not int:
+                    raise PresentationError(f"relation coefficient {c!r} of {m} is not an int")
         if self.socle_degree < 0:
             raise PresentationError("socle degree must be nonnegative")
         if self.socle_monomial.degree != self.socle_degree:
@@ -567,7 +560,8 @@ class GradedRing:
                 rel.terms.items(), key=lambda t: self._exp_vector(t[0]), reverse=True
             )
             keys = [self.monomial_key(m) for m, _ in terms]
-            coeffs = _integral_coeffs([c for _, c in terms])
+            coeffs = [c for _, c in terms]
+            _normalize(coeffs)
             prepped.append((rel.degree(), keys, coeffs))
         prepped.sort(key=lambda t: (len(t[1]), t[0], t[1], t[2]))
         return frozenset(ideal), prepped
@@ -743,12 +737,22 @@ class GradedRing:
     # ----- socle and pairings -------------------------------------------
 
     def socle_table(self):
-        """Socle evaluation as a linear functional on degree-n columns.
+        """Socle evaluation as an integer functional on the degree-n columns:
+        ``(numerators, denominator)``, with lambda(c) = numerators[c] /
+        denominator for column c, and lambda(s) = 1 for the socle monomial
+        s.  Read once off the RREF of ``basis(n)``; every socle value and
+        Gram entry is a lookup in it.
 
-        Returns a list of Fractions, one per degree-``socle`` monomial in
-        column order, normalized so the socle monomial maps to 1.  Read once
-        off the RREF (see :meth:`gorenstein_check`); all socle evaluations
-        and Gram entries reduce to lookups in this table.
+        Raises SocleError exactly when R_n is not one-dimensional or s is
+        zero in R.  Proof of the second half: let R_n = Q*[q0], q0 the one
+        non-pivot column.  A tail of the RREF lies in the non-pivot
+        columns, so the row of a pivot c is lead*c + t*q0 or lead*c, and
+        [c] = (-t/lead)*[q0], or 0.  With L the lcm of the leads, q0 gets
+        the numerator L and such a c gets -t*(L/lead), or 0: L times its
+        coordinate on [q0].  [s] = 0 when s lies in J', where it has no
+        column; so [s] != 0 iff its numerator is nonzero.  That numerator,
+        sign and all numerators flipped if it is negative, is the
+        denominator: s reads 1, and each column its coordinate on [s].
         """
         if self._socle_table_memo is not None:
             return self._socle_table_memo
@@ -759,58 +763,61 @@ class GradedRing:
                 f"socle of {self.presentation.label!r} has dimension "
                 f"{basis.dimension}, expected 1"
             )
-        # lambda(q0) = 1 at the one non-pivot column; every other is a lead
-        lam = [Fraction(1)] * basis.monomial_count
-        for lead, (cols, coeffs) in basis.rref().items():
-            lam[lead] = Fraction(-coeffs[1], coeffs[0]) if len(cols) > 1 else Fraction(0)
+        rref = basis.rref()
+        scale = lcm(*(coeffs[0] for _, coeffs in rref.values()))
+        num = [scale] * basis.monomial_count  # q0, the one non-pivot column
+        for lead, (cols, coeffs) in rref.items():
+            num[lead] = -coeffs[1] * (scale // coeffs[0]) if len(cols) > 1 else 0
         s_col = basis.col_of.get(self.monomial_key(self.presentation.socle_monomial))
-        s = 0 if s_col is None else lam[s_col]
-        if not s:
+        den = 0 if s_col is None else num[s_col]
+        if not den:
             raise SocleError(
                 f"socle monomial of {self.presentation.label!r} evaluates to zero"
             )
-        if s != 1:
-            lam = [x / s for x in lam]
-        self._socle_table_memo = lam
-        return lam
+        if den < 0:
+            num, den = [-x for x in num], -den
+        self._socle_table_memo = num, den
+        return self._socle_table_memo
+
+    def _socle_numerators(self, keys):
+        """The socle table's numerators at these packed degree-``socle``
+        keys: the entry of the key's column, or 0 for a key without one,
+        which is a monomial in J', inside I.  A key of another degree has
+        no column here and would read 0."""
+        num = self.socle_table()[0]
+        col_of = self.basis(self.presentation.socle_degree).col_of.get
+        return [0 if (col := col_of(k)) is None else num[col] for k in keys]
 
     def socle_values(self, keys):
         """Socle evaluations of the degree-``socle`` monomials with these
-        packed keys, as a list; every socle value by key is read here.
-
-        A key with a column c evaluates to lambda(c), the entry of
-        :meth:`socle_table`.  A degree-``socle`` key without a column (not
-        in ``basis(socle).col_of``) is a monomial in J', which lies in I, so
-        its class and its value are 0 (an int).  The keys must have the socle degree:
-        one of another degree has no column here and would read 0.
+        packed keys, as a list: each key's numerator over the denominator
+        (:meth:`_socle_numerators`), a Fraction, or the int 0.  Every socle
+        value by key is read here, the one place the engine makes a Fraction.
         """
-        lam = self.socle_table()
-        col_of = self.basis(self.presentation.socle_degree).col_of.get
-        return [0 if (col := col_of(k)) is None else lam[col] for k in keys]
+        den = self.socle_table()[1]
+        return [Fraction(v, den) if v else 0 for v in self._socle_numerators(keys)]
 
-    def gram_matrix(self, d):
-        """Pairing matrix between the quotient bases of degrees ``d`` and
-        ``socle - d``, as a list of rows indexed ``gram[i][j]``.
+    def gram_rank(self, d):
+        """Rank of the Gram pairing between the quotient bases of degrees
+        ``d`` and ``socle - d`` (memoized by the lower of the two).
 
         The entry of quotient columns r and c is the socle evaluation of
-        their product, read by :meth:`socle_values` at the key ``r + c``.
+        their product, the key ``r + c``.  The matrix ranked holds the
+        integer numerators there (:meth:`_socle_numerators`): the pairing
+        times the positive denominator of :meth:`socle_table`, so its rank
+        is the pairing's.
         """
         n = self.presentation.socle_degree
         if not 0 <= d <= n:
             raise ValueError("degree out of range")
-        self.socle_table()  # fails early if the socle is defective
-        rows, cols = self.basis(d), self.basis(n - d)
-        col_keys = [cols.keys[c] for c in cols.quotient_cols]
-        return [self.socle_values([rows.keys[r] + c for c in col_keys])
-                for r in rows.quotient_cols]
-
-    def gram_rank(self, d):
-        """Rank of the default Gram pairing at degree ``d``."""
-        n = self.presentation.socle_degree
         dlo = min(d, n - d)
         rank = self._gram_rank_memo.get(dlo)
         if rank is None:
-            rank = self._gram_rank_memo[dlo] = _integer_rank(self.gram_matrix(dlo))
+            rows, cols = self.basis(dlo), self.basis(n - dlo)
+            col_keys = [cols.keys[c] for c in cols.quotient_cols]
+            rank = self._gram_rank_memo[dlo] = _integer_rank(
+                [self._socle_numerators([rows.keys[r] + c for c in col_keys])
+                 for r in rows.quotient_cols])
         return rank
 
     def _above_socle_dimension(self):
@@ -874,16 +881,9 @@ class GradedRing:
         Hilbert function, and a perfect pairing (full-rank Gram matrix) in
         every complementary pair of degrees.
 
-        The socle is checked once, by :meth:`socle_table`: it raises
+        The socle is checked once, by :meth:`socle_table`, which raises
         SocleError exactly when R_n is not one-dimensional or the socle
-        monomial s is zero in R.  Proof of the second half: let R_n =
-        Q*[q0], q0 the one non-pivot column.  A tail of the RREF lies in
-        the non-pivot columns, so the row of a pivot c is lead*c + t*q0 or
-        lead*c, and [c] = lambda(c)*[q0] with lambda(c) = -t/lead, or 0.
-        So before scaling the table holds the coordinate on [q0] of every
-        column, and [s] = lambda(s)*[q0], with lambda(s) = 0 when s lies
-        in J', where it has no column.  Hence [s] != 0 iff the unscaled
-        table reads lambda(s) != 0, that is iff socle_table does not raise.
+        monomial is zero in R (the proof is in its docstring).
         """
         n = self.presentation.socle_degree
         hilbert = self.hilbert(n)

@@ -542,17 +542,20 @@ def psi_pullback(n, i):
     """Pull-back of the i-th cotangent (psi) class to the compactified ring.
 
     The class is 2 a_i plus, for each other point j, the proper-transform
-    diagonal (the power-ring diagonal d_{i,j} minus every D_I with both
-    indices), plus every D_I whose index set contains i.  Expanded in the
-    a/b/D generators.
+    diagonal (the power-ring diagonal d_{i,j} minus S({i, j})) plus S({i}),
+    S(B) the sum of the D_J whose index set J contains B.  In closed form:
+
+        psi_i = 2 a_i + sum_{j != i} d_{i,j} + sum_{J containing i} (2 - |J|) D_J.
+
+    Proof.  S({i}) adds D_J once for each J containing i.  S({i, j})
+    subtracts it once for each j != i in such a J, that is |J| - 1 times.
+    So D_J has coefficient 1 - (|J| - 1) = 2 - |J|, and a D_J with i
+    outside J occurs in no S.
     """
     if not 1 <= i <= n:
         raise ValueError("point index out of range")
-    total = a_poly(i).scale(2) + _superset_sum((i,), n)
-    for j in range(1, n + 1):
-        if j != i:
-            total = total + d_poly(i, j) - _superset_sum((i, j), n)
-    return total
+    divisors = Poly([(Monomial(((gen_D(J), 1),)), 2 - len(J)) for J in _subsets(n) if i in J])
+    return sum((d_poly(i, j) for j in range(1, n + 1) if j != i), a_poly(i).scale(2) + divisors)
 
 
 # ----- block pairing ---------------------------------------------------------

@@ -17,10 +17,10 @@ any does.  The quick set (``QUICK``, a few seconds, ``fm check --n 9
 --mode blocks`` among them) runs in tier-1 as
 ``tests/test_golden.py``; the long set (``LONG``: ``xn check --n 7``,
 ``fm check --n 6 --mode full`` and ``fm check --n 10`` and ``--n 11 --mode
-blocks``, whose pure blocks reach m = 5, about two minutes) runs only
-here, in CI as the ``long-golden`` job of ``.github/workflows/tests.yml``.
-The script uses the standard library alone, so any supported
-interpreter can rerun the set without pytest.
+blocks``, whose pure blocks reach m = 5; 76 s on two cores with Python
+3.11) runs only here, in CI as the ``long-golden`` job of
+``.github/workflows/tests.yml``.  The script uses the standard library
+alone, so any supported interpreter can rerun the set without pytest.
 """
 
 import argparse

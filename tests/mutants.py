@@ -98,8 +98,11 @@ MUTANTS = [
            "other_cols, other_coeffs = pivots[col][:2]",
            "SpanReducer.rref"),
     Mutant("socle-table-not-normalized", ALGEBRA,
-           "        if s != 1:\n            lam = [x / s for x in lam]",
-           "        if False:\n            lam = [x / s for x in lam]",
+           "        den = 0 if s_col is None else num[s_col]\n",
+           "        den = 0 if s_col is None else num[s_col] and scale\n",
+           "GradedRing.socle_table"),
+    Mutant("socle-denominator-kept-negative", ALGEBRA,
+           "        if den < 0:\n", "        if False:\n",
            "GradedRing.socle_table"),
     # X^n products and records
     Mutant("standard-socle-cycle-plus-4", XN,
@@ -180,6 +183,9 @@ MUTANTS = [
            "sign = -1 if forest.sign_exponent() % 2 else 1", "sign = 1",
            "fm.block_gram"),
     # the bridge
+    Mutant("psi-d-coefficient-one-minus-size", FM,
+           "2 - len(J))", "1 - len(J))",
+           "fm.psi_pullback"),
     Mutant("psi-drops-negative-terms", HODGE,
            "if c and k in alive}", "if c > 0 and k in alive}",
            "hodge.fiber_socle_of_psi"),

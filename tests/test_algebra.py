@@ -193,12 +193,14 @@ def test_normal_form_kills_relation_multiples():
         assert not any(reference_normal_form(ring, keyed(ring, product), d))
 
 
-@pytest.mark.parametrize("presentation", [fm_presentation(3), xn_presentation(4)],
-                         ids=["X[3]", "X^4"])
+@pytest.mark.parametrize("presentation",
+                         [xn_presentation(n) for n in range(1, 6)]
+                         + [fm_presentation(n) for n in range(1, 5)],
+                         ids=[f"X^{n}" for n in range(1, 6)] + [f"X[{n}]" for n in range(1, 5)])
 def test_key_helpers_agree_with_normal_forms(presentation):
     # every monomial of degree <= n, those in J' (no column) included:
     # is_zero_key against the normal form, socle_values against the ratio
-    # of degree-n normal-form coordinates
+    # of degree-n normal-form coordinates, summed in Fractions off the RREF
     ring = GradedRing(presentation)
     n = presentation.socle_degree
     gens = range(len(presentation.generators))
@@ -214,7 +216,8 @@ def test_key_helpers_agree_with_normal_forms(presentation):
             if d == n:
                 (value,) = ring.socle_values([key])
                 assert value == nf[0] / socle_coord, key
-    assert no_column > 0
+    assert no_column > 0 or n == 1
+    assert ring.socle_table()[1] > 0
 
 
 def test_socle_evaluation_of_socle_monomial_is_one():
@@ -224,13 +227,54 @@ def test_socle_evaluation_of_socle_monomial_is_one():
 
 
 def test_two_point_gram_matrix_in_degree_one():
+    # the socle values of the products of the degree-one quotient columns
     ring = ring_for(xn_presentation(2))
-    gram = ring.gram_matrix(1)
-    assert gram == [
-        [Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(-4)],
-    ]
+    basis = ring.basis(1)
+    keys = [basis.keys[c] for c in basis.quotient_cols]
+    gram = [ring.socle_values([r + c for c in keys]) for r in keys]
+    assert gram == [[0, 1, 0], [1, 0, 0], [0, 0, -4]]
+    assert ring.gram_rank(1) == 3
+
+
+def _quadric_presentation(c1, c2, socle):
+    """Generators a1, a2 and relations c1 a1^2 + c2 a2^2 and a1 a2, with
+    socle monomial ``socle`` in degree 2: R = Q[a1, a2] / (the relations)
+    has Hilbert function [1, 2, 1] and a perfect pairing."""
+    x, y = gen_a(1), gen_a(2)
+    return Presentation(
+        label=f"quadric-{c1}-{c2}",
+        ground=(1, 2),
+        generators=[x, y],
+        relations=[(a_poly(1) * a_poly(1)).scale(c1) + (a_poly(2) * a_poly(2)).scale(c2),
+                   a_poly(1) * a_poly(2)],
+        socle_degree=2,
+        socle_monomial=Monomial(((x if socle == "a1^2" else y, 2),)),
+    )
+
+
+@pytest.mark.parametrize("c1, c2, socle, table, values", [
+    # 2 a1^2 = a2^2: a2^2 is the quotient column, a1^2 reads 1/2
+    (2, -1, "a2^2", ([1, 2], 2), [Fraction(1, 2), 1]),
+    # a1^2 = -a2^2/2, so a2^2 = -2 a1^2: the socle's numerator is -1
+    (2, 1, "a1^2", ([1, -2], 1), [1, -2]),
+    # a1^2 = 2 a2^2: the socle is a pivot whose numerator is 2
+    (1, -2, "a1^2", ([2, 1], 2), [1, Fraction(1, 2)]),
+])
+def test_a_socle_table_with_a_denominator(c1, c2, socle, table, values):
+    # production rings all read a denominator of 1; these do not.  The
+    # columns are a1^2 and a2^2 (a1 a2 lies in J)
+    presentation = _quadric_presentation(c1, c2, socle)
+    ring = GradedRing(presentation)
+    keys = ring.basis(2).keys
+    assert ring.socle_table() == table
+    assert ring.socle_values(keys) == values
+    assert ring.socle_values([ring.monomial_key(Monomial(((gen_a(1), 1), (gen_a(2), 1))))]) == [0]
+    socle_coord = reference_normal_form(
+        ring, {ring.monomial_key(presentation.socle_monomial): 1}, 2)[0]
+    assert [reference_normal_form(ring, {key: 1}, 2)[0] / socle_coord for key in keys] == values
+    report = ring.gorenstein_check()
+    assert report.hilbert == [1, 2, 1] and report.verdict == "gorenstein"
+    assert ring.gram_rank(1) == 2
 
 
 def test_size_ceiling_refusal(lower_ceiling):
@@ -395,13 +439,28 @@ def test_product_monomials_equal_validated_ones():
 
 def test_poly_stores_integral_coefficients_as_ints():
     m = Monomial(((gen_a(1), 1),))
-    p = Poly({m: Fraction(4, 2)})
+    p = Poly([(m, 3), (m, -1)])
     assert type(p.terms[m]) is int and p.terms[m] == 2
-    assert p.to_payload() == [[m.to_payload(), "2"]]
-    q = Poly({m: Fraction(1, 2)})
-    assert type(q.terms[m]) is Fraction and q.to_payload()[0][1] == "1/2"
-    assert type((q + q).terms[m]) is int and type(q.scale(4).terms[m]) is int
-    assert p == Poly({m: Fraction(2)}) and str(p) == "2*a1"
+    assert p.to_payload() == [[m.to_payload(), "2"]] and str(p) == "2*a1"
+    for q in (p + p, p * Poly.constant(3), p.scale(-2), -p):
+        assert type(q.terms[m]) is int
+    assert Poly([(m, 2), (m, -2)]).is_zero and (p - p).is_zero
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), 2.0])
+def test_a_presentation_refuses_a_coefficient_that_is_not_an_int(coeff):
+    # the engine's input boundary: an integral Fraction is refused too
+    x = gen_a(1)
+    with pytest.raises(PresentationError, match="not an int"):
+        Presentation("fraction", (1,), [x], [Poly({Monomial(((x, 2),)): coeff})],
+                     1, Monomial(((x, 1),)))
+
+
+def test_a_presentation_refuses_a_mixed_degree_relation():
+    gens = [gen_a(1), gen_a(2)]
+    with pytest.raises(PresentationError, match="not homogeneous"):
+        Presentation("mixed", (1, 2), gens, [a_poly(1) + a_poly(1) * a_poly(2)],
+                     2, Monomial(((gens[0], 1), (gens[1], 1))))
 
 
 def test_mixed_degree_polynomials_are_rejected():
@@ -628,16 +687,15 @@ def test_higher_degree_ideal_dimensions_match_oracle():
         assert ring.basis(d).dimension == oracle_dimension(presentation, d)
 
 
-_COEFFICIENTS = [Fraction(c) * sign for c in (1, 2, 3, Fraction(1, 2), Fraction(3, 2))
-                 for sign in (1, -1)]
+_COEFFICIENTS = [c * sign for c in (1, 2, 3, 4, 6) for sign in (1, -1)]
 
 
 @st.composite
 def _random_presentations(draw):
     """2-4 generators a_i and 1-6 relations of degree 2 or 3, each 1-4
-    distinct monomials with coefficients in +-{1, 2, 3, 1/2, 3/2}; a
-    single-term relation is a generator of J.  The socle data is a
-    placeholder: only graded pieces are read."""
+    distinct monomials with integer coefficients in +-{1, 2, 3, 4, 6}, whose
+    shared content the engine strips; a single-term relation is a generator
+    of J.  The socle data is a placeholder: only graded pieces are read."""
     gens = [gen_a(i) for i in range(1, draw(st.integers(2, 4)) + 1)]
     relations = []
     for _ in range(draw(st.integers(1, 6))):

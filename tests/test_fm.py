@@ -2,7 +2,7 @@
 
 from collections import Counter
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import attrgetter
 
 import pytest
@@ -12,6 +12,7 @@ from tautring import fm
 from tautring.algebra import GradedRing, Poly, _integer_rank, ring_for
 from tautring.fm import (
     CrossCheckError,
+    D_poly,
     Forest,
     StandardMonomialFM,
     _dpart_dict,
@@ -481,12 +482,32 @@ def test_fm_hilbert_functions(n):
 def test_psi_pullback_examples():
     assert psi_pullback(1, 1) == a_poly(1).scale(2)
     assert psi_pullback(2, 1) == a_poly(1).scale(2) + d_poly(1, 2)
-    from tautring.fm import D_poly
-
     expected = (
         a_poly(1).scale(2) + d_poly(1, 2) + d_poly(1, 3) - D_poly((1, 2, 3))
     )
     assert psi_pullback(3, 1) == expected
+
+
+def _psi_by_superset_sums(n, i):
+    """psi_i as it is defined: 2 a_i + S({i}) + sum over j != i of
+    (d_{i,j} - S({i, j})), with S(B) the sum of the D_J with J containing
+    B, over every subset J of three or more points."""
+    def superset_sum(base):
+        return sum((D_poly(J) for size in range(3, n + 1)
+                    for J in combinations(range(1, n + 1), size)
+                    if set(base) <= set(J)), Poly.zero())
+
+    total = a_poly(i).scale(2) + superset_sum({i})
+    for j in range(1, n + 1):
+        if j != i:
+            total = total + d_poly(i, j) - superset_sum({i, j})
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_psi_pullback_closed_form_is_the_superset_sum_definition(n):
+    for i in range(1, n + 1):
+        assert psi_pullback(n, i) == _psi_by_superset_sums(n, i), i
 
 
 def test_psi_pullback_rejects_bad_index():

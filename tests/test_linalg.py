@@ -1,26 +1,27 @@
 """Exact linear algebra in ``tautring._kernel``: ranks and the canonical RREF.
 
 Every rank and every canonical form here comes from the engine's one
-kernel (``SpanReducer`` and its ``rref()``, ``_integral_coeffs`` and
-``_integer_rank``) and is checked against Fraction Gauss-Jordan
-references from ``test_algebra`` that share no code with it.
+kernel (``SpanReducer`` and its ``rref()``, ``_normalize`` and
+``_integer_rank``), which takes integer rows only, and is checked against
+Fraction Gauss-Jordan references from ``test_algebra`` that share no code
+with it.
 """
 
 import random
 from fractions import Fraction
 
-from tautring._kernel import SpanReducer, _integer_rank, _integral_coeffs
+from tautring._kernel import SpanReducer, _integer_rank, _normalize
 from test_algebra import _fraction_kernel, _fraction_rank, _fraction_rref
 
 
 def kernel_rref(rows):
-    """Canonical integer RREF of dense rational rows, through the kernel:
+    """Canonical integer RREF of dense integer rows, through the kernel:
     ``{pivot column: (cols, coeffs)}``."""
     reducer = SpanReducer(len(rows[0]) if rows else 0)
     for row in rows:
         cols = [j for j, v in enumerate(row) if v]
         if cols:
-            reducer.insert(cols, _integral_coeffs([row[j] for j in cols]))
+            reducer.insert(cols, [row[j] for j in cols])
     return reducer.rref()[0]
 
 
@@ -68,9 +69,11 @@ def test_zero_matrix_kernel_is_everything():
     assert len(_fraction_kernel(zero)) == 3
 
 
-def test_rational_entries_are_exact():
-    assert _integral_coeffs([Fraction(-1, 3), Fraction(1, 6), 2]) == [2, -1, -12]
-    m = [[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 3), Fraction(1, 3)]]
+def test_rows_with_content_are_exact():
+    coeffs = [-4, 2, -24]
+    _normalize(coeffs)
+    assert coeffs == [2, -1, 12]  # content and sign stripped
+    m = [[6, 3], [-4, -2]]
     assert _integer_rank(m) == _fraction_rank(m) == 1
     assert kernel_rref(m) == {0: ([0, 1], [2, 1])}
 
@@ -78,7 +81,7 @@ def test_rational_entries_are_exact():
 def _random_matrix(rng, rows, cols, density=0.4):
     return [
         [
-            Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+            rng.randrange(-6, 7) * rng.randrange(1, 4)
             if rng.random() < density else 0
             for _ in range(cols)
         ]
