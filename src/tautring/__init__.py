@@ -1,7 +1,7 @@
 """Exact verification of tautological rings of points on a genus-2 curve.
 
 Two families of graded rings are built from explicit generators and
-relations and checked to be Gorenstein by exact rational linear algebra:
+relations and checked to be Gorenstein by exact integer linear algebra:
 the power rings X^n and the Fulton-MacPherson compactified rings X[n].
 A closed-form psi-lambda integral evaluator provides an independent
 moduli-side computation path cross-checked against the fiber rings.
@@ -9,7 +9,6 @@ moduli-side computation path cross-checked against the fiber rings.
 
 from .algebra import (
     GradedRing,
-    PairingReport,
     Presentation,
     PresentationError,
     SizeCeilingError,
@@ -50,7 +49,6 @@ KERNEL_BACKEND = "pure"
 __all__ = [
     "GradedRing",
     "KERNEL_BACKEND",
-    "PairingReport",
     "Presentation",
     "PresentationError",
     "SizeCeilingError",

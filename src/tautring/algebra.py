@@ -42,7 +42,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
-from types import SimpleNamespace
 
 from ._kernel import SpanReducer, _integer_rank, _normalize
 
@@ -823,33 +822,31 @@ class GradedRing:
     def _above_socle_dimension(self):
         """Dimension of R_{n+1}, n the socle degree, by proof when possible.
 
-        Lemma.  Suppose :meth:`socle_table` succeeds, so R_n = Q*[s] for the
-        socle monomial s, with socle evaluation lambda(s) = 1, and some
+        Lemma.  Suppose R_n = Q*[s] for the socle monomial s, and some
         factor x of s has x*s in J' (:meth:`_columns`).  Then R_d = 0 for
         every d > n.
 
         Proof.  For a generator g, g*s = x*u with u = g*s/x of degree n,
-        and [u] = lambda(u)*[s] because R_n is spanned by [s].  So
-        [g]*[s] = [x]*[u] = lambda(u)*[x*s] = 0, since J' lies in I.  The
-        ring is generated in degree one, so R_{n+1} = R_1*R_n = 0, and
-        R_d = R_1*R_{d-1} = 0 for every d > n+1 in turn.
+        and [u] = c*[s] for some rational c because R_n is spanned by [s].
+        So [g]*[s] = [x]*[u] = c*[x*s] = 0, since J' lies in I.  The ring
+        is generated in degree one, so R_{n+1} = R_1*R_n = 0, and R_d =
+        R_1*R_{d-1} = 0 for every d > n+1 in turn.
 
-        Checking the hypotheses costs the socle table (which the pairing
-        checks need anyway) and one divisor test per factor of s; degree
-        n+1 is not enumerated.  When they fail -- a defective socle, or no
-        such x (as for a ring with no monomial relations) -- degree n+1 is
-        built by explicit elimination.
+        R_n = Q*[s] exactly when dim R_n = 1 and [s] != 0, that is, s is
+        alive (:meth:`is_zero_key`); for such s, x*s lies in J' exactly when
+        it fails the divisor test of :meth:`_column_products`.  Checking the
+        hypotheses costs one divisor test per factor of s; degree n+1 is
+        not enumerated, nor is the socle table read.  When they fail -- a
+        defective socle, or no such x (as for a ring with no monomial
+        relations) -- degree n+1 is built by explicit elimination.
         """
         n = self.presentation.socle_degree
         s = self.presentation.socle_monomial
-        try:
-            self.socle_table()
-        except SocleError:
-            pass
-        else:
-            s_key = self.monomial_key(s)  # a column and not dead: lambda(s) = 1
+        top = self.basis(n)
+        s_key = self.monomial_key(s)
+        if top.dimension == 1 and s_key in top.alive:
             factors = [self._gen_index[x] for x, _ in s.exps]
-            if self._column_products(s_key, factors, self.basis(n).alive) != factors:
+            if self._column_products(s_key, factors, top.alive) != factors:
                 return 0
         return self.basis(n + 1).dimension
 
@@ -874,75 +871,44 @@ class GradedRing:
         return dims
 
     def gorenstein_check(self):
-        """Full Gorenstein verification; returns a PairingReport.
+        """The Gorenstein verification as named checks, in report order,
+        each ``(name, passed, witness)``, ``witness`` a dict:
 
-        Checks, in order: one-dimensional bottom and socle, vanishing just
-        above the socle (by :meth:`_above_socle_dimension`), a symmetric
-        Hilbert function, and a perfect pairing (full-rank Gram matrix) in
-        every complementary pair of degrees.
+        * ``socle-dimension``: :meth:`socle_table` succeeds, which it does
+          exactly when R_n is one-dimensional and the socle monomial is
+          nonzero in R (the proof is in its docstring); the witness
+          ``note`` is its SocleError message, or "";
+        * ``vanishing-above-socle``: R_{n+1} = 0 (``hilbert(n + 1)``, by
+          :meth:`_above_socle_dimension`), witness its ``dimension``;
+        * ``pairing-degree-d`` for d = 0..n: the Gram pairing of degrees d
+          and n - d (:meth:`gram_rank`) is perfect, ``gram_rank == dim R_d
+          == dim R_{n-d}``; the rank is None, and the check fails, when the
+          socle check failed.
 
-        The socle is checked once, by :meth:`socle_table`, which raises
-        SocleError exactly when R_n is not one-dimensional or the socle
-        monomial is zero in R (the proof is in its docstring).
+        The ring is Gorenstein exactly when every check passes; the engine
+        states no verdict of its own.  Two further conditions are implied.
+        dim R_0 = 1: degree 0 has the one unit column and no rows, since
+        :class:`Presentation` refuses a relation of degree below one.  dim
+        R_n = 1: :meth:`socle_table` raises unless it holds.
         """
         n = self.presentation.socle_degree
-        hilbert = self.hilbert(n)
-        above = self._above_socle_dimension()
-        socle_ok = True
-        socle_note = ""
+        hilbert = self.hilbert(n + 1)
         try:
             self.socle_table()
+            note = ""
         except SocleError as exc:
-            socle_ok = False
-            socle_note = str(exc)
-        records = []
-        ranks = {}
-        if socle_ok:
-            ranks = {d: self.gram_rank(d) for d in range(n // 2 + 1)}
+            note = str(exc)
+        checks = [
+            ("socle-dimension", not note, {"note": note}),
+            ("vanishing-above-socle", hilbert[n + 1] == 0, {"dimension": hilbert[n + 1]}),
+        ]
         for d in range(n + 1):
-            dim = hilbert[d]
-            codim = hilbert[n - d]
-            rank = ranks.get(min(d, n - d))
-            ok = (
-                socle_ok
-                and dim == codim
-                and rank is not None
-                and rank == dim
-                and rank == codim
-            )
-            records.append(
-                {
-                    "degree": d,
-                    "dimension": dim,
-                    "complement_dimension": codim,
-                    "gram_rank": rank,
-                    "perfect": bool(ok),
-                }
-            )
-        verdict = (
-            socle_ok
-            and hilbert[0] == 1
-            and hilbert[n] == 1
-            and above == 0
-            and all(r["perfect"] for r in records)
-        )
-        return PairingReport(
-            label=self.presentation.label,
-            socle_degree=n,
-            hilbert=hilbert,
-            above_socle_dimension=above,
-            socle_ok=socle_ok,
-            socle_note=socle_note,
-            records=records,
-            verdict="gorenstein" if verdict else "defective",
-        )
-
-
-class PairingReport(SimpleNamespace):
-    """Outcome of a Gorenstein verification run: ``label``,
-    ``socle_degree``, ``hilbert``, ``above_socle_dimension``, ``socle_ok``,
-    ``socle_note``, one record per degree in ``records``, and ``verdict``
-    ("gorenstein" or "defective")."""
+            dim, codim = hilbert[d], hilbert[n - d]
+            rank = None if note else self.gram_rank(d)
+            checks.append((f"pairing-degree-{d}", rank == dim == codim,
+                           {"dimension": dim, "complement_dimension": codim,
+                            "gram_rank": rank}))
+        return checks
 
 
 # ----- module-level convenience API -------------------------------------

@@ -52,6 +52,7 @@ from .xn import (
     enumerate_standard_xn,
     standard_pairing,
     standard_socle_coefficient,
+    standard_supports,
     xn_presentation,
 )
 
@@ -381,7 +382,18 @@ def _dparts(n, degree):
 def enumerate_standard_fm(n, degree):
     """All standard monomials of the given degree, in the monomial order
     (``StandardMonomialFM.sort_key``: by D-part, then by a/b-part): each
-    D-part of :func:`_dparts` over the standard monomials of X^S."""
+    D-part of :func:`_dparts` over the standard monomials of X^S.
+
+    Refuses (SizeCeilingError, ``fm:<n>``, in ``standard monomials``) a
+    count past ``SIZE_CEILING`` before anything is enumerated: the D-parts
+    of each shape (|S|, w) of :func:`_dpart_tally` times the standard
+    monomials of X^|S| in degree ``degree - w`` (:func:`standard_supports`),
+    the ``standard`` witness of ``fm check --mode blocks``.
+    """
+    _check_points(n)
+    count = sum(blocks * standard_supports(size, degree - weight)[0]
+                for (size, weight), blocks in _dpart_tally(n).items() if weight <= degree)
+    check_size(f"fm:{n}", degree, count, "standard monomials")
     out = []
     for forest, exps in _dparts(n, degree):
         S = sorted(forest.s_set(n))
@@ -398,11 +410,7 @@ def _superset_sum(base, n):
     """Sum of D_J over the D-index sets J of ``n`` points that contain
     ``base``."""
     base = set(base)
-    total = Poly.zero()
-    for J in _subsets(n):
-        if base.issubset(J):
-            total = total + D_poly(J)
-    return total
+    return Poly([(Monomial(((gen_D(J), 1),)), 1) for J in _subsets(n) if base.issubset(J)])
 
 
 def fm_presentation(n):

@@ -324,13 +324,8 @@ def six_point_poly(indices):
     idx = tuple(sorted(indices))
     if len(idx) != 6 or len(set(idx)) != 6:
         raise ValueError("need exactly six distinct indices")
-    total = Poly.zero()
-    for matching in perfect_matchings(idx):
-        term = Poly.constant(1)
-        for i, j in matching:
-            term = term * b_poly(i, j)
-        total = total + term
-    return total
+    return Poly([(Monomial(tuple((gen_b(i, j), 1) for i, j in matching)), 1)
+                 for matching in perfect_matchings(idx)])
 
 
 def six_point_relations(n, degree):
@@ -340,7 +335,14 @@ def six_point_relations(n, degree):
     ``degree - 3``), summed term by term by :func:`standard_product`, as a
     sparse dict ``{index in enumerate_standard_xn(n, degree): coefficient}``;
     zero products are omitted.  Returns ``(vectors, standard_list)``.
+
+    Refuses (SizeCeilingError, ``xn:<n>``, in ``six-point terms``) before
+    anything is enumerated once the products, 15 terms for each six points
+    and each multiplier, pass ``SIZE_CEILING``.
     """
+    if degree >= 3:
+        count = 15 * comb(n, 6) * standard_supports(n, degree - 3)[0]
+        check_size(f"xn:{n}", degree, count, "six-point terms")
     standard = enumerate_standard_xn(n, degree)
     index = {v: i for i, v in enumerate(standard)}
     vectors = []

@@ -37,6 +37,12 @@ def run_cli(args, env=None):
     return SimpleNamespace(exit_code=code, output=out.getvalue())
 
 
+def verdict(checks):
+    """The verdict of ``GradedRing.gorenstein_check``'s checks, as ``xn
+    check`` reports it: "gorenstein" exactly when every check passed."""
+    return "gorenstein" if all(passed for _, passed, _ in checks) else "defective"
+
+
 def keyed(ring, q):
     """The Poly ``q`` as the engine reads it: ``{packed key: coefficient}``."""
     return {ring.monomial_key(m): c for m, c in q.terms.items()}

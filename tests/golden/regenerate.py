@@ -60,6 +60,8 @@ QUICK = dict([
     # size-guard refusals, exit 3
     _named("fm", "check", "--n", "13", "--mode", "blocks"),
     _named("xn", "matching-gram", "--m", "6"),
+    _named("fm", "standard", "--n", "10", "--degree", "5"),
+    _named("xn", "six-point", "--n", "12", "--degree", "6"),
 ])
 
 LONG = dict([

@@ -97,6 +97,9 @@ MUTANTS = [
            "other_cols, other_coeffs = reduced[col]",
            "other_cols, other_coeffs = pivots[col][:2]",
            "SpanReducer.rref"),
+    Mutant("pairing-rank-against-one-side", ALGEBRA,
+           "rank == dim == codim", "rank == dim",
+           "GradedRing.gorenstein_check"),
     Mutant("socle-table-not-normalized", ALGEBRA,
            "        den = 0 if s_col is None else num[s_col]\n",
            "        den = 0 if s_col is None else num[s_col] and scale\n",
@@ -169,6 +172,9 @@ MUTANTS = [
            "            for i in range(start, len(sets)):",
            "            for i in reversed(range(start, len(sets))):",
            "fm._families"),
+    Mutant("standard-count-unrefused", FM,
+           'check_size(f"fm:{n}", degree, count, "standard monomials")', "count",
+           "fm.enumerate_standard_fm"),
     # the block route
     Mutant("tally-root-range-s-minus-1", FM,
            "for e in range(1, min(s - 2, n - w) + 1)", "for e in range(1, min(s - 1, n - w) + 1)",

@@ -30,7 +30,7 @@ from tautring.cache import CachedRing, CacheStore, _basis_payload
 from tautring.fm import fm_presentation
 from tautring.xn import a_poly, b_poly, xn_presentation
 
-from conftest import keyed, reference_normal_form, socle_value
+from conftest import keyed, reference_normal_form, socle_value, verdict
 
 
 # ----- independent oracle ----------------------------------------------------
@@ -272,8 +272,8 @@ def test_a_socle_table_with_a_denominator(c1, c2, socle, table, values):
     socle_coord = reference_normal_form(
         ring, {ring.monomial_key(presentation.socle_monomial): 1}, 2)[0]
     assert [reference_normal_form(ring, {key: 1}, 2)[0] / socle_coord for key in keys] == values
-    report = ring.gorenstein_check()
-    assert report.hilbert == [1, 2, 1] and report.verdict == "gorenstein"
+    assert verdict(ring.gorenstein_check()) == "gorenstein"
+    assert ring.hilbert() == [1, 2, 1]
     assert ring.gram_rank(1) == 2
 
 
@@ -469,32 +469,23 @@ def test_mixed_degree_polynomials_are_rejected():
         q.degree()
 
 
-def test_defective_presentation_is_reported():
+def _zero_degree_two():
     # a1^2 = a2^2 = a1 a2 = 0 kills all of degree 2, so the declared socle
-    # is unreachable and the verdict must not be "gorenstein"
-    gens = [gen_a(1), gen_a(2)]
-    rels = [
-        a_poly(1) * a_poly(1),
-        a_poly(2) * a_poly(2),
-        a_poly(1) * a_poly(2),
-    ]
-    pres = Presentation(
+    # is unreachable
+    return Presentation(
         label="defective-demo",
         ground=(1, 2),
-        generators=gens,
-        relations=rels,
+        generators=[gen_a(1), gen_a(2)],
+        relations=[a_poly(1) * a_poly(1), a_poly(2) * a_poly(2), a_poly(1) * a_poly(2)],
         socle_degree=2,
         socle_monomial=Monomial(((gen_a(1), 1), (gen_a(2), 1))),
     )
-    report = ring_for(pres).gorenstein_check()
-    assert report.verdict == "defective"
-    assert not report.socle_ok
 
 
-def test_socle_monomial_in_the_ideal_is_reported():
+def _socle_in_the_ideal():
     # R_2 = Q*[a1 a2] is one-dimensional, but the declared socle a1^2 lies
     # in J, so its class is zero and cannot span the socle
-    pres = Presentation(
+    return Presentation(
         label="socle-in-ideal",
         ground=(1, 2),
         generators=[gen_a(1), gen_a(2)],
@@ -502,11 +493,50 @@ def test_socle_monomial_in_the_ideal_is_reported():
         socle_degree=2,
         socle_monomial=Monomial(((gen_a(1), 2),)),
     )
-    report = GradedRing(pres).gorenstein_check()
-    assert report.hilbert == [1, 2, 1]
-    assert not report.socle_ok
-    assert "evaluates to zero" in report.socle_note
-    assert report.verdict == "defective"
+
+
+def _asymmetric():
+    # Q[x, y] / (x^2 y, x y^2, x^3 - y^3): Hilbert function [1, 2, 3, 1],
+    # socle x^3.  x pairs only with x^2 and y only with y^2, so the
+    # degree-1 Gram against degree 2 has full row rank 2, but it is 2 by 3
+    x, y = gen_a(1), gen_a(2)
+    return Presentation(
+        label="asymmetric",
+        ground=(1, 2),
+        generators=[x, y],
+        relations=[a_poly(1) * a_poly(1) * a_poly(2), a_poly(1) * a_poly(2) * a_poly(2),
+                   a_poly(1) * a_poly(1) * a_poly(1) - a_poly(2) * a_poly(2) * a_poly(2)],
+        socle_degree=3,
+        socle_monomial=Monomial(((x, 3),)),
+    )
+
+
+def test_defective_presentation_is_reported():
+    # the verdict must not be "gorenstein"
+    checks = ring_for(_zero_degree_two()).gorenstein_check()
+    assert verdict(checks) == "defective"
+    assert checks[0][:2] == ("socle-dimension", False)
+
+
+def test_socle_monomial_in_the_ideal_is_reported():
+    ring = GradedRing(_socle_in_the_ideal())
+    (name, passed, witness), *_ = ring.gorenstein_check()
+    assert ring.hilbert() == [1, 2, 1]
+    assert (name, passed) == ("socle-dimension", False)
+    assert "evaluates to zero" in witness["note"]
+    assert verdict(ring.gorenstein_check()) == "defective"
+
+
+def test_a_full_rank_gram_between_unequal_dimensions_is_not_perfect():
+    # rank = dim R_1 = 2, but dim R_2 = 3: the pairing fails on both sides
+    ring = GradedRing(_asymmetric())
+    checks = ring.gorenstein_check()
+    assert ring.hilbert(4) == [1, 2, 3, 1, 0]
+    assert [(name, passed) for name, passed, _ in checks] == [
+        ("socle-dimension", True), ("vanishing-above-socle", True),
+        ("pairing-degree-0", True), ("pairing-degree-1", False),
+        ("pairing-degree-2", False), ("pairing-degree-3", True)]
+    assert checks[3][2] == {"dimension": 2, "complement_dimension": 3, "gram_rank": 2}
 
 
 def test_poly_arithmetic_basics():
@@ -548,9 +578,9 @@ def _one_generator_ring():
 
 def test_vanishing_falls_back_to_elimination_when_the_lemma_does_not_apply():
     ring = _one_generator_ring()
-    report = ring.gorenstein_check()
-    assert report.above_socle_dimension == 1
-    assert report.verdict == "defective"
+    checks = ring.gorenstein_check()
+    assert checks[1] == ("vanishing-above-socle", False, {"dimension": 1})
+    assert verdict(checks) == "defective"
     assert 2 in ring._basis_memo
     assert ring.hilbert(3) == [1, 1, 1, 1]
 

@@ -23,6 +23,7 @@ from tautring.cache import (
 from tautring.fm import fm_presentation
 from tautring.xn import xn_presentation
 
+from conftest import verdict
 from test_algebra import monomial_from_factors
 
 
@@ -48,14 +49,14 @@ def test_usage_counts_entries_and_not_temp_files(tmp_path):
 def test_cold_then_warm_engine_runs(tmp_path):
     store = CacheStore(tmp_path)
     cold = CachedRing(xn_presentation(3), store)
-    cold_report = cold.gorenstein_check()
+    cold_checks = cold.gorenstein_check()
     assert cold.cache_misses > 0 and cold.cache_hits == 0
 
     warm = CachedRing(xn_presentation(3), store)
-    warm_report = warm.gorenstein_check()
+    warm_checks = warm.gorenstein_check()
     assert warm.cache_misses == 0 and warm.cache_hits == cold.cache_misses
-    assert warm_report.hilbert == cold_report.hilbert
-    assert warm_report.verdict == cold_report.verdict
+    assert warm.hilbert() == cold.hilbert()
+    assert verdict(warm_checks) == verdict(cold_checks)
 
 
 def test_key_separation_between_presentations(tmp_path):
@@ -116,16 +117,16 @@ def test_no_temp_files_left_behind(tmp_path):
 def test_warm_ring_reads_every_basis_and_never_eliminates(tmp_path, monkeypatch):
     store = CacheStore(tmp_path)
     cold = CachedRing(xn_presentation(4), store)
-    cold_report = cold.gorenstein_check()
+    cold_checks = cold.gorenstein_check()
 
     def refuse(ring, d):
         raise AssertionError(f"degree {d} eliminated again")
 
     monkeypatch.setattr(GradedRing, "_compute_basis", refuse)
     warm = CachedRing(xn_presentation(4), store)
-    warm_report = warm.gorenstein_check()
-    assert warm_report.verdict == "gorenstein"
-    assert warm_report == cold_report  # a SimpleNamespace compares every field
+    warm_checks = warm.gorenstein_check()
+    assert verdict(warm_checks) == "gorenstein"
+    assert warm_checks == cold_checks  # every name, outcome and witness
     assert (warm.cache_hits, warm.cache_misses) == (cold.cache_misses, 0)
 
 
@@ -216,10 +217,10 @@ def test_a_planted_gram_rank_does_not_change_the_verdict(tmp_path):
         {"rank": 2},
     )
     ring = CachedRing(presentation, store)
-    report = ring.gorenstein_check()
-    assert report.hilbert == [1, 2, 1]
-    assert report.records[1]["gram_rank"] == 1
-    assert report.verdict == "defective"
+    checks = ring.gorenstein_check()
+    assert ring.hilbert() == [1, 2, 1]
+    assert checks[3][0] == "pairing-degree-1" and checks[3][2]["gram_rank"] == 1
+    assert verdict(checks) == "defective"
     # the cache holds the three bases, next to the planted entry, and nothing else
     assert (ring.cache_hits, ring.cache_misses) == (0, 3)
     assert store.usage()[0] == 1 + 3
@@ -245,11 +246,11 @@ def test_a_partially_warm_cache_serves_the_criteria_through_its_tags(
     monkeypatch.setattr(GradedRing, "_compute_basis",
                         lambda ring, d: computed.append(d) or compute(ring, d))
     ring = CachedRing(presentation, store)
-    report = ring.gorenstein_check()
+    checks = ring.gorenstein_check()
     top = presentation.socle_degree
     assert computed == list(range(3, top + 1))
     assert (ring.cache_hits, ring.cache_misses) == (3, top - 2)
-    assert report == GradedRing(presentation).gorenstein_check()
+    assert checks == GradedRing(presentation).gorenstein_check()
 
 
 def test_payload_digest_hashes_the_canonical_text():

@@ -238,6 +238,64 @@ def test_a_compactified_presentation_is_refused_before_it_is_built(args):
     assert sum(fm._relation_terms(7)) <= guard["ceiling"] < sum(fm._relation_terms(8))
 
 
+@pytest.mark.parametrize("args, label, degree, count, unit", [
+    (["fm", "standard", "--n", "10", "--degree", "5"], "fm:10", 5, 9_065_799,
+     "standard monomials"),
+    (["xn", "six-point", "--n", "12", "--degree", "6"], "xn:12", 6, 400_969_800,
+     "six-point terms"),
+], ids=["fm standard --n 10 --degree 5", "xn six-point --n 12 --degree 6"])
+def test_an_enumeration_is_refused_before_it_starts(args, label, degree, count, unit,
+                                                    monkeypatch):
+    # the standard monomials of X[10] in degree 5 are counted by D-part
+    # shape, and the products of the matching sums of X^12 with the degree-3
+    # standard monomials by one closed form; nothing is enumerated
+    from tautring import fm, xn
+
+    def refuse(*args):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(fm, "_dparts", refuse)
+    monkeypatch.setattr(xn, "enumerate_standard_xn", refuse)
+    start = time.perf_counter()
+    result = run_cli(["--format", "json"] + args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 3
+    (guard,) = strict_report_of(result)["checks"]
+    assert (guard["name"], guard["label"], guard["degree"], guard["unit"]) == (
+        "size-guard", label, degree, unit)
+    assert guard["count"] == count > guard["ceiling"]
+
+
+def _engine_presentations():
+    from tautring.fm import fm_presentation
+    from tautring.xn import xn_presentation
+
+    from test_algebra import (_asymmetric, _one_generator_ring, _socle_in_the_ideal,
+                              _zero_degree_two)
+
+    return ([(xn_presentation(n), "gorenstein") for n in range(1, 6)]
+            + [(fm_presentation(n), "gorenstein") for n in range(1, 5)]
+            + [(pres, "defective") for pres in (
+                _zero_degree_two(), _socle_in_the_ideal(), _asymmetric(),
+                _one_generator_ring().presentation)])
+
+
+@pytest.mark.parametrize("presentation, expected", _engine_presentations(),
+                         ids=lambda value: getattr(value, "label", None))
+def test_the_verdict_reads_the_checks_of_the_exit_code(presentation, expected):
+    # summary.verdict is "gorenstein" exactly when every engine check passed
+    from tautring import cli as cli_module
+
+    checks, summary = cli_module._engine_checks(cli_module.RunContext("json", None),
+                                                presentation)
+    every_check_passed = all(c["status"] == "pass" for c in checks)
+    assert summary["verdict"] == ("gorenstein" if every_check_passed else "defective")
+    assert summary["verdict"] == expected
+    assert [c["name"] for c in checks] == [
+        "socle-dimension", "vanishing-above-socle",
+        *(f"pairing-degree-{d}" for d in range(presentation.socle_degree + 1))]
+
+
 def test_a_reader_that_stops_early_gets_exit_one_and_no_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "tautring.cli", "--format", "json",
@@ -327,7 +385,9 @@ def test_blocks_mode_honours_the_size_ceiling(lower_ceiling):
     assert guard["label"].startswith("xn:") and guard["unit"] == "standard monomials"
 
 
-# the unit of the count and ceiling of each command's refusal
+# the unit of the count and ceiling of each command's refusal below (fm
+# standard and xn six-point also refuse in the units of
+# test_an_enumeration_is_refused_before_it_starts)
 GUARD_UNITS = {"xn check": "columns", "fm check": "standard monomials",
                "fm standard": "points", "xn matching-gram": "Gram entries",
                "xn six-point": "standard monomials", "hodge eval": "Bernoulli terms"}

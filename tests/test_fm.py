@@ -43,7 +43,7 @@ from tautring.xn import (
     xn_presentation,
 )
 
-from conftest import socle_value
+from conftest import socle_value, verdict
 
 FROZEN_FM_HILBERT = {
     2: [1, 3, 1],
@@ -294,6 +294,18 @@ def test_enumeration_counts_for_three_points():
     assert "a1*D(1,2,3)" in names
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_refused_count_is_the_enumerated_count(n, monkeypatch):
+    # the count by D-part shape, checked before anything is enumerated, is
+    # exact in every degree, above the socle degree too
+    seen = []
+    monkeypatch.setattr(fm, "check_size", lambda *args: seen.append(args))
+    for d in range(n + 2):
+        found = enumerate_standard_fm(n, d)
+        assert seen == [(f"fm:{n}", d, len(found), "standard monomials")]
+        seen.clear()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_standard_counts_match_engine_dimensions(n):
     ring = ring_for(fm_presentation(n))
@@ -471,9 +483,8 @@ def test_the_relation_term_bound_covers_the_built_presentation(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fm_hilbert_functions(n):
     ring = ring_for(fm_presentation(n))
-    report = ring.gorenstein_check()
-    assert report.hilbert == FROZEN_FM_HILBERT[n]
-    assert report.verdict == "gorenstein"
+    assert verdict(ring.gorenstein_check()) == "gorenstein"
+    assert ring.hilbert() == FROZEN_FM_HILBERT[n]
 
 
 # ----- psi pullback -----------------------------------------------------------
